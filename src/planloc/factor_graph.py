@@ -1,9 +1,11 @@
-"""Sparse nonlinear least-squares over typed variables and factors.
+"""Nonlinear least-squares over typed variables and factors.
 
 Every graph layer in the system (plan graph, online robot graph, merged
 graph) is an instance of the same engine: typed variables holding small
-dense state blocks, factors contributing weighted residuals, and a
-Levenberg-Marquardt loop over the free variables.
+dense state blocks, factors contributing weighted residuals, and a dense
+Levenberg-Marquardt loop over the free variables. Factors are evaluated in
+groups of one kind and variable-kind signature, by one batched numpy kernel
+per factor kind.
 
 Variable parameterizations:
 
@@ -31,7 +33,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import PERP, Pose2, rotation2, wrap_angle
+from .geometry import Pose2, wrap_angle
 
 
 class GraphError(ValueError):
@@ -163,215 +165,175 @@ class SolveReport:
     iterations: int
     initial_cost: float
     final_cost: float
-    chi2_per_factor: dict[int, float] = field(default_factory=dict)
     cost_trace: list[float] = field(default_factory=list)
     message: str = ""
 
 
 # ---------------------------------------------------------------------------
-# residuals and analytic Jacobians
+# residuals and analytic Jacobians, one batched kernel per factor kind
 # ---------------------------------------------------------------------------
 #
-# Each implementation returns (residual, [jacobian per variable]) evaluated at
-# the given variable values. Angular residual components are wrapped into
-# (-pi, pi].
+# A kernel takes the variable-kind signature of its factors, the stacked
+# values of each variable slot (``vals[s]`` has shape (m, dim_s)) and the
+# stacked measurements (m, p), and returns the residuals r (m, k) and one
+# Jacobian (m, k, dim_s) per slot. Angular residual components are wrapped
+# into (-pi, pi].
 
 
-def _odometry(factor: Factor, vals: list[np.ndarray]):
-    x1, y1, t1 = vals[0]
-    x2, y2, t2 = vals[1]
-    z = factor.measurement  # Pose2: measured relative pose
-    a = rotation2(t1 - t2)
-    b = rotation2(-t2)
-    q = np.array([x2 - x1, y2 - y1])
-    zt = z.translation
-    et = a @ zt - b @ q
-    etheta = wrap_angle(z.theta - (t2 - t1))
-    r = np.array([et[0], et[1], etheta])
+def _wrap(theta: np.ndarray) -> np.ndarray:
+    """Elementwise ``wrap_angle``; every step is exact, so the two agree bit for bit."""
+    r = np.fmod(theta, math.tau)
+    r = np.where(r > math.pi, r - math.tau, r)
+    return np.where(r <= -math.pi, r + math.tau, r)
 
-    saz = PERP @ (a @ zt)
-    sbq = PERP @ (b @ q)
-    j1 = np.zeros((3, 3))
-    j1[:2, :2] = b
-    j1[:2, 2] = saz
-    j1[2, 2] = 1.0
-    j2 = np.zeros((3, 3))
-    j2[:2, :2] = -b
-    j2[:2, 2] = -saz + sbq
-    j2[2, 2] = -1.0
+
+def _eye(m: int, dim: int) -> np.ndarray:
+    return np.tile(np.eye(dim), (m, 1, 1))
+
+
+def _stack(m: int, rows) -> np.ndarray:
+    """(m, rows, cols) array from rows of per-factor values, arrays of shape (m,) or constants."""
+    out = np.empty((m, len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            out[:, i, j] = value
+    return out
+
+
+def _align_polarity(phi, d, phi_ref):
+    """Flip predicted planes whose normal disagrees with the reference by more than 90 deg.
+
+    A prediction and its measurement describe the same geometric plane up to
+    an orientation flip; they are compared in whichever polarity agrees in
+    angle. Returns (phi, d, sign) with sign -1 where the plane was flipped.
+    """
+    sign = np.where(np.abs(_wrap(phi - phi_ref)) > math.pi / 2, -1.0, 1.0)
+    return np.where(sign < 0, phi + math.pi, phi), sign * d, sign
+
+
+def _odometry(kinds, vals, meas):
+    x1, y1, t1 = vals[0].T
+    x2, y2, t2 = vals[1].T
+    zx, zy, zt = meas.T
+    m = len(meas)
+    ca, sa = np.cos(t1 - t2), np.sin(t1 - t2)
+    cb, sb = np.cos(-t2), np.sin(-t2)
+    qx, qy = x2 - x1, y2 - y1
+    # a z and b q with a = R(t1 - t2), b = R(-t2), q = p2 - p1
+    azx, azy = ca * zx - sa * zy, sa * zx + ca * zy
+    bqx, bqy = cb * qx - sb * qy, sb * qx + cb * qy
+    r = np.stack([azx - bqx, azy - bqy, _wrap(zt - (t2 - t1))], axis=-1)
+    j1 = _stack(m, [[cb, -sb, -azy], [sb, cb, azx], [0.0, 0.0, 1.0]])
+    j2 = _stack(m, [[-cb, sb, azy - bqy], [-sb, -cb, bqx - azx], [0.0, 0.0, -1.0]])
     return r, [j1, j2]
 
 
-def _pose_plane(factor: Factor, vals: list[np.ndarray]):
-    x, y, t = vals[0]
-    phi, d = vals[1]
-    phi_z, d_z = factor.measurement
-    c, s = math.cos(phi), math.sin(phi)
-    phi_b = phi - t
-    d_b = d - (x * c + y * s)
-    # The prediction and the measurement describe the same geometric plane up
-    # to an orientation flip; compare in whichever polarity agrees in angle.
-    flip = abs(wrap_angle(phi_b - phi_z)) > math.pi / 2
-    sign = -1.0 if flip else 1.0
-    if flip:
-        phi_b = phi_b + math.pi
-        d_b = -d_b
-    r = np.array([wrap_angle(phi_b - phi_z), d_b - d_z])
-
-    jk = np.zeros((2, 3))
-    jk[0, 2] = -1.0
-    jk[1, 0] = -sign * c
-    jk[1, 1] = -sign * s
-    jp = np.zeros((2, 2))
-    jp[0, 0] = 1.0
-    jp[1, 0] = sign * (x * s - y * c)
-    jp[1, 1] = sign
+def _pose_plane(kinds, vals, meas):
+    x, y, t = vals[0].T
+    phi, d = vals[1].T
+    phi_z, d_z = meas.T
+    m = len(meas)
+    c, s = np.cos(phi), np.sin(phi)
+    phi_b, d_b, sign = _align_polarity(phi - t, d - (x * c + y * s), phi_z)
+    r = np.stack([_wrap(phi_b - phi_z), d_b - d_z], axis=-1)
+    jk = _stack(m, [[0.0, 0.0, -1.0], [-sign * c, -sign * s, 0.0]])
+    jp = _stack(m, [[1.0, 0.0], [sign * (x * s - y * c), sign]])
     return r, [jk, jp]
 
 
-def _plane_midpoint(planes: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Midpoint of the planes' perpendicular feet, with per-plane Jacobians."""
-    k = len(planes)
-    mid = np.zeros(2)
-    jacs = []
-    for phi, d in planes:
-        n = np.array([math.cos(phi), math.sin(phi)])
-        mid += (d / k) * n
-        j = np.zeros((2, 2))
-        j[:, 0] = (d / k) * (PERP @ n)
-        j[:, 1] = n / k
-        jacs.append(j)
-    return mid, jacs
+def _room_to_walls(kinds, vals, meas):
+    # With one opposed pair per axis, the mean of all perpendicular feet is
+    # the pair-wise midpoint sum, i.e. the room center.
+    m = len(meas)
+    k = len(vals) - 1
+    mid = np.zeros((m, 2))
+    jacs = [_eye(m, 2)]
+    for plane in vals[1:]:
+        phi, d = plane.T
+        c, s = np.cos(phi), np.sin(phi)
+        mid += (d / k)[:, None] * np.stack([c, s], axis=-1)
+        jacs.append(-(k / 2.0) * _stack(m, [[(d / k) * -s, c / k], [(d / k) * c, s / k]]))
+    return vals[0] - mid * (k / 2.0), jacs
 
 
-def _room_to_walls(factor: Factor, vals: list[np.ndarray]):
-    room = vals[0]
-    center, jmids = _plane_midpoint(vals[1:])
-    # With one opposed pair per axis, the mean of all feet is the pair-wise
-    # midpoint sum, i.e. the room center.
-    scale = len(vals) - 1
-    r = room - center * (scale / 2.0)
-    jr = np.eye(2)
-    jps = [-(scale / 2.0) * j for j in jmids]
-    return r, [jr] + jps
-
-
-def _wall_center_fn(
-    p1: np.ndarray, p2: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _wall_center(kinds, vals, meas):
     """Wall center from two surface planes and the wall start point.
 
-    Returns (omega, d_omega/d_p1, d_omega/d_p2) with plane blocks ordered
-    (phi, d). The center is the midpoint of the two perpendicular feet,
-    corrected along the wall direction by the projection of the start point.
+    The center is the midpoint of the two perpendicular feet, corrected along
+    the wall direction by the projection of the start point.
     """
-    phi1, d1 = p1
-    phi2, d2 = p2
-    n1 = np.array([math.cos(phi1), math.sin(phi1)])
-    n2 = np.array([math.cos(phi2), math.sin(phi2)])
-    w = 0.5 * (d1 * n1 + d2 * n2)
-    nw = float(np.linalg.norm(w))
+    wall, p1, p2 = vals
+    s = meas
+    m = len(meas)
+    phi1, d1 = p1.T
+    phi2, d2 = p2.T
+    c1, s1 = np.cos(phi1), np.sin(phi1)
+    c2, s2 = np.cos(phi2), np.sin(phi2)
+    n1 = np.stack([c1, s1], axis=-1)
+    w = 0.5 * (d1[:, None] * n1 + d2[:, None] * np.stack([c2, s2], axis=-1))
+    nw = np.linalg.norm(w, axis=-1)
     degenerate = nw < 1e-9
-    what = n1 if degenerate else w / nw
-    omega = w + s - (s @ what) * what
+    nw = np.where(degenerate, 1.0, nw)
+    what = np.where(degenerate[:, None], n1, w / nw[:, None])
+    s_what = np.einsum("mi,mi->m", s, what)
+    omega = w + s - s_what[:, None] * what
 
-    # d omega / d what and d what / d w
-    m = np.outer(what, s) + (s @ what) * np.eye(2)
-    if degenerate:
-        df_dw = np.eye(2)
-    else:
-        p = (np.eye(2) - np.outer(what, what)) / nw
-        df_dw = np.eye(2) - m @ p
-
-    dw_dp1 = np.zeros((2, 2))
-    dw_dp1[:, 0] = 0.5 * d1 * (PERP @ n1)
-    dw_dp1[:, 1] = 0.5 * n1
-    dw_dp2 = np.zeros((2, 2))
-    dw_dp2[:, 0] = 0.5 * d2 * (PERP @ n2)
-    dw_dp2[:, 1] = 0.5 * n2
-
-    j1 = df_dw @ dw_dp1
-    j2 = df_dw @ dw_dp2
-    if degenerate:
-        # what = n1 depends on phi1 directly in this branch.
-        j1[:, 0] += -m @ (PERP @ n1)
-    return omega, j1, j2, what
+    # d omega / d what, and d what / d w
+    eye = np.eye(2)
+    dm = what[:, :, None] * s[:, None, :] + s_what[:, None, None] * eye
+    proj = (eye - what[:, :, None] * what[:, None, :]) / nw[:, None, None]
+    df_dw = np.where(degenerate[:, None, None], eye, eye - dm @ proj)
+    j1 = df_dw @ _stack(m, [[0.5 * d1 * -s1, 0.5 * c1], [0.5 * d1 * c1, 0.5 * s1]])
+    j2 = df_dw @ _stack(m, [[0.5 * d2 * -s2, 0.5 * c2], [0.5 * d2 * c2, 0.5 * s2]])
+    # In the degenerate branch what = n1 depends on phi1 directly.
+    perp_n1 = np.stack([-s1, c1], axis=-1)
+    j1[degenerate, :, 0] -= np.einsum("mij,mj->mi", dm[degenerate], perp_n1[degenerate])
+    return wall - omega, [_eye(m, 2), -j1, -j2]
 
 
-def _wall_center(factor: Factor, vals: list[np.ndarray]):
-    wall = vals[0]
-    s = np.asarray(factor.measurement, dtype=float)
-    omega, j1, j2, _ = _wall_center_fn(vals[1], vals[2], s)
-    r = wall - omega
-    return r, [np.eye(2), -j1, -j2]
+def _doorway_to_rooms(kinds, vals, meas):
+    m = len(meas)
+    r = (vals[1] + meas[:, :2]) - (vals[2] + meas[:, 2:])
+    return r, [np.zeros((m, 2, 2)), _eye(m, 2), -_eye(m, 2)]
 
 
-def _doorway_to_rooms(factor: Factor, vals: list[np.ndarray]):
-    o1, o2 = factor.measurement
-    r = (vals[1] + np.asarray(o1)) - (vals[2] + np.asarray(o2))
-    return r, [np.zeros((2, 2)), np.eye(2), -np.eye(2)]
+def _room_to_room(kinds, vals, meas):
+    target, source = vals[0], vals[1]
+    m = len(meas)
+    if len(vals) == 2:
+        return source - target - meas, [-_eye(m, 2), _eye(m, 2)]
+    tx, ty, tth = vals[2].T
+    c, s = np.cos(tth), np.sin(tth)
+    rx = c * source[:, 0] - s * source[:, 1]
+    ry = s * source[:, 0] + c * source[:, 1]
+    r = np.stack([rx + tx, ry + ty], axis=-1) - target - meas
+    rot = _stack(m, [[c, -s], [s, c]])
+    jt = _stack(m, [[1.0, 0.0, -ry], [0.0, 1.0, rx]])
+    return r, [-_eye(m, 2), rot, jt]
 
 
-def _room_to_room(factor: Factor, vals: list[np.ndarray]):
-    offset = np.zeros(2) if factor.measurement is None else np.asarray(factor.measurement, float)
-    target = vals[0]
-    source = vals[1]
-    if len(vals) == 3:
-        tx, ty, tth = vals[2]
-        rot = rotation2(tth)
-        mapped = rot @ source + np.array([tx, ty])
-        r = mapped - target - offset
-        jt = np.zeros((2, 3))
-        jt[:, :2] = np.eye(2)
-        jt[:, 2] = PERP @ (rot @ source)
-        return r, [-np.eye(2), rot, jt]
-    r = source - target - offset
-    return r, [-np.eye(2), np.eye(2)]
-
-
-def _plane_to_plane(factor: Factor, vals: list[np.ndarray]):
-    phi_b, d_b = vals[0]
-    phi_m, d_m = vals[1]
+def _plane_to_plane(kinds, vals, meas):
+    phi_b, d_b = vals[0].T
+    phi_m, d_m = vals[1].T
+    m = len(meas)
     has_t = len(vals) == 3
-    if has_t:
-        tx, ty, tth = vals[2]
-    else:
-        tx = ty = tth = 0.0
+    tx, ty, tth = vals[2].T if has_t else np.zeros((3, m))
     phi_p = phi_m + tth
-    cp, sp = math.cos(phi_p), math.sin(phi_p)
-    d_p = d_m + cp * tx + sp * ty
+    cp, sp = np.cos(phi_p), np.sin(phi_p)
     dperp = -sp * tx + cp * ty  # d d_p / d phi_p
-    flip = abs(wrap_angle(phi_p - phi_b)) > math.pi / 2
-    sign = -1.0 if flip else 1.0
-    if flip:
-        phi_p = phi_p + math.pi
-        d_p = -d_p
-    r = np.array([wrap_angle(phi_p - phi_b), d_p - d_b])
-
-    jb = np.array([[-1.0, 0.0], [0.0, -1.0]])
-    jm = np.zeros((2, 2))
-    jm[0, 0] = 1.0
-    jm[1, 0] = sign * dperp
-    jm[1, 1] = sign
-    jacs = [jb, jm]
+    phi_p, d_p, sign = _align_polarity(phi_p, d_m + cp * tx + sp * ty, phi_b)
+    r = np.stack([_wrap(phi_p - phi_b), d_p - d_b], axis=-1)
+    jacs = [-_eye(m, 2), _stack(m, [[1.0, 0.0], [sign * dperp, sign]])]
     if has_t:
-        jt = np.zeros((2, 3))
-        jt[0, 2] = 1.0
-        jt[1, 0] = sign * cp
-        jt[1, 1] = sign * sp
-        jt[1, 2] = sign * dperp
-        jacs.append(jt)
+        jacs.append(_stack(m, [[0.0, 0.0, 1.0], [sign * cp, sign * sp, sign * dperp]]))
     return r, jacs
 
 
-def _prior(factor: Factor, vals: list[np.ndarray]):
-    v = vals[0]
-    meas = np.asarray(factor.measurement, dtype=float)
-    r = v - meas
-    kind = factor.variables[0].kind
-    for slot in ANGLE_SLOTS.get(kind, ()):
-        r[slot] = wrap_angle(r[slot])
-    return r, [np.eye(len(v))]
+def _prior(kinds, vals, meas):
+    r = vals[0] - meas
+    for slot in ANGLE_SLOTS.get(kinds[0], ()):
+        r[:, slot] = _wrap(r[:, slot])
+    return r, [_eye(len(meas), r.shape[1])]
 
 
 # Angle rows of each residual, needed when differencing residuals numerically.
@@ -387,7 +349,10 @@ class _FactorSpec:
     arity_check: Callable[[Factor], bool]
     arity_doc: str
     dim: Callable[[Factor], int]
-    impl: Callable[[Factor, list[np.ndarray]], tuple[np.ndarray, list[np.ndarray]]]
+    pack: Callable[[Factor], np.ndarray]  # measurement as a flat float vector
+    kernel: Callable[
+        [tuple[VarKind, ...], list[np.ndarray], np.ndarray], tuple[np.ndarray, list[np.ndarray]]
+    ]
 
     def validate(self, factor: Factor) -> None:
         if not self.arity_check(factor):
@@ -404,18 +369,28 @@ def _kinds(factor: Factor) -> list[VarKind]:
     return [v.kind for v in factor.variables]
 
 
+def _as_vector(factor: Factor) -> np.ndarray:
+    return np.asarray(factor.measurement, dtype=float)
+
+
+def _no_measurement(factor: Factor) -> np.ndarray:
+    return np.zeros(0)
+
+
 _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
     FactorKind.ODOMETRY: _FactorSpec(
         lambda f: _kinds(f) == [VarKind.KEYFRAME, VarKind.KEYFRAME]
         and isinstance(f.measurement, Pose2),
         "two keyframes and a Pose2 measurement",
         lambda f: 3,
+        lambda f: f.measurement.as_array(),
         _odometry,
     ),
     FactorKind.POSE_PLANE: _FactorSpec(
         lambda f: _kinds(f) == [VarKind.KEYFRAME, VarKind.PLANE] and f.measurement is not None,
         "a keyframe, a plane and a (phi, d) measurement",
         lambda f: 2,
+        _as_vector,
         _pose_plane,
     ),
     FactorKind.ROOM_TO_WALLS: _FactorSpec(
@@ -425,6 +400,7 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         ),
         "a room plus 4 planes, or a two-wall room plus 2 planes",
         lambda f: 2,
+        _no_measurement,
         _room_to_walls,
     ),
     FactorKind.WALL_CENTER: _FactorSpec(
@@ -432,6 +408,7 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         and f.measurement is not None,
         "a wall, two planes and the wall start point",
         lambda f: 2,
+        _as_vector,
         _wall_center,
     ),
     FactorKind.DOORWAY_TO_ROOMS: _FactorSpec(
@@ -440,6 +417,7 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         and len(f.measurement) == 2,
         "a doorway, two rooms and their two room-relative offsets",
         lambda f: 2,
+        lambda f: np.concatenate([np.asarray(o, dtype=float) for o in f.measurement]),
         _doorway_to_rooms,
     ),
     FactorKind.ROOM_TO_ROOM: _FactorSpec(
@@ -450,6 +428,7 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         ),
         "two point variables plus an optional transform",
         lambda f: 2,
+        lambda f: np.zeros(2) if f.measurement is None else _as_vector(f),
         _room_to_room,
     ),
     FactorKind.PLANE_TO_PLANE: _FactorSpec(
@@ -460,6 +439,7 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         ),
         "two planes plus an optional transform",
         lambda f: 2,
+        _no_measurement,
         _plane_to_plane,
     ),
     FactorKind.PRIOR: _FactorSpec(
@@ -468,9 +448,43 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         and len(np.atleast_1d(f.measurement)) == VAR_DIM[f.variables[0].kind],
         "one variable and a full-dimension measurement",
         lambda f: VAR_DIM[f.variables[0].kind],
+        _as_vector,
         _prior,
     ),
 }
+
+
+@dataclass
+class _Group:
+    """Factors of one kind and variable-kind signature, stacked in factor-id order."""
+
+    kind: FactorKind
+    signature: tuple[VarKind, ...]
+    slots: list[np.ndarray]  # per variable slot, (m, dim) positions in the flat state
+    measurements: np.ndarray  # (m, p)
+    information: np.ndarray  # (m, k, k)
+    b_take: np.ndarray  # entries of the (m, D) gradient blocks that land on free columns
+    h_take: np.ndarray  # entries of the (m, D, D) Hessian blocks that land on free columns
+
+
+@dataclass
+class _Structure:
+    """Everything evaluation needs from a graph except the variable values.
+
+    The flat state is the values of all variables concatenated in insertion order.
+    """
+
+    offsets: dict[VariableId, int]  # first free column of each free variable, in order
+    n: int  # number of free columns
+    groups: list[_Group]
+    b_dst: np.ndarray  # free column of each b_take entry, groups concatenated
+    h_dst: np.ndarray  # row * n + column of each h_take entry, groups concatenated
+
+
+def _whitened(information: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Information-weighted residuals W r and the summed chi2 r' W r of a group."""
+    wr = np.einsum("mkl,ml->mk", information, r)
+    return wr, float(np.einsum("mk,mk->", r, wr))
 
 
 class FactorGraph:
@@ -483,6 +497,8 @@ class FactorGraph:
         self._counters: dict[VarKind, int] = {}
         self._factors: dict[int, Factor] = {}
         self._next_factor_id = 0
+        # Built on first evaluation; every structural edit drops it.
+        self._cache: _Structure | None = None
 
     # -- variables ---------------------------------------------------------
 
@@ -499,6 +515,7 @@ class FactorGraph:
         self._order.append(vid)
         if fixed:
             self._fixed.add(vid)
+        self._cache = None
         return vid
 
     def value(self, vid: VariableId) -> np.ndarray:
@@ -522,6 +539,7 @@ class FactorGraph:
             self._fixed.add(vid)
         else:
             self._fixed.discard(vid)
+        self._cache = None
 
     def is_fixed(self, vid: VariableId) -> bool:
         return vid in self._fixed
@@ -538,6 +556,7 @@ class FactorGraph:
         self._values.pop(vid, None)
         self._fixed.discard(vid)
         self._order.remove(vid)
+        self._cache = None
 
     # -- factors -----------------------------------------------------------
 
@@ -548,6 +567,7 @@ class FactorGraph:
         fid = self._next_factor_id
         self._next_factor_id += 1
         self._factors[fid] = factor
+        self._cache = None
         return fid
 
     def factor(self, fid: int) -> Factor:
@@ -566,6 +586,7 @@ class FactorGraph:
         if fid not in self._factors:
             raise GraphError(f"unknown factor id {fid}")
         del self._factors[fid]
+        self._cache = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -577,12 +598,15 @@ class FactorGraph:
             vals.append(self._values[vid])
         return vals
 
-    def evaluate_residual(self, factor: Factor) -> np.ndarray:
-        r, _ = _FACTOR_SPECS[factor.kind].impl(factor, self._gather(factor))
-        return r
-
     def residual_and_jacobians(self, factor: Factor) -> tuple[np.ndarray, list[np.ndarray]]:
-        return _FACTOR_SPECS[factor.kind].impl(factor, self._gather(factor))
+        """The factor's kind kernel run on a batch of one."""
+        spec = _FACTOR_SPECS[factor.kind]
+        vals = [value[None] for value in self._gather(factor)]
+        r, jacs = spec.kernel(tuple(_kinds(factor)), vals, spec.pack(factor)[None])
+        return r[0], [jac[0] for jac in jacs]
+
+    def evaluate_residual(self, factor: Factor) -> np.ndarray:
+        return self.residual_and_jacobians(factor)[0]
 
     def chi2(self, fid: int) -> float:
         f = self.factor(fid)
@@ -590,43 +614,102 @@ class FactorGraph:
         return float(r @ f.information @ r)
 
     def total_cost(self) -> float:
-        return sum(self.chi2(fid) for fid in self._factors)
+        cost = 0.0
+        for group, r, _ in self._group_residuals(self._structure()):
+            cost += _whitened(group.information, r)[1]
+        return cost
+
+    def _structure(self) -> _Structure:
+        if self._cache is None:
+            self._cache = self._build_structure()
+        return self._cache
+
+    def _build_structure(self) -> _Structure:
+        # Flat-state position and first free column (-1 when fixed) of every
+        # variable, indexed by kind and then by variable index.
+        position = {kind: np.zeros(count, dtype=np.intp) for kind, count in self._counters.items()}
+        column = {kind: np.full(count, -1, dtype=np.intp) for kind, count in self._counters.items()}
+        offsets: dict[VariableId, int] = {}
+        flat = n = 0
+        for vid in self._order:
+            position[vid.kind][vid.index] = flat
+            flat += VAR_DIM[vid.kind]
+            if vid not in self._fixed:
+                column[vid.kind][vid.index] = offsets[vid] = n
+                n += VAR_DIM[vid.kind]
+
+        members: dict[tuple, list[Factor]] = {}
+        for fid in sorted(self._factors):
+            f = self._factors[fid]
+            members.setdefault((f.kind, tuple(_kinds(f))), []).append(f)
+
+        groups = []
+        b_dst = [np.zeros(0, dtype=np.intp)]
+        h_dst = [np.zeros(0, dtype=np.intp)]
+        for (kind, signature), factors in members.items():
+            index = np.array([[vid.index for vid in f.variables] for f in factors])
+            slots, cols = [], []
+            for s, vkind in enumerate(signature):
+                span = np.arange(VAR_DIM[vkind])
+                slots.append(position[vkind][index[:, s], None] + span)
+                first = column[vkind][index[:, s], None]
+                cols.append(np.where(first >= 0, first + span, -1))
+            col = np.concatenate(cols, axis=1)
+            on_free = col >= 0
+            pair = on_free[:, :, None] & on_free[:, None, :]
+            b_dst.append(col[on_free])
+            h_dst.append((col[:, :, None] * n + col[:, None, :])[pair])
+            pack = _FACTOR_SPECS[kind].pack
+            groups.append(
+                _Group(
+                    kind,
+                    signature,
+                    slots,
+                    np.array([pack(f) for f in factors]).reshape(len(factors), -1),
+                    np.array([f.information for f in factors]),
+                    np.flatnonzero(on_free),
+                    np.flatnonzero(pair),
+                )
+            )
+        return _Structure(offsets, n, groups, np.concatenate(b_dst), np.concatenate(h_dst))
+
+    def _group_residuals(self, structure: _Structure):
+        """Yield (group, r, Jacobians) of every factor group at the current values."""
+        if not structure.groups:
+            return
+        state = np.concatenate([self._values[vid] for vid in self._order])
+        for group in structure.groups:
+            vals = [state[idx] for idx in group.slots]
+            r, jacs = _FACTOR_SPECS[group.kind].kernel(group.signature, vals, group.measurements)
+            yield group, r, jacs
 
     # -- optimization ------------------------------------------------------
 
-    def _free_layout(self) -> tuple[list[VariableId], dict[VariableId, int], int]:
-        free = [v for v in self._order if v not in self._fixed]
-        offsets = {}
-        n = 0
-        for v in free:
-            offsets[v] = n
-            n += VAR_DIM[v.kind]
-        return free, offsets, n
-
-    def _linearize(self, offsets: dict[VariableId, int], n: int):
-        h = np.zeros((n, n))
-        b = np.zeros(n)
+    def _linearize(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """Gauss-Newton system H, b over the free columns, and the cost, at the current values."""
+        structure = self._structure()
+        n = structure.n
         cost = 0.0
-        for fid in sorted(self._factors):
-            factor = self._factors[fid]
-            r, jacs = self.residual_and_jacobians(factor)
-            info = factor.information
-            cost += float(r @ info @ r)
-            wr = info @ r
-            entries = []
-            for vid, jac in zip(factor.variables, jacs):
-                if vid in offsets:
-                    entries.append((offsets[vid], VAR_DIM[vid.kind], jac, info @ jac))
-            for off_i, dim_i, j_i, _ in entries:
-                b[off_i : off_i + dim_i] += j_i.T @ wr
-                for off_j, dim_j, _, wj_j in entries:
-                    h[off_i : off_i + dim_i, off_j : off_j + dim_j] += j_i.T @ wj_j
-        return h, b, cost
+        b_parts = [np.zeros(0)]
+        h_parts = [np.zeros(0)]
+        for group, r, jacs in self._group_residuals(structure):
+            wr, chi2 = _whitened(group.information, r)
+            cost += chi2
+            if group.b_take.size == 0:
+                continue
+            jac = np.concatenate(jacs, axis=2)
+            b_parts.append(np.einsum("mkd,mk->md", jac, wr).ravel()[group.b_take])
+            hess = jac.transpose(0, 2, 1) @ (group.information @ jac)
+            h_parts.append(hess.ravel()[group.h_take])
+        # bincount sums the entries that share a column, e.g. a variable that
+        # appears twice in one factor.
+        b = np.bincount(structure.b_dst, np.concatenate(b_parts), minlength=n)
+        h = np.bincount(structure.h_dst, np.concatenate(h_parts), minlength=n * n)
+        return h.reshape(n, n), b, cost
 
-    def _apply_step(self, free, offsets, delta) -> dict[VariableId, np.ndarray]:
+    def _apply_step(self, offsets, delta) -> dict[VariableId, np.ndarray]:
         backup = {}
-        for vid in free:
-            off = offsets[vid]
+        for vid, off in offsets.items():
             dim = VAR_DIM[vid.kind]
             backup[vid] = self._values[vid].copy()
             newval = self._values[vid] + delta[off : off + dim]
@@ -647,34 +730,37 @@ class FactorGraph:
                 "graph has no prior factor and no fixed variable; anchor it first"
             )
 
-        free, offsets, n = self._free_layout()
+        structure = self._structure()
+        n = structure.n
         initial_cost = self.total_cost()
         trace = [initial_cost]
         if n == 0:
-            report = SolveReport(True, 0, initial_cost, initial_cost, {}, trace, "no free variables")
-            report.chi2_per_factor = {fid: self.chi2(fid) for fid in sorted(self._factors)}
-            return report
+            return SolveReport(True, 0, initial_cost, initial_cost, trace, "no free variables")
 
+        diagonal = np.diag_indices(n)
         lam = config.initial_lambda
         cost = initial_cost
         converged = False
         message = "max iterations reached"
         iterations = 0
         for iterations in range(1, config.max_iterations + 1):
-            h, b, cost = self._linearize(offsets, n)
+            h, b, cost = self._linearize()
             if float(np.max(np.abs(b), initial=0.0)) <= config.abs_tol:
                 converged = True
                 message = "gradient below tolerance"
                 iterations -= 1
                 break
             stepped = False
+            # Damp H in place: the next iteration builds a new H anyway.
+            undamped = h.diagonal().copy()
             while lam < 1e12:
+                h[diagonal] = undamped + lam
                 try:
-                    delta = np.linalg.solve(h + lam * np.eye(n), -b)
+                    delta = np.linalg.solve(h, -b)
                 except np.linalg.LinAlgError:
                     lam *= config.lambda_up
                     continue
-                backup = self._apply_step(free, offsets, delta)
+                backup = self._apply_step(structure.offsets, delta)
                 new_cost = self.total_cost()
                 if new_cost <= cost:
                     lam = max(lam * config.lambda_down, 1e-12)
@@ -694,17 +780,14 @@ class FactorGraph:
                 message = "relative cost decrease below tolerance"
                 break
 
-        final_cost = self.total_cost()
-        report = SolveReport(
+        return SolveReport(
             converged=converged,
             iterations=iterations,
             initial_cost=initial_cost,
-            final_cost=final_cost,
+            final_cost=self.total_cost(),
             cost_trace=trace,
             message=message,
         )
-        report.chi2_per_factor = {fid: self.chi2(fid) for fid in sorted(self._factors)}
-        return report
 
     # -- verification ------------------------------------------------------
 

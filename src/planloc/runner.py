@@ -14,7 +14,8 @@ trajectory.csv         k, estimated pose, ground-truth pose (plan frame when
 planes_b.json          estimated wall surfaces in the plan frame
 ape.json               unaligned absolute pose error (merged runs)
 map_rmse.json          map quality (merged runs)
-run_report.json        everything above summarized; deterministic
+run_report.json        everything above summarized, the final cost and its
+                       chi2 per factor kind; deterministic
 timing.json            wall-clock phase timings (excluded from determinism)
 =====================  ======================================================
 """
@@ -31,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .a_graph import AGraph, FloorPlan, build_a_graph, load_plan, plan_from_dict
+from .factor_graph import FactorGraph
 from .geometry import Pose2, wrap_angle
 from .matcher import MatcherConfig, MatchResult, MatchStatus, match
 from .merger import MergedState, extend_matches, localized_trajectory, merge
@@ -121,6 +123,7 @@ def run_pipeline(
         "seed": config.seed,
         "match_history": history,
         "final_cost": sgraph.graph.total_cost(),
+        "final_chi2_by_kind": chi2_by_kind(sgraph.graph),
     }
     if merged is not None:
         t = merged.transform_estimate().pose
@@ -140,6 +143,14 @@ def run_pipeline(
             }
         )
     return RunResult(status, report, sgraph, agraph, merged, decisive)
+
+
+def chi2_by_kind(graph: FactorGraph) -> dict[str, float]:
+    """Summed chi2 of the graph's factors per factor kind."""
+    out: dict[str, float] = {}
+    for fid, factor in sorted(graph.factors().items()):
+        out[factor.kind.value] = out.get(factor.kind.value, 0.0) + graph.chi2(fid)
+    return out
 
 
 def estimated_surfaces(

@@ -46,6 +46,9 @@ def test_run_and_eval(tmp_path, capsys):
     report = json.loads((rundir / "run_report.json").read_text())
     assert report["status"] == "matched"
     assert (rundir / "ape.json").exists()
+    by_kind = report["final_chi2_by_kind"]
+    assert {"odometry", "pose_plane", "plane_to_plane", "room_to_room"} <= set(by_kind)
+    assert sum(by_kind.values()) == pytest.approx(report["final_cost"], rel=1e-12)
     capsys.readouterr()
     assert main(["eval", str(rundir)]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -255,21 +256,88 @@ def test_jacobians_detect_corruption(monkeypatch):
     g = _random_kind_graph(0)
 
     spec = fg._FACTOR_SPECS[FactorKind.ODOMETRY]
-    original = spec.impl
 
-    def corrupted(factor, vals):
-        r, jacs = original(factor, vals)
-        bad = [j.copy() for j in jacs]
-        bad[0][0, 0] += 0.5
-        return r, bad
+    def corrupted(kinds, vals, meas):
+        r, jacs = spec.kernel(kinds, vals, meas)
+        jacs[0][:, 0, 0] += 0.5
+        return r, jacs
 
-    monkeypatch.setattr(
-        fg, "_FACTOR_SPECS", {**fg._FACTOR_SPECS, FactorKind.ODOMETRY: fg._FactorSpec(
-            spec.arity_check, spec.arity_doc, spec.dim, corrupted)}
+    monkeypatch.setitem(
+        fg._FACTOR_SPECS, FactorKind.ODOMETRY, dataclasses.replace(spec, kernel=corrupted)
     )
     offenders = g.check_jacobians(tolerance=1e-5)
     kinds = {g.factor(fid).kind for fid in offenders}
     assert kinds == {FactorKind.ODOMETRY}
+
+
+def _dense_reference(g: FactorGraph):
+    """H, b and cost assembled block by block from per-factor residuals and Jacobians."""
+    offsets, n = {}, 0
+    for vid in g.variables():
+        if not g.is_fixed(vid):
+            offsets[vid] = n
+            n += len(g.value(vid))
+    h, b, cost = np.zeros((n, n)), np.zeros(n), 0.0
+    for _, factor in sorted(g.factors().items()):
+        r, jacs = g.residual_and_jacobians(factor)
+        info = factor.information
+        cost += r @ info @ r
+        for vi, ji in zip(factor.variables, jacs):
+            if vi not in offsets:
+                continue
+            rows = slice(offsets[vi], offsets[vi] + ji.shape[1])
+            b[rows] += ji.T @ info @ r
+            for vj, jj in zip(factor.variables, jacs):
+                if vj in offsets:
+                    h[rows, offsets[vj] : offsets[vj] + jj.shape[1]] += ji.T @ info @ jj
+    return h, b, cost
+
+
+def test_linearize_matches_dense_reference():
+    for seed in range(20):
+        g = _random_kind_graph(seed)
+        planes = g.variables_of(VarKind.PLANE)
+        transform = g.variables_of(VarKind.TRANSFORM)[0]
+        # Factors that list one variable twice: their blocks must add up.
+        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[1], planes[1])))
+        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[2], planes[2], transform)))
+        for i, vid in enumerate(g.variables()):
+            if (i + seed) % 4 == 0:
+                g.fix(vid)
+        h, b, cost = g._linearize()
+        ref_h, ref_b, ref_cost = _dense_reference(g)
+        assert cost == pytest.approx(ref_cost, rel=1e-12)
+        np.testing.assert_allclose(b, ref_b, rtol=1e-12, atol=1e-12 * np.abs(ref_b).max())
+        np.testing.assert_allclose(h, ref_h, rtol=1e-12, atol=1e-12 * np.abs(ref_h).max())
+
+
+def _assert_solves_like_rebuilt(g: FactorGraph) -> None:
+    """Move g off its optimum, then optimize it and a graph rebuilt from the same state."""
+    for vid in g.variables():
+        g.set_value(vid, g.value(vid) + 0.01)
+    fresh = FactorGraph.from_json(g.to_json())
+    assert g.total_cost() == fresh.total_cost()
+    g.optimize()
+    fresh.optimize()
+    assert g.to_json() == fresh.to_json()
+
+
+def test_structure_cache_follows_graph_edits():
+    g = _random_kind_graph(3)
+    planes = g.variables_of(VarKind.PLANE)
+    rooms = g.variables_of(VarKind.ROOM)
+    g.optimize()
+    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (rooms[0], rooms[1]), [0.4, -0.3]))
+    _assert_solves_like_rebuilt(g)
+    wall = g.add_variable(VarKind.WALL, [0.0, 1.0])
+    fid = g.add_factor(Factor(FactorKind.WALL_CENTER, (wall, planes[2], planes[3]), [1.0, 0.0]))
+    _assert_solves_like_rebuilt(g)
+    g.remove_factor(fid)
+    _assert_solves_like_rebuilt(g)
+    g.remove_variable(wall)
+    _assert_solves_like_rebuilt(g)
+    g.fix(planes[1])
+    _assert_solves_like_rebuilt(g)
 
 
 def test_jacobians_empty_graph():
