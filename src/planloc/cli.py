@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .a_graph import build_a_graph, load_plan
 from .matcher import match
 from .factor_graph import FactorGraph
 from .plans import generate_random_plan, write_fixtures
-from .runner import evaluate_run_dir, load_scenario, run_scenario
-from .s_graph import PlanSimulator, SGraph, SGraphConfig
+from .runner import evaluate_run_dir, load_scenario, run_estimator, run_scenario
 
 STATUS_EXIT = {"matched": 0, "ambiguous": 2, "no_match": 3}
 
@@ -34,17 +34,8 @@ def _cmd_build_agraph(args) -> int:
 def _cmd_simulate(args) -> int:
     plan, config, _ = load_scenario(args.scenario)
     if args.seed is not None:
-        from .s_graph import SimConfig
-
-        config = SimConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    sim = PlanSimulator(plan, config)
-    sgraph = SGraph(
-        sim.initial_map_pose,
-        SGraphConfig.for_noise(config.odom_noise, config.plane_noise),
-    )
-    for step in sim.steps():
-        sgraph.add_step(step)
-    sgraph.final_optimize()
+        config = replace(config, seed=args.seed)
+    _, sgraph = run_estimator(plan, config)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sgraph.json").write_text(sgraph.graph.to_json(indent=2) + "\n")

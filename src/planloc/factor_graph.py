@@ -312,7 +312,12 @@ def _room_to_room(kinds, vals, meas):
     return r, [-_eye(m, 2), rot, jt]
 
 
-def _plane_to_plane(kinds, vals, meas):
+def plane_to_plane(kinds, vals, meas):
+    """Plan plane (slot 0) against a map plane (slot 1) moved by an optional transform.
+
+    Also the matcher's wall-pair residual, so that matching scores a pair
+    exactly as the merged graph will weigh it.
+    """
     phi_b, d_b = vals[0].T
     phi_m, d_m = vals[1].T
     m = len(meas)
@@ -440,7 +445,7 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         "two planes plus an optional transform",
         lambda f: 2,
         _no_measurement,
-        _plane_to_plane,
+        plane_to_plane,
     ),
     FactorKind.PRIOR: _FactorSpec(
         lambda f: len(f.variables) == 1
@@ -859,23 +864,29 @@ class FactorGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FactorGraph":
+        """Rebuild a graph with its stored ids; removals may have left gaps in them.
+
+        Each counter ends past the largest stored id of its kind, so ids the
+        rebuilt graph hands out later never collide with stored ones.
+        """
         graph = cls()
         for var in doc["variables"]:
-            kind = VarKind(var["kind"])
-            vid = graph.add_variable(kind, var["value"], fixed=bool(var.get("fixed")))
-            if vid.index != var["index"]:
-                raise GraphError(
-                    f"variable indices must be stored contiguously per kind, got {var}"
-                )
+            kind, index = VarKind(var["kind"]), int(var["index"])
+            if index < 0 or VariableId(kind, index) in graph._values:
+                raise GraphError(f"duplicate or negative variable index: {var}")
+            top = max(graph._counters.get(kind, 0), index + 1)
+            graph._counters[kind] = index
+            graph.add_variable(kind, var["value"], fixed=bool(var.get("fixed")))
+            graph._counters[kind] = top
         for fac in sorted(doc["factors"], key=lambda f: f["id"]):
-            kind = FactorKind(fac["kind"])
+            kind, fid = FactorKind(fac["kind"]), int(fac["id"])
+            if fid < 0 or fid in graph._factors:
+                raise GraphError(f"duplicate or negative factor id {fid}")
             variables = tuple(VariableId(VarKind(k), i) for k, i in fac["variables"])
             measurement = _decode_measurement(kind, fac.get("measurement"))
-            fid = graph.add_factor(
-                Factor(kind, variables, measurement, np.asarray(fac["information"]))
-            )
-            if fid != fac["id"]:
-                raise GraphError("factor ids must be stored contiguously")
+            graph._next_factor_id = fid
+            graph.add_factor(Factor(kind, variables, measurement, np.asarray(fac["information"])))
+            graph._next_factor_id = fid + 1
         return graph
 
     @classmethod

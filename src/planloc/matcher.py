@@ -12,22 +12,26 @@ can run concurrently with graph updates on a copy.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind
+from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind, plane_to_plane
 from .geometry import (
     FrameTransform,
     GeometryError,
     axis_of_normal,
     estimate_transform_closed_form,
-    wrap_angle,
 )
+
+# Up to this many observed rooms the room-level search keeps every partial
+# assignment; beyond it, only the BEAM_WIDTH best by room-dimension mismatch.
+EXHAUSTIVE_MAX_ROOMS = 8
+BEAM_WIDTH = 50
 
 
 class MatchError(ValueError):
@@ -57,8 +61,6 @@ class MatcherConfig:
     cluster_rel_width: float = 0.10  # relative width of the winning cluster
     rho_scale: float = 0.25  # [m], room-center residual scale in the affinity
     pi_scale: float = 0.1  # mixed rad/m wall residual scale in the affinity
-    exhaustive_max_rooms: int = 8  # enumerate exhaustively up to this many S-rooms
-    beam_width: int = 50
 
 
 @dataclass(frozen=True)
@@ -67,11 +69,13 @@ class PlaneEntry:
     phi: float
     d: float
 
-    @property
+    # Computed once per entry: a match reads each entry's geometry for every
+    # candidate that contains it. Callers must not write to the arrays.
+    @cached_property
     def normal(self) -> np.ndarray:
         return np.array([math.cos(self.phi), math.sin(self.phi)])
 
-    @property
+    @cached_property
     def foot(self) -> np.ndarray:
         return self.d * self.normal
 
@@ -82,7 +86,7 @@ class RoomEntry:
     center: tuple[float, float]
     planes: tuple[PlaneEntry, PlaneEntry, PlaneEntry, PlaneEntry]
 
-    @property
+    @cached_property
     def dims(self) -> tuple[float, float]:
         """Sorted (small, large) gap of the two opposed plane pairs."""
         return tuple(sorted((_pair_gap(self.planes[0], self.planes[1]),
@@ -175,30 +179,27 @@ def _dims_compatible(a: RoomEntry, s: RoomEntry, cfg: MatcherConfig) -> bool:
     return abs(da[0] - ds[0]) <= cfg.dim_tol and abs(da[1] - ds[1]) <= cfg.dim_tol
 
 
-def _distance_consistent(
-    assignment: list[tuple[RoomEntry, RoomEntry]], cfg: MatcherConfig
-) -> bool:
-    for (a1, s1), (a2, s2) in itertools.combinations(assignment, 2):
-        da = math.dist(a1.center, a2.center)
-        ds = math.dist(s1.center, s2.center)
-        if abs(da - ds) > cfg.dist_tol:
-            return False
-    return True
+def _center_fit(pts) -> tuple[FrameTransform, float] | None:
+    """Closed-form alignment of (S-room, A-room) center pairs and its RMS residual.
+
+    None when the alignment is degenerate.
+    """
+    try:
+        hint = estimate_transform_closed_form(pts)
+    except GeometryError:
+        return None
+    s_pts, a_pts = np.array(pts, dtype=float).transpose(1, 0, 2)
+    rho = s_pts @ hint.pose.rotation().T + hint.pose.translation - a_pts
+    return hint, math.sqrt(float(np.mean(np.sum(rho**2, axis=1))))
 
 
 def _room_level_candidate(
     assignment: list[tuple[RoomEntry, RoomEntry]], cfg: MatcherConfig
 ) -> MatchCandidate | None:
-    pairs_pts = [(s.center, a.center) for a, s in assignment]
-    try:
-        hint = estimate_transform_closed_form(pairs_pts)
-    except GeometryError:
+    fit = _center_fit([(s.center, a.center) for a, s in assignment])
+    if fit is None:
         return None
-    residuals = [
-        float(np.linalg.norm(hint.transform_point(s.center) - np.asarray(a.center)))
-        for a, s in assignment
-    ]
-    e_rho = math.sqrt(sum(r * r for r in residuals) / len(residuals))
+    hint, e_rho = fit
     affinity = math.exp(-e_rho / cfg.rho_scale)
     pairs = tuple(
         MatchPair(a.vid, s.vid, "room")
@@ -212,68 +213,48 @@ def propose_room_pairs(
 ) -> list[MatchCandidate]:
     """Room-level candidates: injective S->A assignments passing the geometric gates.
 
-    Exhaustive (with pairwise-distance pruning) up to ``exhaustive_max_rooms``
-    observed rooms, beam search beyond. Candidates below the room-level
-    affinity floor are dropped; output is sorted best first.
+    The search assigns one observed room per level (in index order) to a
+    dimension-compatible, still unused plan room whose center distances to
+    the plan rooms chosen so far match the observed ones. Up to
+    ``EXHAUSTIVE_MAX_ROOMS`` observed rooms every partial assignment is kept,
+    so the result is the full enumeration; beyond it each level keeps the
+    ``BEAM_WIDTH`` partials of least summed dimension mismatch. Candidates
+    below the room-level affinity floor are dropped; output is sorted best
+    first.
     """
     cfg = cfg or MatcherConfig()
     if len(s_rooms) < 2 or not a_rooms:
         return []
     s_rooms = sorted(s_rooms, key=lambda r: r.vid.index)
-    compat = {
-        s.vid: [a for a in a_rooms if _dims_compatible(a, s, cfg)] for s in s_rooms
-    }
-    assignments: list[list[tuple[RoomEntry, RoomEntry]]] = []
-    if len(s_rooms) <= cfg.exhaustive_max_rooms:
-        def extend(k: int, partial: list[tuple[RoomEntry, RoomEntry]], used: set):
-            if k == len(s_rooms):
-                assignments.append(list(partial))
-                return
-            s = s_rooms[k]
-            for a in compat[s.vid]:
-                if a.vid in used:
-                    continue
-                ok = all(
-                    abs(math.dist(pa.center, a.center) - math.dist(ps.center, s.center))
-                    <= cfg.dist_tol
-                    for pa, ps in partial
-                )
-                if not ok:
-                    continue
-                partial.append((a, s))
-                used.add(a.vid)
-                extend(k + 1, partial, used)
-                partial.pop()
-                used.discard(a.vid)
-
-        extend(0, [], set())
-    else:
-        beams: list[list[tuple[RoomEntry, RoomEntry]]] = [[]]
-        for s in s_rooms:
-            grown: list[list[tuple[RoomEntry, RoomEntry]]] = []
-            for partial in beams:
-                used = {a.vid for a, _ in partial}
-                for a in compat[s.vid]:
-                    if a.vid in used:
-                        continue
-                    ok = all(
-                        abs(
-                            math.dist(pa.center, a.center)
-                            - math.dist(ps.center, s.center)
-                        )
-                        <= cfg.dist_tol
-                        for pa, ps in partial
-                    )
-                    if ok:
-                        grown.append(partial + [(a, s)])
-            grown.sort(
-                key=lambda asg: sum(math.dist(a.dims, s.dims) for a, s in asg)
+    bounded = len(s_rooms) > EXHAUSTIVE_MAX_ROOMS
+    a_dist = [[math.dist(a.center, b.center) for b in a_rooms] for a in a_rooms]
+    # partials[j][k] is the index into a_rooms of the plan room given to s_rooms[k]
+    partials: list[tuple[int, ...]] = [()]
+    for level, s in enumerate(s_rooms):
+        s_dist = [math.dist(ps.center, s.center) for ps in s_rooms[:level]]
+        compat = [i for i, a in enumerate(a_rooms) if _dims_compatible(a, s, cfg)]
+        grown = [
+            partial + (i,)
+            for partial in partials
+            for i in compat
+            if i not in partial
+            and all(
+                abs(a_dist[pi][i] - ds) <= cfg.dist_tol
+                for pi, ds in zip(partial, s_dist)
             )
-            beams = grown[: cfg.beam_width]
-        assignments = beams
+        ]
+        if bounded:
+            grown.sort(
+                key=lambda p: sum(
+                    math.dist(a_rooms[i].dims, s_rooms[k].dims) for k, i in enumerate(p)
+                )
+            )
+            grown = grown[:BEAM_WIDTH]
+        partials = grown
 
     candidates = []
-    for assignment in assignments:
+    for partial in partials:
+        assignment = [(a_rooms[i], s) for i, s in zip(partial, s_rooms)]
         cand = _room_level_candidate(assignment, cfg)
         if cand is not None and cand.affinity >= cfg.room_affinity_min:
             candidates.append(cand)
@@ -386,47 +367,25 @@ def score_candidate(
     room_pairs = cand.room_pairs
     if len(room_pairs) < 2:
         raise MatchError("scoring needs at least 2 room pairs")
-    pts = [
-        (s_rooms_by_vid[p.s_node].center, a_rooms_by_vid[p.a_node].center)
-        for p in room_pairs
-    ]
-    try:
-        hint = estimate_transform_closed_form(pts)
-    except GeometryError:
+    fit = _center_fit(
+        [(s_rooms_by_vid[p.s_node].center, a_rooms_by_vid[p.a_node].center) for p in room_pairs]
+    )
+    if fit is None:
         return None
-    rho_sq = [
-        float(
-            np.sum(
-                (
-                    hint.transform_point(s_rooms_by_vid[p.s_node].center)
-                    - np.asarray(a_rooms_by_vid[p.a_node].center)
-                )
-                ** 2
-            )
-        )
-        for p in room_pairs
-    ]
-    e_rho = math.sqrt(sum(rho_sq) / len(rho_sq))
+    hint, e_rho = fit
 
-    a_planes = {
-        pl.vid: pl for room in a_rooms_by_vid.values() for pl in room.planes
-    }
-    s_planes = {
-        pl.vid: pl for room in s_rooms_by_vid.values() for pl in room.planes
-    }
-    comp_sq: list[float] = []
-    for pair in cand.wall_pairs:
-        ap = a_planes[pair.a_node]
-        sp = s_planes[pair.s_node]
-        phi_t = wrap_angle(sp.phi + hint.pose.theta)
-        d_t = sp.d + math.cos(phi_t) * hint.pose.x + math.sin(phi_t) * hint.pose.y
-        dphi = wrap_angle(phi_t - ap.phi)
-        if abs(dphi) > math.pi / 2:
-            dphi = wrap_angle(dphi - math.pi)
-            d_t = -d_t
-        comp_sq.append(dphi**2)
-        comp_sq.append((d_t - ap.d) ** 2)
-    e_pi = math.sqrt(sum(comp_sq) / len(comp_sq)) if comp_sq else 0.0
+    # every wall pair's residual under the hint, as the merge's
+    # plane-to-plane factor will weigh it
+    a_planes = {pl.vid: pl for room in a_rooms_by_vid.values() for pl in room.planes}
+    s_planes = {pl.vid: pl for room in s_rooms_by_vid.values() for pl in room.planes}
+    pairs = [(a_planes[p.a_node], s_planes[p.s_node]) for p in cand.wall_pairs]
+    planes = np.array([(a.phi, a.d, s.phi, s.d) for a, s in pairs]).reshape(-1, 4)
+    m = len(planes)
+    e_pi = 0.0
+    if m:
+        t_vals = np.full((m, 3), hint.pose.as_array())
+        r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
+        e_pi = math.sqrt(float(np.mean(r**2)))
     affinity = math.exp(-(e_rho / cfg.rho_scale + e_pi / cfg.pi_scale))
     return MatchCandidate(cand.pairs, affinity, hint)
 

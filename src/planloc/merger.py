@@ -17,17 +17,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .a_graph import AGraph
-from .factor_graph import (
-    Factor,
-    FactorGraph,
-    FactorKind,
-    SolveReport,
-    SolverConfig,
-    VariableId,
-    VarKind,
-)
+from .factor_graph import Factor, FactorGraph, FactorKind, SolveReport, VariableId, VarKind
 from .geometry import FrameTransform, Pose2
-from .matcher import MatcherConfig, MatchResult, MatchStatus, room_entries
+from .matcher import (
+    MatcherConfig,
+    MatchPair,
+    MatchResult,
+    MatchStatus,
+    WallPairingError,
+    _dims_compatible,
+    propose_wall_pairs,
+    room_entries,
+)
 from .s_graph import SGraph
 
 
@@ -51,17 +52,7 @@ class MergedState:
         return FrameTransform(Pose2.from_array(self.graph.value(self.transform)))
 
 
-STRONG_PLAN_PRIOR = 1e4
-
-
-def merge(
-    a: AGraph,
-    s: SGraph,
-    m: MatchResult,
-    *,
-    lock_plan: bool = True,
-    solver: SolverConfig | None = None,
-) -> MergedState:
+def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
     """Union both graphs, add alignment factors for the match, and optimize.
 
     Refuses anything but a uniquely matched result: an ambiguous match must
@@ -76,17 +67,7 @@ def merge(
 
     a_var_map: dict[VariableId, VariableId] = {}
     for vid in a.graph.variables():
-        new = graph.add_variable(vid.kind, a.graph.value(vid), fixed=lock_plan)
-        a_var_map[vid] = new
-        if not lock_plan:
-            graph.add_factor(
-                Factor(
-                    FactorKind.PRIOR,
-                    (new,),
-                    a.graph.value(vid),
-                    np.eye(len(a.graph.value(vid))) * STRONG_PLAN_PRIOR,
-                )
-            )
+        a_var_map[vid] = graph.add_variable(vid.kind, a.graph.value(vid), fixed=True)
     for _, factor in sorted(a.graph.factors().items()):
         graph.add_factor(
             Factor(
@@ -105,7 +86,7 @@ def merge(
     _add_match_factors(state, m.best.room_pairs, m.best.wall_pairs)
 
     graph.set_value(transform, m.best.transform_hint.pose.as_array())
-    state.report = graph.optimize(solver or SolverConfig())
+    state.report = graph.optimize()
     s.last_report = state.report
     return state
 
@@ -153,8 +134,6 @@ def extend_matches(
     and distance thresholds as the matcher; its wall surfaces follow by side
     role. Returns the number of new room pairs added.
     """
-    from .matcher import propose_wall_pairs, MatchPair, WallPairingError
-
     cfg = cfg or MatcherConfig()
     graph = state.graph
     t = state.transform_estimate()
@@ -162,9 +141,7 @@ def extend_matches(
     matched_s_rooms = set(state.room_pairs.values())
     matched_a_rooms = set(state.room_pairs)
     a_rooms = {r.vid: r for r in room_entries(a.graph)}
-    s_rooms = {
-        r.vid: r for r in room_entries(graph) if r.vid in {rec.vid for rec in s.rooms.values()}
-    }
+    s_rooms = {r.vid: r for r in room_entries(graph) if r.vid in s.rooms}
 
     added = 0
     for s_vid in sorted(s_rooms, key=lambda v: v.index):
@@ -176,10 +153,7 @@ def extend_matches(
         for a_vid, a_room in a_rooms.items():
             if state.a_var_map[a_vid] in matched_a_rooms:
                 continue
-            if not (
-                abs(a_room.dims[0] - s_room.dims[0]) <= cfg.dim_tol
-                and abs(a_room.dims[1] - s_room.dims[1]) <= cfg.dim_tol
-            ):
+            if not _dims_compatible(a_room, s_room, cfg):
                 continue
             dist = float(np.linalg.norm(mapped - np.asarray(a_room.center)))
             if dist > cfg.dist_tol:

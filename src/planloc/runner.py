@@ -26,14 +26,14 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .a_graph import AGraph, FloorPlan, build_a_graph, load_plan, plan_from_dict
 from .factor_graph import FactorGraph
-from .geometry import Pose2, wrap_angle
+from .geometry import Pose2, transform_phi_dist
 from .matcher import MatcherConfig, MatchResult, MatchStatus, match
 from .merger import MergedState, extend_matches, localized_trajectory, merge
 from .metrics import EstimatedSurface, compute_ape, compute_map_rmse
@@ -49,6 +49,7 @@ class ScenarioError(ValueError):
 class RunResult:
     status: MatchStatus
     report: dict
+    sim: PlanSimulator
     sgraph: SGraph
     agraph: AGraph
     merged: MergedState | None
@@ -77,19 +78,37 @@ def load_scenario(path) -> tuple[FloorPlan, SimConfig, dict]:
     return plan, SimConfig.from_dict(doc), doc
 
 
-def run_pipeline(
-    plan: FloorPlan,
-    config: SimConfig,
-    matcher_config: MatcherConfig | None = None,
-) -> RunResult:
-    """Execute the full loop on in-memory inputs."""
-    matcher_config = matcher_config or MatcherConfig()
-    agraph = build_a_graph(plan)
+def _start(plan: FloorPlan, config: SimConfig) -> tuple[PlanSimulator, SGraph]:
     sim = PlanSimulator(plan, config)
     sgraph = SGraph(
         sim.initial_map_pose,
         SGraphConfig.for_noise(config.odom_noise, config.plane_noise),
     )
+    return sim, sgraph
+
+
+def run_estimator(plan: FloorPlan, config: SimConfig) -> tuple[PlanSimulator, SGraph]:
+    """Simulate a scenario and estimate the robot graph alone, without the plan."""
+    sim, sgraph = _start(plan, config)
+    for step in sim.steps():
+        sgraph.add_step(step)
+    sgraph.final_optimize()
+    return sim, sgraph
+
+
+def run_pipeline(
+    plan: FloorPlan,
+    config: SimConfig,
+    matcher_config: MatcherConfig | None = None,
+) -> RunResult:
+    """Execute the full loop on in-memory inputs.
+
+    Matches after every update until the first unique match, merges it, then
+    extends the merge to rooms observed later.
+    """
+    matcher_config = matcher_config or MatcherConfig()
+    agraph = build_a_graph(plan)
+    sim, sgraph = _start(plan, config)
 
     merged: MergedState | None = None
     decisive: MatchResult | None = None
@@ -142,7 +161,7 @@ def run_pipeline(
                 "map_rmse": map_rmse.to_json_dict(),
             }
         )
-    return RunResult(status, report, sgraph, agraph, merged, decisive)
+    return RunResult(status, report, sim, sgraph, agraph, merged, decisive)
 
 
 def chi2_by_kind(graph: FactorGraph) -> dict[str, float]:
@@ -165,9 +184,7 @@ def estimated_surfaces(
     }
     out = []
     for vid, rec in sgraph.planes.items():
-        phi, d = merged.graph.value(vid)
-        phi_b = wrap_angle(phi + t.theta)
-        d_b = d + math.cos(phi_b) * t.x + math.sin(phi_b) * t.y
+        phi_b, d_b = transform_phi_dist(t, *merged.graph.value(vid))
         m_hat = np.array([-math.sin(phi_b), math.cos(phi_b)])
         shift = float(m_hat @ t.translation)
         extent = (rec.extent[0] + shift, rec.extent[1] + shift)
@@ -180,7 +197,7 @@ def run_scenario(scenario_path, out_dir, seed: int | None = None) -> dict:
     t_start = time.perf_counter()
     plan, config, raw = load_scenario(scenario_path)
     if seed is not None:
-        config = SimConfig.from_dict({**config.to_dict(), "seed": seed})
+        config = replace(config, seed=seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,18 +1,16 @@
 import math
+import time
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
-from planloc.a_graph import build_a_graph
-from planloc.factor_graph import FactorKind
+from planloc.geometry import wrap_angle
+from planloc.plans import fixture_plan, fixture_scenarios
+from planloc.runner import run_estimator, run_pipeline
+from planloc.s_graph import SimConfig
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
-from planloc.matcher import MatchStatus, match
-from planloc.merger import extend_matches, merge
-from planloc.plans import fixture_plan, fixture_scenarios
-from planloc.s_graph import PlanSimulator, SGraph, SGraphConfig, SimConfig
 
 
 def scenario_config(name: str, **overrides) -> SimConfig:
@@ -21,51 +19,16 @@ def scenario_config(name: str, **overrides) -> SimConfig:
     return SimConfig.from_dict(doc)
 
 
-def estimator_config(config: SimConfig) -> SGraphConfig:
-    return SGraphConfig.for_noise(config.odom_noise, config.plane_noise)
-
-
 def simulate_sgraph(name: str, **overrides):
-    """Run just the simulator + estimator for a bundled scenario."""
+    """Simulator + estimator only, for a bundled scenario: (plan, sim, sgraph)."""
     plan = fixture_plan(name)
-    config = scenario_config(name, **overrides)
-    sim = PlanSimulator(plan, config)
-    sgraph = SGraph(sim.initial_map_pose, estimator_config(config))
-    for step in sim.steps():
-        sgraph.add_step(step)
-    return plan, sim, sgraph
-
-
-def full_pipeline(plan, config):
-    """Simulate, match after every update, merge on the first unique match."""
-    agraph = build_a_graph(plan)
-    sim = PlanSimulator(plan, config)
-    sgraph = SGraph(sim.initial_map_pose, estimator_config(config))
-    merged = None
-    decisive = None
-    for step in sim.steps():
-        sgraph.add_step(step)
-        if merged is None:
-            result = match(agraph.graph, sgraph.graph)
-            decisive = result
-            if result.status == MatchStatus.MATCHED:
-                merged = merge(agraph, sgraph, result)
-        else:
-            extend_matches(merged, agraph, sgraph)
-    sgraph.final_optimize()
-    return agraph, sim, sgraph, merged, decisive
+    return (plan, *run_estimator(plan, scenario_config(name, **overrides)))
 
 
 @pytest.fixture(scope="session")
 def five_rooms_run():
     plan = fixture_plan("five_rooms")
-    config = scenario_config("five_rooms")
-    return full_pipeline(plan, config)
-
-
-def ape_rmse(estimated, ground_truth) -> float:
-    errs = [math.hypot(e.x - g.x, e.y - g.y) for e, g in zip(estimated, ground_truth)]
-    return float(np.sqrt(np.mean(np.square(errs))))
+    return run_pipeline(plan, scenario_config("five_rooms"))
 
 
 def _correspondence_ok(agraph, sgraph, merged) -> bool:
@@ -88,42 +51,22 @@ def monte_carlo_100():
     Shared by the acceptance criteria and the statistical module tests so the
     runs are paid for once per session.
     """
-    from planloc.geometry import wrap_angle
-    from planloc.merger import localized_trajectory
-    from planloc.metrics import compute_ape, compute_map_rmse
-    from planloc.runner import estimated_surfaces
-
-    import time
-
     plan = fixture_plan("five_rooms")
     records = []
     for seed in range(100):
-        config = scenario_config("five_rooms", seed=seed)
         t0 = time.perf_counter()
-        agraph, sim, sgraph, merged, decisive = full_pipeline(plan, config)
+        result = run_pipeline(plan, scenario_config("five_rooms", seed=seed))
         elapsed = time.perf_counter() - t0
+        merged = result.merged
         rec = {"seed": seed, "merged": merged is not None, "elapsed_s": elapsed}
         if merged is not None:
             t = merged.transform_estimate().pose
-            true = sim.map_offset
-            traj = localized_trajectory(merged, sgraph)
+            true = result.sim.map_offset
             rec.update(
                 t_err=math.hypot(t.x - true.x, t.y - true.y),
                 r_err=abs(wrap_angle(t.theta - true.theta)),
-                ape_rmse=compute_ape(traj, sgraph.gt_plan).rmse,
-                map_rmse=compute_map_rmse(
-                    estimated_surfaces(merged, sgraph, agraph), plan
-                ).rmse,
-                affinity=decisive.best.affinity,
-                correspondence_ok=_correspondence_ok(agraph, sgraph, merged),
-                odo_chi2_mean=float(
-                    np.mean(
-                        [
-                            merged.graph.chi2(fid)
-                            for fid, _ in merged.graph.factors_of(FactorKind.ODOMETRY)
-                        ]
-                    )
-                ),
+                ape_rmse=result.report["ape"]["rmse"],
+                map_rmse=result.report["map_rmse"]["rmse"],
             )
         records.append(rec)
     return records

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import _correspondence_ok, full_pipeline, scenario_config
+from conftest import _correspondence_ok, scenario_config
 from planloc.a_graph import build_a_graph
 from planloc.geometry import Pose2, wrap_angle
 from planloc.matcher import MatcherConfig, MatchStatus, propose_room_pairs
@@ -21,7 +21,7 @@ from planloc.plans import (
     generate_random_plan,
     route_waypoints,
 )
-from planloc.runner import run_scenario
+from planloc.runner import run_pipeline, run_scenario
 from planloc.s_graph import PlanSimulator, SGraph, SimConfig
 
 from test_factor_graph import _random_kind_graph
@@ -61,7 +61,7 @@ def test_criterion_2_transform_recovery(offset):
         plane_noise=[0.0, 0.0],
         map_offset=list(offset),
     )
-    _, sim, sg, merged, _ = full_pipeline(plan, config)
+    merged = run_pipeline(plan, config).merged
     ok = merged is not None
     if ok:
         t = merged.transform_estimate().pose
@@ -80,8 +80,8 @@ def test_criterion_3_matching_correctness():
         n = 3 + k % 4
         plan = generate_random_plan(n, seed=300 + k)
         config = SimConfig(waypoints=tuple(route_waypoints(plan)), seed=300 + k)
-        agraph, sim, sgraph, merged, _ = full_pipeline(plan, config)
-        if merged is not None and _correspondence_ok(agraph, sgraph, merged):
+        r = run_pipeline(plan, config)
+        if r.merged is not None and _correspondence_ok(r.agraph, r.sgraph, r.merged):
             ok_runs += 1
     _report(
         "criterion 3 (matching correctness)",
@@ -93,16 +93,17 @@ def test_criterion_3_matching_correctness():
 def test_criterion_4_symmetry_detection():
     plan = fixture_plan("grid_2x2")
     config = scenario_config("grid_2x2")
-    _, _, _, merged, decisive = full_pipeline(plan, config)
+    sym = run_pipeline(plan, config)
+    decisive = sym.match_result
     sym_ok = (
-        merged is None
+        sym.merged is None
         and decisive.status == MatchStatus.AMBIGUOUS
         and len(decisive.cluster) >= 2
     )
     plan_v = fixture_plan("grid_2x2_variant")
     config_v = scenario_config("grid_2x2_variant")
-    agraph, _, sgraph, merged_v, _ = full_pipeline(plan_v, config_v)
-    variant_ok = merged_v is not None and _correspondence_ok(agraph, sgraph, merged_v)
+    v = run_pipeline(plan_v, config_v)
+    variant_ok = v.merged is not None and _correspondence_ok(v.agraph, v.sgraph, v.merged)
     detail = (
         f"symmetric: {decisive.status.value} with cluster {len(decisive.cluster)}; "
         f"variant: {'matched' if variant_ok else 'failed'}"

@@ -39,6 +39,15 @@ def test_simulate_and_match(tmp_path):
     assert doc["status"] == "matched"
 
 
+def test_simulate_and_match_corridor(tmp_path):
+    # the corridor estimator removes two-wall rooms; its graph must read back
+    agraph = tmp_path / "agraph.json"
+    assert main(["build-agraph", fixture("corridor.plan.json"), "-o", str(agraph)]) == 0
+    simdir = tmp_path / "sim"
+    assert main(["simulate", fixture("corridor.scenario.json"), "-o", str(simdir)]) == 0
+    assert main(["match", str(agraph), str(simdir / "sgraph.json")]) == 0  # matched
+
+
 def test_run_and_eval(tmp_path, capsys):
     rundir = tmp_path / "run"
     rc = main(["run", fixture("two_rooms.scenario.json"), "-o", str(rundir)])

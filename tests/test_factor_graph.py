@@ -16,6 +16,8 @@ from planloc.factor_graph import (
     VarKind,
 )
 from planloc.geometry import Pose2, wrap_angle
+from planloc.plans import fixture_dir
+from planloc.runner import load_scenario, run_pipeline
 
 
 def test_add_variable_monotone_indices():
@@ -365,6 +367,36 @@ def test_serialization_roundtrip():
     g2 = FactorGraph.from_json(doc)
     assert g2.to_json() == doc
     assert g2.total_cost() == pytest.approx(g.total_cost(), rel=1e-12)
+
+
+def test_serialization_roundtrip_keeps_ids_left_by_removals():
+    # the corridor run removes two-wall rooms and their factors, leaving gaps
+    plan, config, _ = load_scenario(fixture_dir() / "corridor.scenario.json")
+    graph = run_pipeline(plan, config).sgraph.graph
+    doc = graph.to_json()
+    back = FactorGraph.from_json(doc)
+    assert back.to_json() == doc
+    assert back.total_cost() == graph.total_cost()
+    # new ids continue past the largest stored one of each kind
+    top = max(v.index for v in back.variables_of(VarKind.TWO_WALL_ROOM))
+    assert back.add_variable(VarKind.TWO_WALL_ROOM, [0, 0]).index == top + 1
+    last = max(back.factors())
+    kf = back.variables_of(VarKind.KEYFRAME)[0]
+    assert back.add_factor(Factor(FactorKind.PRIOR, (kf,), [0, 0, 0])) == last + 1
+
+
+def test_deserialization_rejects_duplicate_and_dangling_ids():
+    g = FactorGraph()
+    r = g.add_variable(VarKind.ROOM, [1, 2])
+    g.add_factor(Factor(FactorKind.PRIOR, (r,), [1, 2]))
+    doc = g.to_json_dict()
+    for bad in (
+        {**doc, "variables": doc["variables"] * 2},
+        {**doc, "factors": doc["factors"] * 2},
+        {**doc, "factors": [{**doc["factors"][0], "variables": [["room", 5]]}]},
+    ):
+        with pytest.raises(GraphError):
+            FactorGraph.from_json_dict(bad)
 
 
 def test_serialization_preserves_fixed_flags():

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import simulate_sgraph
+from conftest import _correspondence_ok, simulate_sgraph
 from planloc.a_graph import build_a_graph
 from planloc.factor_graph import VariableId, VarKind
-from planloc.geometry import Pose2, wrap_angle
+from planloc.geometry import Pose2, estimate_transform_closed_form, wrap_angle
 from planloc.matcher import (
     MatchCandidate,
     MatcherConfig,
@@ -279,6 +279,56 @@ def test_score_noisy_candidate_affinity():
     assert float(np.percentile(affs, 5)) >= 0.8
 
 
+def _reference_affinity(cand, a_by, s_by, cfg):
+    """Per-pair scalar form of score_candidate's affinity."""
+    hint = estimate_transform_closed_form(
+        [(s_by[p.s_node].center, a_by[p.a_node].center) for p in cand.room_pairs]
+    ).pose
+    rho_sq = [
+        float(np.sum((hint.transform_point(s_by[p.s_node].center) - a_by[p.a_node].center) ** 2))
+        for p in cand.room_pairs
+    ]
+    a_planes = {pl.vid: pl for r in a_by.values() for pl in r.planes}
+    s_planes = {pl.vid: pl for r in s_by.values() for pl in r.planes}
+    comp_sq = []
+    for pair in cand.wall_pairs:
+        ap, sp = a_planes[pair.a_node], s_planes[pair.s_node]
+        phi_t = wrap_angle(sp.phi + hint.theta)
+        d_t = sp.d + math.cos(phi_t) * hint.x + math.sin(phi_t) * hint.y
+        dphi = wrap_angle(phi_t - ap.phi)
+        if abs(dphi) > math.pi / 2:
+            dphi, d_t = wrap_angle(dphi - math.pi), -d_t
+        comp_sq += [dphi**2, (d_t - ap.d) ** 2]
+    e_rho = math.sqrt(sum(rho_sq) / len(rho_sq))
+    e_pi = math.sqrt(sum(comp_sq) / len(comp_sq))
+    return math.exp(-(e_rho / cfg.rho_scale + e_pi / cfg.pi_scale))
+
+
+def test_score_matches_scalar_reference():
+    # noisy observed planes, every other one stored with the opposite polarity
+    cfg = MatcherConfig()
+    for trial in range(10):
+        rng = np.random.default_rng(2000 + trial)
+        pose = Pose2(*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
+        _, a_rooms, s_rooms = synthetic_views("five_rooms", pose)
+        noise = {p.vid: rng.normal(0, [0.01, 0.02]) for r in s_rooms for p in r.planes}
+        noisy = []
+        for r in s_rooms:
+            planes = []
+            for p in r.planes:
+                phi, d = p.phi + noise[p.vid][0], p.d + noise[p.vid][1]
+                if p.vid.index % 2:
+                    phi, d = wrap_angle(phi + math.pi), -d
+                planes.append(PlaneEntry(p.vid, phi, d))
+            noisy.append(RoomEntry(r.vid, r.center, tuple(planes)))
+        result = match_entries(a_rooms, noisy, cfg)
+        a_by, s_by = {r.vid: r for r in a_rooms}, {r.vid: r for r in noisy}
+        assert result.cluster
+        for cand in result.cluster:
+            want = _reference_affinity(cand, a_by, s_by, cfg)
+            assert cand.affinity == pytest.approx(want, rel=1e-12)
+
+
 def test_wrong_assignment_scores_low():
     _, a_rooms, s_rooms = synthetic_views("five_rooms", Pose2.identity())
     a_by = {r.vid: r for r in a_rooms}
@@ -295,7 +345,7 @@ def test_wrong_assignment_scores_low():
         cand = MatchCandidate(room_pairs, 1.0, None)
         wall_pairs = []
         try:
-            from planloc.geometry import GeometryError, estimate_transform_closed_form
+            from planloc.geometry import GeometryError
 
             hint = estimate_transform_closed_form(
                 [(s_by[s].center, a_by[a].center) for s, a in assignment.items()]
@@ -355,15 +405,6 @@ def test_match_deterministic():
     assert r1.to_json() == r2.to_json()
 
 
-def test_match_full_pipeline_truth(five_rooms_run):
-    ag, sim, sg, merged, decisive = five_rooms_run
-    assert merged is not None
-    # provenance oracle: every merged room pair links an s-room whose planes
-    # were generated by exactly the plan surfaces of the paired a-room
-    inv = {v: k for k, v in merged.a_var_map.items()}
-    for a_merged, s_vid in merged.room_pairs.items():
-        room_id = ag.room_of_variable(inv[a_merged])
-        plan_room = next(r for r in ag.plan.rooms if r.id == room_id)
-        want = set(plan_room.surfaces.values())
-        got = {sg.truth_of_plane(p) for p in sg.rooms[s_vid].planes}
-        assert got == want
+def test_match_run_pipeline_truth(five_rooms_run):
+    assert five_rooms_run.merged is not None
+    assert _correspondence_ok(five_rooms_run.agraph, five_rooms_run.sgraph, five_rooms_run.merged)

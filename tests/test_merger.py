@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ape_rmse, full_pipeline, scenario_config
+from conftest import scenario_config
 from planloc.a_graph import build_a_graph
 from planloc.factor_graph import FactorKind, VarKind
 from planloc.geometry import Pose2, wrap_angle
 from planloc.matcher import MatchResult, MatchStatus, match
 from planloc.merger import MergeError, extend_matches, localized_trajectory, merge
 from planloc.plans import fixture_plan
+from planloc.runner import run_pipeline
 from planloc.s_graph import PlanSimulator, SGraph
 
 
@@ -21,7 +22,7 @@ def run_zero_noise(map_offset):
         plane_noise=[0.0, 0.0],
         map_offset=map_offset,
     )
-    return full_pipeline(plan, config)
+    return run_pipeline(plan, config)
 
 
 @pytest.mark.parametrize(
@@ -33,7 +34,7 @@ def run_zero_noise(map_offset):
     ],
 )
 def test_zero_noise_transform_recovered_exactly(offset):
-    ag, sim, sg, merged, _ = run_zero_noise(offset)
+    merged = run_zero_noise(offset).merged
     assert merged is not None
     t = merged.transform_estimate().pose
     assert abs(t.x - offset[0]) < 1e-6
@@ -42,7 +43,7 @@ def test_zero_noise_transform_recovered_exactly(offset):
 
 
 def test_identity_offset_zero_merge_cost():
-    ag, sim, sg, merged, _ = run_zero_noise([0.0, 0.0, 0.0])
+    merged = run_zero_noise([0.0, 0.0, 0.0]).merged
     t = merged.transform_estimate().pose
     assert t.almost_equal(Pose2.identity(), tol=1e-6)
     merge_cost = sum(merged.graph.chi2(fid) for fid in merged.merge_factor_ids)
@@ -50,9 +51,9 @@ def test_identity_offset_zero_merge_cost():
 
 
 def test_zero_noise_trajectory_matches_ground_truth():
-    ag, sim, sg, merged, _ = run_zero_noise([2.0, 1.0, math.radians(30)])
-    traj = localized_trajectory(merged, sg)
-    for est, gt in zip(traj, sg.gt_plan):
+    result = run_zero_noise([2.0, 1.0, math.radians(30)])
+    traj = localized_trajectory(result.merged, result.sgraph)
+    for est, gt in zip(traj, result.sgraph.gt_plan):
         assert est.almost_equal(gt, tol=1e-6)
 
 
@@ -66,23 +67,16 @@ def test_noisy_transform_recovery_bounds(monte_carlo_100):
 
 
 def test_merge_refuses_non_matched():
-    plan = fixture_plan("grid_2x2")
-    config = scenario_config("grid_2x2")
-    ag = build_a_graph(plan)
-    sim = PlanSimulator(plan, config)
-    sg = SGraph(sim.initial_map_pose)
-    for step in sim.steps():
-        sg.add_step(step)
-    result = match(ag.graph, sg.graph)
-    assert result.status == MatchStatus.AMBIGUOUS
+    run = run_pipeline(fixture_plan("grid_2x2"), scenario_config("grid_2x2"))
+    assert run.match_result.status == MatchStatus.AMBIGUOUS
     with pytest.raises(MergeError, match="ambiguous"):
-        merge(ag, sg, result)
+        merge(run.agraph, run.sgraph, run.match_result)
     with pytest.raises(MergeError):
-        merge(ag, sg, MatchResult(MatchStatus.NO_MATCH, None, []))
+        merge(run.agraph, run.sgraph, MatchResult(MatchStatus.NO_MATCH, None, []))
 
 
 def test_merged_graph_contains_both_sides_and_transform(five_rooms_run):
-    ag, sim, sg, merged, _ = five_rooms_run
+    ag, merged = five_rooms_run.agraph, five_rooms_run.merged
     g = merged.graph
     assert len(g.variables_of(VarKind.TRANSFORM)) == 1
     # every plan variable exists in the merged graph, fixed
@@ -99,9 +93,7 @@ def test_merged_graph_contains_both_sides_and_transform(five_rooms_run):
 
 
 def test_post_merge_ape(five_rooms_run):
-    ag, sim, sg, merged, _ = five_rooms_run
-    traj = localized_trajectory(merged, sg)
-    assert ape_rmse(traj, sg.gt_plan) <= 0.1
+    assert five_rooms_run.report["ape"]["rmse"] <= 0.1
 
 
 def test_merge_does_not_corrupt_odometry_chain():
@@ -138,8 +130,7 @@ def test_merge_does_not_corrupt_odometry_chain():
 
 def test_gauge_uniqueness_under_perturbed_initialization():
     plan = fixture_plan("two_rooms")
-    config = scenario_config("two_rooms", seed=2)
-    ag, sim, sg, merged, _ = full_pipeline(plan, config)
+    merged = run_pipeline(plan, scenario_config("two_rooms", seed=2)).merged
     assert merged is not None
     reference = merged.graph.value(merged.transform)
     rng = np.random.default_rng(0)
@@ -180,27 +171,10 @@ def test_localized_trajectory_identity_transform():
     config = scenario_config(
         "two_rooms", odom_noise=[0.0, 0.0], plane_noise=[0.0, 0.0], map_offset=[0, 0, 0]
     )
-    ag, sim, sg, merged, _ = full_pipeline(plan, config)
-    t = merged.transform_estimate().pose
+    result = run_pipeline(plan, config)
+    t = result.merged.transform_estimate().pose
     assert t.almost_equal(Pose2.identity(), tol=1e-9)
-    traj = localized_trajectory(merged, sg)
-    for est, kf in zip(traj, sg.keyframe_poses()):
+    traj = localized_trajectory(result.merged, result.sgraph)
+    for est, kf in zip(traj, result.sgraph.keyframe_poses()):
         assert est.almost_equal(kf, tol=1e-9)
 
-
-def test_unlocked_plan_mode_runs():
-    plan = fixture_plan("two_rooms")
-    config = scenario_config("two_rooms")
-    ag = build_a_graph(plan)
-    sim = PlanSimulator(plan, config)
-    sg = SGraph(sim.initial_map_pose)
-    result = None
-    for step in sim.steps():
-        sg.add_step(step)
-        result = match(ag.graph, sg.graph)
-        if result.status == MatchStatus.MATCHED:
-            break
-    merged = merge(ag, sg, result, lock_plan=False)
-    assert merged.report.converged
-    for vid in ag.graph.variables():
-        assert not merged.graph.is_fixed(merged.a_var_map[vid])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ape_rmse, scenario_config, simulate_sgraph
+from conftest import scenario_config, simulate_sgraph
 from planloc.a_graph import wall_surfaces
 from planloc.factor_graph import FactorKind, VarKind
 from planloc.geometry import Pose2, normalize_away_from_origin, wrap_angle
+from planloc.metrics import compute_ape
 from planloc.plans import fixture_plan
 from planloc.s_graph import (
     PlaneObservation,
@@ -254,8 +255,7 @@ def test_noisy_traversal_ape_bounded():
     worst = 0.0
     for seed in range(5):
         plan, sim, sg = simulate_sgraph("five_rooms", seed=seed)
-        sg.final_optimize()
-        worst = max(worst, ape_rmse(sg.keyframe_poses(), sg.gt_map))
+        worst = max(worst, compute_ape(sg.keyframe_poses(), sg.gt_map).rmse)
     assert worst <= 0.15
 
 
