@@ -12,8 +12,6 @@ from .a_graph import (
     FloorPlan,
     PlanError,
     build_a_graph,
-    compute_wall_center,
-    extract_wall_surfaces,
     load_plan,
     wall_surfaces,
 )
@@ -30,14 +28,10 @@ from .factor_graph import (
 )
 from .geometry import (
     Axis,
-    FrameTransform,
     GeometryError,
-    Plane,
     Pose2,
-    classify_axis,
     estimate_transform_closed_form,
-    normalize_away_from_origin,
-    transform_plane,
+    transform_phi_dist,
     wrap_angle,
 )
 from .matcher import (

@@ -21,14 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .factor_graph import Factor, FactorGraph, FactorKind, VariableId, VarKind
-from .geometry import (
-    Axis,
-    GeometryError,
-    PERP,
-    Plane,
-    classify_axis,
-    normalize_away_from_origin,
-)
+from .geometry import PERP, Axis, axis_of_normal
 
 ROOM_SIDES = ("px", "mx", "py", "my")
 
@@ -72,7 +65,10 @@ class WallSurface:
 
     id: str
     wall_id: str
-    plane: Plane  # canonical closest-point form in frame B
+    # canonical closest-point form in frame B: unit normal pointing away
+    # from the origin, so dist >= 0 and dist * normal is the plane's foot
+    normal: tuple[float, float]
+    dist: float
     face_normal: tuple[float, float]  # outward from the slab material
     seg_start: tuple[float, float]
     seg_end: tuple[float, float]
@@ -110,12 +106,10 @@ class FloorPlan:
 
 def _axis_position(surface: WallSurface) -> float:
     """Signed coordinate of an axis-aligned surface along its normal axis."""
-    n = surface.plane.normal
-    axis = surface.axis
-    comp = n[0] if axis == Axis.X else n[1]
+    comp = surface.normal[0] if surface.axis == Axis.X else surface.normal[1]
     if abs(comp) < 0.9:
         raise PlanError(f"surface {surface.id} is not axis aligned")
-    return surface.plane.dist / comp
+    return surface.dist / comp
 
 
 def _surfaces_of_wall(wall: PlanWall) -> list[WallSurface]:
@@ -133,17 +127,19 @@ def _surfaces_of_wall(wall: PlanWall) -> list[WallSurface]:
         offset = (wall.thickness / 2.0) * face_n
         s0 = start + offset
         s1 = end + offset
+        # face_n is a unit vector; flip it to point away from the origin
         d_signed = float(face_n @ s0)
-        plane = normalize_away_from_origin(face_n, d_signed)
+        n, dist = (face_n, d_signed) if d_signed >= 0 else (-face_n, -d_signed)
         out.append(
             WallSurface(
                 id=f"{wall.id}:{tag}",
                 wall_id=wall.id,
-                plane=plane,
+                normal=(float(n[0]), float(n[1])),
+                dist=dist,
                 face_normal=(float(face_n[0]), float(face_n[1])),
                 seg_start=(float(s0[0]), float(s0[1])),
                 seg_end=(float(s1[0]), float(s1[1])),
-                axis=classify_axis(plane),
+                axis=axis_of_normal(n[0], n[1]),
             )
         )
     return out
@@ -156,30 +152,6 @@ def wall_surfaces(plan: FloorPlan) -> dict[str, WallSurface]:
         for surf in _surfaces_of_wall(wall):
             out[surf.id] = surf
     return out
-
-
-def extract_wall_surfaces(plan: FloorPlan) -> list[tuple[str, Plane, Plane, Axis]]:
-    """Per wall: its two parallel surface planes (offset +/- thickness/2) and axis."""
-    out = []
-    for wall in plan.walls:
-        plus, minus = _surfaces_of_wall(wall)
-        out.append((wall.id, plus.plane, minus.plane, plus.axis))
-    return out
-
-
-def compute_wall_center(p1: Plane, p2: Plane, s) -> np.ndarray:
-    """Wall center from two opposed surfaces and the wall start point.
-
-    The center sits midway between the two surfaces' perpendicular feet,
-    shifted along the wall direction to the start point's projection.
-    """
-    if classify_axis(p1) != classify_axis(p2):
-        raise GeometryError("wall surfaces must share the same axis")
-    s = np.asarray(s, dtype=float)
-    w = 0.5 * (p1.dist * p1.normal + p2.dist * p2.normal)
-    nw = float(np.linalg.norm(w))
-    what = p1.normal if nw < 1e-9 else w / nw
-    return w + s - float(s @ what) * what
 
 
 def _parse_point(obj, where: str) -> tuple[float, float]:
@@ -381,15 +353,17 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
             sid = f"{wall.id}:{tag}"
             surf = surfaces[sid]
             plane_ids[sid] = graph.add_variable(
-                VarKind.PLANE, [surf.plane.phi, surf.plane.dist]
+                VarKind.PLANE, [math.atan2(surf.normal[1], surf.normal[0]), surf.dist]
             )
 
     wall_ids: dict[str, VariableId] = {}
     for wall in plan.walls:
         plus = surfaces[f"{wall.id}:+"]
         minus = surfaces[f"{wall.id}:-"]
-        center = compute_wall_center(plus.plane, minus.plane, wall.start)
-        wid = graph.add_variable(VarKind.WALL, center)
+        # The WALL_CENTER kernel puts the center midway between the two faces,
+        # level with the start point: the start point itself, as the
+        # zero-cost check below confirms.
+        wid = graph.add_variable(VarKind.WALL, wall.start)
         wall_ids[wall.id] = wid
         graph.add_factor(
             Factor(

@@ -17,7 +17,7 @@ from .a_graph import build_a_graph, load_plan
 from .matcher import match
 from .factor_graph import FactorGraph
 from .plans import generate_random_plan, write_fixtures
-from .runner import evaluate_run_dir, load_scenario, run_estimator, run_scenario
+from .runner import _write_trajectory, evaluate_run_dir, load_scenario, run_estimator, run_scenario
 
 STATUS_EXIT = {"matched": 0, "ambiguous": 2, "no_match": 3}
 
@@ -39,12 +39,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     (out / "sgraph.json").write_text(sgraph.graph.to_json(indent=2) + "\n")
-    rows = ["k,est_x,est_y,est_theta,gt_x,gt_y,gt_theta"]
-    for k, (e, g) in enumerate(zip(sgraph.keyframe_poses(), sgraph.gt_map)):
-        rows.append(
-            f"{k},{e.x!r},{e.y!r},{e.theta!r},{g.x!r},{g.y!r},{g.theta!r}"
-        )
-    (out / "trajectory.csv").write_text("\n".join(rows) + "\n")
+    _write_trajectory(out / "trajectory.csv", sgraph, None)
     print(
         f"simulated {len(sgraph.keyframes)} keyframes, {len(sgraph.planes)} planes, "
         f"{len(sgraph.rooms)} rooms -> {out}"

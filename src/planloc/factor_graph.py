@@ -29,11 +29,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Pose2, wrap_angle
+from .geometry import wrap_angle
 
 
 class GraphError(ValueError):
@@ -129,18 +129,40 @@ def _as_info(kind: FactorKind, information, dim: int) -> np.ndarray:
 
 @dataclass
 class Factor:
-    """A residual term: kind, ordered variables, measurement payload, information."""
+    """A residual term: kind, ordered variables, measurement, information.
+
+    The measurement is stored as a float array of the shape the kind's spec
+    declares for these variables (see ``_FACTOR_SPECS``).
+    """
 
     kind: FactorKind
     variables: tuple[VariableId, ...]
-    measurement: Any = None
+    measurement: np.ndarray | None = None
     information: np.ndarray | None = None
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
         spec = _FACTOR_SPECS[self.kind]
-        spec.validate(self)
-        self.information = _as_info(self.kind, self.information, spec.residual_dim(self))
+        kinds = _kinds(self)
+        if not spec.arity_check(kinds):
+            raise GraphError(
+                f"{self.kind.value} factor requires {spec.arity_doc}, got "
+                f"{[k.value for k in kinds]}"
+            )
+        shape = spec.shape(kinds)
+        if self.measurement is None and spec.zero_default:
+            self.measurement = np.zeros(shape)
+        try:
+            measurement = np.array(self.measurement, dtype=float)
+        except (TypeError, ValueError):
+            measurement = None
+        if measurement is None or measurement.shape != shape:
+            raise GraphError(
+                f"{self.kind.value} factor measurement must have shape {shape}, "
+                f"got {self.measurement!r}"
+            )
+        self.measurement = measurement
+        self.information = _as_info(self.kind, self.information, spec.dim(kinds))
 
 
 @dataclass
@@ -351,109 +373,98 @@ RESIDUAL_ANGLE_ROWS: dict[FactorKind, tuple[int, ...]] = {
 
 @dataclass(frozen=True)
 class _FactorSpec:
-    arity_check: Callable[[Factor], bool]
+    arity_check: Callable[[list[VarKind]], bool]
     arity_doc: str
-    dim: Callable[[Factor], int]
-    pack: Callable[[Factor], np.ndarray]  # measurement as a flat float vector
+    dim: Callable[[list[VarKind]], int]  # residual dimension
+    shape: Callable[[list[VarKind]], tuple[int, ...]]  # measurement shape; (0,) for none
+    key: str | None  # JSON key of the measurement; None when the kind takes none
     kernel: Callable[
         [tuple[VarKind, ...], list[np.ndarray], np.ndarray], tuple[np.ndarray, list[np.ndarray]]
     ]
-
-    def validate(self, factor: Factor) -> None:
-        if not self.arity_check(factor):
-            raise GraphError(
-                f"{factor.kind.value} factor requires {self.arity_doc}, got "
-                f"{[v.kind.value for v in factor.variables]}"
-            )
-
-    def residual_dim(self, factor: Factor) -> int:
-        return self.dim(factor)
+    zero_default: bool = False  # a missing measurement means zeros
 
 
 def _kinds(factor: Factor) -> list[VarKind]:
     return [v.kind for v in factor.variables]
 
 
-def _as_vector(factor: Factor) -> np.ndarray:
-    return np.asarray(factor.measurement, dtype=float)
-
-
-def _no_measurement(factor: Factor) -> np.ndarray:
-    return np.zeros(0)
-
-
 _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
     FactorKind.ODOMETRY: _FactorSpec(
-        lambda f: _kinds(f) == [VarKind.KEYFRAME, VarKind.KEYFRAME]
-        and isinstance(f.measurement, Pose2),
-        "two keyframes and a Pose2 measurement",
-        lambda f: 3,
-        lambda f: f.measurement.as_array(),
+        lambda k: k == [VarKind.KEYFRAME, VarKind.KEYFRAME],
+        "two keyframes",
+        lambda k: 3,
+        lambda k: (3,),
+        "rel",
         _odometry,
     ),
     FactorKind.POSE_PLANE: _FactorSpec(
-        lambda f: _kinds(f) == [VarKind.KEYFRAME, VarKind.PLANE] and f.measurement is not None,
-        "a keyframe, a plane and a (phi, d) measurement",
-        lambda f: 2,
-        _as_vector,
+        lambda k: k == [VarKind.KEYFRAME, VarKind.PLANE],
+        "a keyframe and a plane",
+        lambda k: 2,
+        lambda k: (2,),
+        "plane",
         _pose_plane,
     ),
     FactorKind.ROOM_TO_WALLS: _FactorSpec(
-        lambda f: (
-            _kinds(f) == [VarKind.ROOM] + [VarKind.PLANE] * 4
-            or _kinds(f) == [VarKind.TWO_WALL_ROOM] + [VarKind.PLANE] * 2
+        lambda k: (
+            k == [VarKind.ROOM] + [VarKind.PLANE] * 4
+            or k == [VarKind.TWO_WALL_ROOM] + [VarKind.PLANE] * 2
         ),
         "a room plus 4 planes, or a two-wall room plus 2 planes",
-        lambda f: 2,
-        _no_measurement,
+        lambda k: 2,
+        lambda k: (0,),
+        None,
         _room_to_walls,
+        zero_default=True,
     ),
     FactorKind.WALL_CENTER: _FactorSpec(
-        lambda f: _kinds(f) == [VarKind.WALL, VarKind.PLANE, VarKind.PLANE]
-        and f.measurement is not None,
-        "a wall, two planes and the wall start point",
-        lambda f: 2,
-        _as_vector,
+        lambda k: k == [VarKind.WALL, VarKind.PLANE, VarKind.PLANE],
+        "a wall and two planes",
+        lambda k: 2,
+        lambda k: (2,),
+        "start",
         _wall_center,
     ),
     FactorKind.DOORWAY_TO_ROOMS: _FactorSpec(
-        lambda f: _kinds(f) == [VarKind.DOORWAY, VarKind.ROOM, VarKind.ROOM]
-        and f.measurement is not None
-        and len(f.measurement) == 2,
-        "a doorway, two rooms and their two room-relative offsets",
-        lambda f: 2,
-        lambda f: np.concatenate([np.asarray(o, dtype=float) for o in f.measurement]),
+        lambda k: k == [VarKind.DOORWAY, VarKind.ROOM, VarKind.ROOM],
+        "a doorway and two rooms",
+        lambda k: 2,
+        lambda k: (2, 2),
+        "offsets",
         _doorway_to_rooms,
     ),
     FactorKind.ROOM_TO_ROOM: _FactorSpec(
-        lambda f: (
-            len(f.variables) in (2, 3)
-            and all(v.kind in POINT_KINDS for v in f.variables[:2])
-            and (len(f.variables) == 2 or f.variables[2].kind == VarKind.TRANSFORM)
+        lambda k: (
+            len(k) in (2, 3)
+            and all(v in POINT_KINDS for v in k[:2])
+            and (len(k) == 2 or k[2] == VarKind.TRANSFORM)
         ),
         "two point variables plus an optional transform",
-        lambda f: 2,
-        lambda f: np.zeros(2) if f.measurement is None else _as_vector(f),
+        lambda k: 2,
+        lambda k: (2,),
+        "offset",
         _room_to_room,
+        zero_default=True,
     ),
     FactorKind.PLANE_TO_PLANE: _FactorSpec(
-        lambda f: (
-            len(f.variables) in (2, 3)
-            and _kinds(f)[:2] == [VarKind.PLANE, VarKind.PLANE]
-            and (len(f.variables) == 2 or f.variables[2].kind == VarKind.TRANSFORM)
+        lambda k: (
+            len(k) in (2, 3)
+            and k[:2] == [VarKind.PLANE, VarKind.PLANE]
+            and (len(k) == 2 or k[2] == VarKind.TRANSFORM)
         ),
         "two planes plus an optional transform",
-        lambda f: 2,
-        _no_measurement,
+        lambda k: 2,
+        lambda k: (0,),
+        None,
         plane_to_plane,
+        zero_default=True,
     ),
     FactorKind.PRIOR: _FactorSpec(
-        lambda f: len(f.variables) == 1
-        and f.measurement is not None
-        and len(np.atleast_1d(f.measurement)) == VAR_DIM[f.variables[0].kind],
-        "one variable and a full-dimension measurement",
-        lambda f: VAR_DIM[f.variables[0].kind],
-        _as_vector,
+        lambda k: len(k) == 1,
+        "one variable",
+        lambda k: VAR_DIM[k[0]],
+        lambda k: (VAR_DIM[k[0]],),
+        "value",
         _prior,
     ),
 }
@@ -607,7 +618,7 @@ class FactorGraph:
         """The factor's kind kernel run on a batch of one."""
         spec = _FACTOR_SPECS[factor.kind]
         vals = [value[None] for value in self._gather(factor)]
-        r, jacs = spec.kernel(tuple(_kinds(factor)), vals, spec.pack(factor)[None])
+        r, jacs = spec.kernel(tuple(_kinds(factor)), vals, factor.measurement.reshape(1, -1))
         return r[0], [jac[0] for jac in jacs]
 
     def evaluate_residual(self, factor: Factor) -> np.ndarray:
@@ -664,13 +675,12 @@ class FactorGraph:
             pair = on_free[:, :, None] & on_free[:, None, :]
             b_dst.append(col[on_free])
             h_dst.append((col[:, :, None] * n + col[:, None, :])[pair])
-            pack = _FACTOR_SPECS[kind].pack
             groups.append(
                 _Group(
                     kind,
                     signature,
                     slots,
-                    np.array([pack(f) for f in factors]).reshape(len(factors), -1),
+                    np.array([f.measurement for f in factors]).reshape(len(factors), -1),
                     np.array([f.information for f in factors]),
                     np.flatnonzero(on_free),
                     np.flatnonzero(pair),
@@ -848,12 +858,13 @@ class FactorGraph:
         factors = []
         for fid in sorted(self._factors):
             f = self._factors[fid]
+            key = _FACTOR_SPECS[f.kind].key
             factors.append(
                 {
                     "id": fid,
                     "kind": f.kind.value,
                     "variables": [vid.key() for vid in f.variables],
-                    "measurement": _encode_measurement(f),
+                    "measurement": None if key is None else {key: f.measurement.tolist()},
                     "information": f.information.tolist(),
                 }
             )
@@ -883,7 +894,8 @@ class FactorGraph:
             if fid < 0 or fid in graph._factors:
                 raise GraphError(f"duplicate or negative factor id {fid}")
             variables = tuple(VariableId(VarKind(k), i) for k, i in fac["variables"])
-            measurement = _decode_measurement(kind, fac.get("measurement"))
+            key = _FACTOR_SPECS[kind].key
+            measurement = None if key is None else (fac.get("measurement") or {}).get(key)
             graph._next_factor_id = fid
             graph.add_factor(Factor(kind, variables, measurement, np.asarray(fac["information"])))
             graph._next_factor_id = fid + 1
@@ -893,35 +905,3 @@ class FactorGraph:
     def from_json(cls, text: str) -> "FactorGraph":
         return cls.from_json_dict(json.loads(text))
 
-
-def _encode_measurement(factor: Factor):
-    m = factor.measurement
-    if factor.kind == FactorKind.ODOMETRY:
-        return {"rel": m.as_array().tolist()}
-    if factor.kind == FactorKind.POSE_PLANE:
-        return {"plane": [float(m[0]), float(m[1])]}
-    if factor.kind == FactorKind.WALL_CENTER:
-        return {"start": np.asarray(m, float).tolist()}
-    if factor.kind == FactorKind.DOORWAY_TO_ROOMS:
-        return {"offsets": [np.asarray(m[0], float).tolist(), np.asarray(m[1], float).tolist()]}
-    if factor.kind == FactorKind.ROOM_TO_ROOM:
-        return {"offset": np.asarray(m if m is not None else (0.0, 0.0), float).tolist()}
-    if factor.kind == FactorKind.PRIOR:
-        return {"value": np.asarray(m, float).tolist()}
-    return None
-
-
-def _decode_measurement(kind: FactorKind, doc):
-    if kind == FactorKind.ODOMETRY:
-        return Pose2.from_array(doc["rel"])
-    if kind == FactorKind.POSE_PLANE:
-        return tuple(doc["plane"])
-    if kind == FactorKind.WALL_CENTER:
-        return np.asarray(doc["start"], float)
-    if kind == FactorKind.DOORWAY_TO_ROOMS:
-        return (np.asarray(doc["offsets"][0], float), np.asarray(doc["offsets"][1], float))
-    if kind == FactorKind.ROOM_TO_ROOM:
-        return np.asarray(doc["offset"], float)
-    if kind == FactorKind.PRIOR:
-        return np.asarray(doc["value"], float)
-    return None

@@ -1,9 +1,9 @@
-"""Planar geometric kernel: poses, plane parameterizations, frame transforms.
+"""Planar geometric kernel: poses, planes in closest-point form, rigid alignment.
 
 The whole stack works in a flat single-storey world. Robot poses are SE(2),
 wall surfaces are vertical planes reduced to oriented lines in closest-point
-form, and the two reference frames ("M" for the online map, "B" for the plan)
-are related by a rigid 2D transform. All angles are radians, all distances
+form (phi, d), and the two reference frames ("M" for the online map, "B" for
+the plan) are related by a rigid 2D transform, a :class:`Pose2`. All angles are radians, all distances
 meters.
 """
 
@@ -15,19 +15,12 @@ from enum import Enum
 
 import numpy as np
 
-MAP_FRAME = "M"
-PLAN_FRAME = "B"
-
 # 90-degree rotation, used for perpendiculars and rotation derivatives.
 PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class GeometryError(ValueError):
     """Invalid geometric input (zero normal, degenerate point set, ...)."""
-
-
-class FrameMismatchError(GeometryError):
-    """Operands are expressed in different reference frames."""
 
 
 def wrap_angle(theta: float) -> float:
@@ -123,130 +116,18 @@ def axis_of_normal(nx: float, ny: float) -> Axis:
     return Axis.X if abs(nx) >= abs(ny) else Axis.Y
 
 
-@dataclass(frozen=True)
-class Plane:
-    """Oriented plane in closest-point form: unit normal plus perpendicular distance.
-
-    The normal points from the frame origin toward the plane, so ``dist >= 0``
-    and ``dist * normal`` is the point of the plane closest to the origin.
-    Build instances via :func:`normalize_away_from_origin` when the sign of
-    the input distance is not guaranteed.
-    """
-
-    nx: float
-    ny: float
-    dist: float
-    frame: str = PLAN_FRAME
-
-    def __post_init__(self):
-        norm = math.hypot(self.nx, self.ny)
-        if norm < 1e-12:
-            raise GeometryError("plane normal must be non-zero")
-        if self.dist < 0:
-            raise GeometryError("plane dist must be >= 0; use normalize_away_from_origin")
-        object.__setattr__(self, "nx", float(self.nx) / norm)
-        object.__setattr__(self, "ny", float(self.ny) / norm)
-        object.__setattr__(self, "dist", float(self.dist))
-
-    @staticmethod
-    def from_phi_dist(phi: float, dist: float, frame: str = PLAN_FRAME) -> "Plane":
-        return normalize_away_from_origin((math.cos(phi), math.sin(phi)), dist, frame)
-
-    @property
-    def normal(self) -> np.ndarray:
-        return np.array([self.nx, self.ny])
-
-    @property
-    def phi(self) -> float:
-        return math.atan2(self.ny, self.nx)
-
-    def cp_triplet(self) -> tuple[float, float, float]:
-        """Azimuth/elevation/distance triplet; elevation is 0 for vertical walls."""
-        return (self.phi, 0.0, self.dist)
-
-    def foot(self) -> np.ndarray:
-        """Point of the plane closest to the frame origin."""
-        return self.dist * self.normal
-
-    def axis(self) -> Axis:
-        return axis_of_normal(self.nx, self.ny)
-
-    def almost_equal(self, other: "Plane", tol: float = 1e-9) -> bool:
-        return (
-            self.frame == other.frame
-            and abs(self.nx - other.nx) <= tol
-            and abs(self.ny - other.ny) <= tol
-            and abs(self.dist - other.dist) <= tol
-        )
-
-
-def normalize_away_from_origin(normal, dist: float, frame: str = PLAN_FRAME) -> Plane:
-    """Canonicalize a (normal, signed distance) pair into a Plane.
-
-    Negative distances flip the normal so that it points away from the frame
-    origin; the normal is re-normalized to unit length.
-    """
-    n = np.asarray(normal, dtype=float)
-    norm = float(np.hypot(n[0], n[1]))
-    if norm < 1e-12:
-        raise GeometryError("plane normal must be non-zero")
-    # A non-unit normal only carries direction; dist stays a metric distance.
-    n = n / norm
-    d = float(dist)
-    if d < 0:
-        n, d = -n, -d
-    return Plane(n[0], n[1], d, frame)
-
-
-def classify_axis(p: Plane) -> Axis:
-    """Bucket a plane by the dominant component of its normal."""
-    return axis_of_normal(p.nx, p.ny)
-
-
-@dataclass(frozen=True)
-class FrameTransform:
-    """Rigid transform re-expressing source-frame coordinates in the target frame."""
-
-    pose: Pose2
-    source: str = MAP_FRAME
-    target: str = PLAN_FRAME
-
-    @staticmethod
-    def identity(source: str = MAP_FRAME, target: str = PLAN_FRAME) -> "FrameTransform":
-        return FrameTransform(Pose2.identity(), source, target)
-
-    def inverse(self) -> "FrameTransform":
-        return FrameTransform(self.pose.inverse(), self.target, self.source)
-
-    def transform_point(self, p) -> np.ndarray:
-        return self.pose.transform_point(p)
-
-
-def transform_plane(t: FrameTransform, p: Plane) -> Plane:
-    """Re-express a plane in the transform's target frame, re-canonicalized."""
-    if p.frame != t.source:
-        raise FrameMismatchError(
-            f"plane is in frame {p.frame!r} but transform maps {t.source!r} -> {t.target!r}"
-        )
-    n_t = t.pose.rotation() @ p.normal
-    d_t = p.dist + float(n_t @ t.pose.translation)
-    return normalize_away_from_origin(n_t, d_t, t.target)
-
-
 def transform_phi_dist(pose: Pose2, phi: float, dist: float) -> tuple[float, float]:
-    """Map a raw (phi, dist) plane through a pose without canonicalizing.
+    """Map a (phi, dist) plane through a pose.
 
-    Unlike :func:`transform_plane` this keeps the orientation of the input,
-    so a negative output distance is possible.
+    The orientation of the input is kept, so a negative output distance is
+    possible.
     """
     phi_t = wrap_angle(phi + pose.theta)
     d_t = dist + math.cos(phi_t) * pose.x + math.sin(phi_t) * pose.y
     return phi_t, d_t
 
 
-def estimate_transform_closed_form(
-    pairs, source: str = MAP_FRAME, target: str = PLAN_FRAME
-) -> FrameTransform:
+def estimate_transform_closed_form(pairs) -> Pose2:
     """Least-squares rigid 2D transform (no scale) from (source, target) point pairs.
 
     Solves min_T sum ||target_i - T(source_i)||^2 via the SVD of the 2x2
@@ -270,4 +151,4 @@ def estimate_transform_closed_form(
     rot = vt.T @ np.diag([1.0, float(np.sign(det)) or 1.0]) @ u.T
     trans = cd - rot @ cs
     theta = math.atan2(rot[1, 0], rot[0, 0])
-    return FrameTransform(Pose2(trans[0], trans[1], theta), source, target)
+    return Pose2(trans[0], trans[1], theta)

@@ -21,12 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind, plane_to_plane
-from .geometry import (
-    FrameTransform,
-    GeometryError,
-    axis_of_normal,
-    estimate_transform_closed_form,
-)
+from .geometry import GeometryError, Pose2, axis_of_normal, estimate_transform_closed_form
 
 # Up to this many observed rooms the room-level search keeps every partial
 # assignment; beyond it, only the BEAM_WIDTH best by room-dimension mismatch.
@@ -129,7 +124,7 @@ class MatchPair:
 class MatchCandidate:
     pairs: tuple[MatchPair, ...]
     affinity: float
-    transform_hint: FrameTransform
+    transform_hint: Pose2
 
     @property
     def room_pairs(self) -> tuple[MatchPair, ...]:
@@ -153,7 +148,7 @@ class MatchResult:
         def cand(c: MatchCandidate) -> dict:
             return {
                 "affinity": c.affinity,
-                "transform_hint": c.transform_hint.pose.as_array().tolist(),
+                "transform_hint": c.transform_hint.as_array().tolist(),
                 "pairs": [
                     {
                         "level": p.level,
@@ -179,7 +174,7 @@ def _dims_compatible(a: RoomEntry, s: RoomEntry, cfg: MatcherConfig) -> bool:
     return abs(da[0] - ds[0]) <= cfg.dim_tol and abs(da[1] - ds[1]) <= cfg.dim_tol
 
 
-def _center_fit(pts) -> tuple[FrameTransform, float] | None:
+def _center_fit(pts) -> tuple[Pose2, float] | None:
     """Closed-form alignment of (S-room, A-room) center pairs and its RMS residual.
 
     None when the alignment is degenerate.
@@ -189,7 +184,7 @@ def _center_fit(pts) -> tuple[FrameTransform, float] | None:
     except GeometryError:
         return None
     s_pts, a_pts = np.array(pts, dtype=float).transpose(1, 0, 2)
-    rho = s_pts @ hint.pose.rotation().T + hint.pose.translation - a_pts
+    rho = s_pts @ hint.rotation().T + hint.translation - a_pts
     return hint, math.sqrt(float(np.mean(np.sum(rho**2, axis=1))))
 
 
@@ -263,7 +258,7 @@ def propose_room_pairs(
 
 
 def _side_roles(
-    room: RoomEntry, to_plan: FrameTransform | None
+    room: RoomEntry, to_plan: Pose2 | None
 ) -> dict[tuple[str, int], PlaneEntry]:
     """Map each of the room's four planes to a (axis, side-sign) role.
 
@@ -277,13 +272,13 @@ def _side_roles(
         rot = np.eye(2)
         center = np.asarray(room.center)
     else:
-        rot = to_plan.pose.rotation()
+        rot = to_plan.rotation()
         center = to_plan.transform_point(room.center)
     roles: dict[tuple[str, int], PlaneEntry] = {}
     for plane in room.planes:
         n = rot @ plane.normal
         foot = rot @ plane.foot + (
-            np.zeros(2) if to_plan is None else to_plan.pose.translation
+            np.zeros(2) if to_plan is None else to_plan.translation
         )
         axis = axis_of_normal(n[0], n[1])
         comp = 0 if axis.value == "x" else 1
@@ -303,7 +298,7 @@ def propose_wall_pairs(
     room_pair: MatchPair,
     a_rooms_by_vid: dict[VariableId, RoomEntry],
     s_rooms_by_vid: dict[VariableId, RoomEntry],
-    hint: FrameTransform | None = None,
+    hint: Pose2 | None = None,
 ) -> list[MatchPair]:
     """Match a room pair's four wall surfaces by side role; exactly 4 or raise."""
     a_room = a_rooms_by_vid[room_pair.a_node]
@@ -383,7 +378,7 @@ def score_candidate(
     m = len(planes)
     e_pi = 0.0
     if m:
-        t_vals = np.full((m, 3), hint.pose.as_array())
+        t_vals = np.full((m, 3), hint.as_array())
         r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
         e_pi = math.sqrt(float(np.mean(r**2)))
     affinity = math.exp(-(e_rho / cfg.rho_scale + e_pi / cfg.pi_scale))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .a_graph import AGraph
 from .factor_graph import Factor, FactorGraph, FactorKind, SolveReport, VariableId, VarKind
-from .geometry import FrameTransform, Pose2
+from .geometry import Pose2
 from .matcher import (
     MatcherConfig,
     MatchPair,
@@ -48,8 +48,8 @@ class MergedState:
     merge_factor_ids: list[int] = field(default_factory=list)
     report: SolveReport | None = None
 
-    def transform_estimate(self) -> FrameTransform:
-        return FrameTransform(Pose2.from_array(self.graph.value(self.transform)))
+    def transform_estimate(self) -> Pose2:
+        return Pose2.from_array(self.graph.value(self.transform))
 
 
 def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
@@ -85,7 +85,7 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
     state = MergedState(graph, transform, a_var_map, {}, {})
     _add_match_factors(state, m.best.room_pairs, m.best.wall_pairs)
 
-    graph.set_value(transform, m.best.transform_hint.pose.as_array())
+    graph.set_value(transform, m.best.transform_hint.as_array())
     state.report = graph.optimize()
     s.last_report = state.report
     return state
@@ -177,7 +177,7 @@ def extend_matches(
 
 def localized_trajectory(state: MergedState, s: SGraph) -> list[Pose2]:
     """Keyframe poses re-expressed in the plan frame via the estimated transform."""
-    t = Pose2.from_array(state.graph.value(state.transform))
+    t = state.transform_estimate()
     return [
         t.compose(Pose2.from_array(state.graph.value(k))) for k in s.keyframes
     ]

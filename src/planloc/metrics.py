@@ -72,8 +72,7 @@ def compute_ape(
     gt_pts = np.array([[p.x, p.y] for p in ground_truth])
     if align == ALIGN_SE2 and len(estimated) >= 2:
         t = estimate_transform_closed_form(list(zip(est_pts, gt_pts)))
-        rot = t.pose.rotation()
-        est_pts = est_pts @ rot.T + t.pose.translation
+        est_pts = est_pts @ t.rotation().T + t.translation
     errors = np.linalg.norm(est_pts - gt_pts, axis=1)
     report = ApeReport(
         rmse=float(np.sqrt(np.mean(errors**2))),
@@ -123,7 +122,7 @@ def compute_map_rmse(
             for surf in surfaces.values():
                 if surf.axis != axis:
                     continue
-                gap = abs(float(surf.plane.normal @ foot) - surf.plane.dist)
+                gap = abs(float(np.asarray(surf.normal) @ foot) - surf.dist)
                 if gap <= assoc_tol and (best is None or gap < best[0]):
                     best = (gap, surf)
             if best is None:
@@ -134,7 +133,7 @@ def compute_map_rmse(
         if len(coords) == 0:
             coords = np.array([(lo + hi) / 2.0])
         pts = est.d * n[None, :] + coords[:, None] * m_hat[None, :]
-        errs = pts @ target.plane.normal - target.plane.dist
+        errs = pts @ np.asarray(target.normal) - target.dist
         sq_sum += float(np.sum(errs**2))
         n_points += len(coords)
     if n_points == 0:

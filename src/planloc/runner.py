@@ -145,7 +145,7 @@ def run_pipeline(
         "final_chi2_by_kind": chi2_by_kind(sgraph.graph),
     }
     if merged is not None:
-        t = merged.transform_estimate().pose
+        t = merged.transform_estimate()
         traj = localized_trajectory(merged, sgraph)
         ape = compute_ape(traj, sgraph.gt_plan)
         estimates = estimated_surfaces(merged, sgraph, agraph)
@@ -176,7 +176,7 @@ def estimated_surfaces(
     merged: MergedState, sgraph: SGraph, agraph: AGraph
 ) -> list[EstimatedSurface]:
     """Robot planes re-expressed in the plan frame, with merge associations."""
-    t = merged.transform_estimate().pose
+    t = merged.transform_estimate()
     inv_map = {v: k for k, v in merged.a_var_map.items()}
     assoc = {
         s_vid: agraph.surface_of_plane(inv_map[a_merged])
@@ -215,7 +215,7 @@ def run_scenario(scenario_path, out_dir, seed: int | None = None) -> dict:
     (out / "match_history.json").write_text(
         json.dumps(result.report["match_history"], indent=2, sort_keys=True) + "\n"
     )
-    _write_trajectory(out / "trajectory.csv", result)
+    _write_trajectory(out / "trajectory.csv", result.sgraph, result.merged)
     if result.merged is not None:
         estimates = estimated_surfaces(result.merged, result.sgraph, result.agraph)
         (out / "planes_b.json").write_text(
@@ -277,10 +277,10 @@ def _plan_doc(plan: FloorPlan) -> dict:
     }
 
 
-def _write_trajectory(path: Path, result: RunResult) -> None:
-    sg = result.sgraph
-    if result.merged is not None:
-        est = localized_trajectory(result.merged, sg)
+def _write_trajectory(path: Path, sg: SGraph, merged: MergedState | None) -> None:
+    """k, estimated and true pose per keyframe: plan frame when merged, map frame otherwise."""
+    if merged is not None:
+        est = localized_trajectory(merged, sg)
         gt = sg.gt_plan
     else:
         est = sg.keyframe_poses()

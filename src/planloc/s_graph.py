@@ -133,7 +133,14 @@ class PlanSimulator:
         self.surfaces: dict[str, WallSurface] = wall_surfaces(plan)
         self._rng = np.random.default_rng(config.seed)
         self._solid = self._solid_intervals()
-        self._blockers, self._blocker_wall = self._blocking_segments()
+        self._blockers, blocker_wall = self._blocking_segments()
+        # Static sight geometry of each surface: its sample points and the
+        # blocking segments of every other wall.
+        self._samples = {sid: self._surface_samples(s) for sid, s in self.surfaces.items()}
+        self._other_blockers = {
+            w.id: self._blockers[np.array([owner != w.id for owner in blocker_wall], dtype=bool)]
+            for w in plan.walls
+        }
         self._gt_plan = self._sample_path()
         self._check_path_free()
         offset = config.map_offset or self._gt_plan[0]
@@ -242,7 +249,7 @@ class PlanSimulator:
         """Body-frame in-plane extent of the visible part of a surface, if any."""
         p = pose.translation
         face_n = np.asarray(surface.face_normal)
-        samples = self._surface_samples(surface)
+        samples = self._samples[surface.id]
         if len(samples) == 0:
             return None
         rel = samples - p
@@ -251,8 +258,7 @@ class PlanSimulator:
         cand = samples[in_range & facing]
         if len(cand) == 0:
             return None
-        mask = np.array([self._blocker_wall[k] != surface.wall_id for k in range(len(self._blockers))])
-        blockers = self._blockers[mask]
+        blockers = self._other_blockers[surface.wall_id]
         if len(blockers) > 0:
             r = cand - p  # (S, 2)
             ap = blockers[:, 0, :] - p  # (K, 2)
@@ -453,7 +459,7 @@ class SGraph:
                 Factor(
                     FactorKind.ODOMETRY,
                     (self.keyframes[-1], kf),
-                    step.odometry,
+                    step.odometry.as_array(),
                     self.config.odom_information,
                 )
             )

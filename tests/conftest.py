@@ -60,7 +60,7 @@ def monte_carlo_100():
         merged = result.merged
         rec = {"seed": seed, "merged": merged is not None, "elapsed_s": elapsed}
         if merged is not None:
-            t = merged.transform_estimate().pose
+            t = merged.transform_estimate()
             true = result.sim.map_offset
             rec.update(
                 t_err=math.hypot(t.x - true.x, t.y - true.y),

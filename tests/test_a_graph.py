@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ import pytest
 from planloc.a_graph import (
     PlanError,
     build_a_graph,
-    compute_wall_center,
-    extract_wall_surfaces,
     load_plan,
     plan_from_dict,
     shared_wall,
+    wall_surfaces,
 )
-from planloc.factor_graph import FactorKind, VarKind
-from planloc.geometry import Axis, GeometryError, Plane
+from planloc.factor_graph import Factor, FactorGraph, FactorKind, VarKind
+from planloc.geometry import Axis
 from planloc.plans import (
     FIXTURE_PLANS,
     fixture_plan,
@@ -77,21 +77,30 @@ def test_doorway_distinct_rooms():
         plan_from_dict(doc)
 
 
+def _wall_faces(doc):
+    surfaces = wall_surfaces(plan_from_dict(doc))
+    return surfaces["w:+"], surfaces["w:-"]
+
+
+def _foot(surface) -> np.ndarray:
+    return surface.dist * np.asarray(surface.normal)
+
+
 def test_extract_wall_surfaces_horizontal_wall():
     doc = {
         "walls": [{"id": "w", "start": [0, 0], "end": [4, 0], "thickness": 0.2}],
         "rooms": [],
         "doorways": [],
     }
-    plan = plan_from_dict(doc)
-    [(wid, plus, minus, axis)] = extract_wall_surfaces(plan)
-    assert wid == "w"
-    assert axis == Axis.Y
+    plus, minus = _wall_faces(doc)
+    assert plus.axis == minus.axis == Axis.Y
     # surfaces at y = +0.1 and y = -0.1, normals canonicalized away from origin
-    feet = sorted([plus.foot()[1], minus.foot()[1]])
+    feet = sorted([_foot(plus)[1], _foot(minus)[1]])
     assert feet == pytest.approx([-0.1, 0.1])
     assert plus.dist == pytest.approx(0.1)
     assert minus.dist == pytest.approx(0.1)
+    assert plus.normal == pytest.approx((0.0, 1.0))
+    assert minus.normal == pytest.approx((0.0, -1.0))
 
 
 def test_extract_wall_surfaces_vertical_wall():
@@ -100,11 +109,11 @@ def test_extract_wall_surfaces_vertical_wall():
         "rooms": [],
         "doorways": [],
     }
-    plan = plan_from_dict(doc)
-    [(_, plus, minus, axis)] = extract_wall_surfaces(plan)
-    assert axis == Axis.X
-    feet = sorted([plus.foot()[0], minus.foot()[0]])
+    plus, minus = _wall_faces(doc)
+    assert plus.axis == minus.axis == Axis.X
+    feet = sorted([_foot(plus)[0], _foot(minus)[0]])
     assert feet == pytest.approx([1.85, 2.15])
+    assert min(plus.dist, minus.dist) >= 0.0
 
 
 def test_extract_wall_surfaces_translation_covariance():
@@ -116,45 +125,52 @@ def test_extract_wall_surfaces_translation_covariance():
     shifted = copy.deepcopy(base)
     shifted["walls"][0]["start"] = [12, 1]
     shifted["walls"][0]["end"] = [12, 5]
-    [(_, p0, m0, _)] = extract_wall_surfaces(plan_from_dict(base))
-    [(_, p1, m1, _)] = extract_wall_surfaces(plan_from_dict(shifted))
-    assert p1.foot()[0] - p0.foot()[0] == pytest.approx(10.0)
-    assert m1.foot()[0] - m0.foot()[0] == pytest.approx(10.0)
+    p0, m0 = _wall_faces(base)
+    p1, m1 = _wall_faces(shifted)
+    assert _foot(p1)[0] - _foot(p0)[0] == pytest.approx(10.0)
+    assert _foot(m1)[0] - _foot(m0)[0] == pytest.approx(10.0)
+
+
+def _kernel_wall_center(p1, p2, s) -> np.ndarray:
+    """The wall center that zeroes the WALL_CENTER kernel for planes p1, p2 and start s."""
+    g = FactorGraph()
+    w = g.add_variable(VarKind.WALL, [0.0, 0.0])
+    factor = Factor(
+        FactorKind.WALL_CENTER,
+        (w, g.add_variable(VarKind.PLANE, p1), g.add_variable(VarKind.PLANE, p2)),
+        s,
+    )
+    center = -g.evaluate_residual(factor)  # the residual is wall - center
+    g.set_value(w, center)
+    assert g.evaluate_residual(factor) == pytest.approx([0.0, 0.0], abs=1e-12)
+    return center
 
 
 @pytest.mark.parametrize(
     "p1,p2,s,expected",
     [
-        (Plane(1, 0, 2), Plane(1, 0, 3), (0, 5), (2.5, 5.0)),
-        (Plane(0, -1, 0.1), Plane(0, 1, 0.1), (0, 0), (0.0, 0.0)),
-        (Plane(1, 0, 2), Plane(1, 0, 3), (7, -1), (2.5, -1.0)),
+        ((0.0, 2.0), (0.0, 3.0), (0, 5), (2.5, 5.0)),
+        ((-math.pi / 2, 0.1), (math.pi / 2, 0.1), (0, 0), (0.0, 0.0)),
+        ((0.0, 2.0), (0.0, 3.0), (7, -1), (2.5, -1.0)),
     ],
 )
 def test_compute_wall_center_cases(p1, p2, s, expected):
-    omega = compute_wall_center(p1, p2, np.asarray(s, float))
-    assert omega == pytest.approx(expected, abs=1e-12)
-
-
-def test_compute_wall_center_rejects_mixed_axes():
-    with pytest.raises(GeometryError):
-        compute_wall_center(Plane(1, 0, 2), Plane(0, 1, 2), np.zeros(2))
+    assert _kernel_wall_center(p1, p2, s) == pytest.approx(expected, abs=1e-12)
 
 
 def test_compute_wall_center_translation_equivariance():
     rng = np.random.default_rng(11)
+
+    def canonical(d):  # the plane x = d with its normal pointing away from the origin
+        return (0.0, d) if d >= 0 else (math.pi, -d)
+
     for _ in range(50):
         d1, d2 = rng.uniform(0.5, 6, 2)
         s = rng.uniform(-5, 5, 2)
         t = rng.uniform(-8, 8, 2)
-        p1 = Plane(1, 0, d1)
-        p2 = Plane(1, 0, d2)
-        base = compute_wall_center(p1, p2, s)
+        base = _kernel_wall_center(canonical(d1), canonical(d2), s)
         # shift the whole construction by t (canonicalization may flip normals)
-        from planloc.geometry import normalize_away_from_origin
-
-        q1 = normalize_away_from_origin((1, 0), d1 + t[0])
-        q2 = normalize_away_from_origin((1, 0), d2 + t[0])
-        shifted = compute_wall_center(q1, q2, s + t)
+        shifted = _kernel_wall_center(canonical(d1 + t[0]), canonical(d2 + t[0]), s + t)
         assert shifted == pytest.approx(base + t, abs=1e-9)
 
 

@@ -64,7 +64,7 @@ def test_criterion_2_transform_recovery(offset):
     merged = run_pipeline(plan, config).merged
     ok = merged is not None
     if ok:
-        t = merged.transform_estimate().pose
+        t = merged.transform_estimate()
         terr = math.hypot(t.x - offset[0], t.y - offset[1])
         rerr = abs(wrap_angle(t.theta - offset[2]))
         ok = terr < 1e-6 and rerr < 1e-6

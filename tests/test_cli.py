@@ -96,3 +96,12 @@ def test_error_paths_exit_one(tmp_path, capsys):
 def test_write_fixtures_cli(tmp_path):
     assert main(["write-fixtures", "-o", str(tmp_path)]) == 0
     assert (tmp_path / "five_rooms.plan.json").exists()
+
+
+def test_simulate_and_run_write_the_same_trajectory(tmp_path):
+    # single_room never matches, so both commands write map-frame poses
+    scenario = fixture("single_room.scenario.json")
+    assert main(["simulate", scenario, "-o", str(tmp_path / "sim")]) == 0
+    assert main(["run", scenario, "-o", str(tmp_path / "run")]) == 3  # no_match
+    sim = (tmp_path / "sim" / "trajectory.csv").read_bytes()
+    assert sim == (tmp_path / "run" / "trajectory.csv").read_bytes()

@@ -50,10 +50,22 @@ def test_factor_arity_checked():
     g = FactorGraph()
     k = g.add_variable(VarKind.KEYFRAME, [0, 0, 0])
     r = g.add_variable(VarKind.ROOM, [0, 0])
+    p = g.add_variable(VarKind.PLANE, [0, 1])
     with pytest.raises(GraphError):
-        Factor(FactorKind.ODOMETRY, (k, r), Pose2(1, 0, 0))
+        Factor(FactorKind.ODOMETRY, (k, r), [1.0, 0.0, 0.0])
     with pytest.raises(GraphError):
         Factor(FactorKind.ROOM_TO_WALLS, (r, k))
+    # malformed measurements are refused up front, naming kind and shape
+    for kind, variables, measurement in (
+        (FactorKind.POSE_PLANE, (k, p), (1.0,)),
+        (FactorKind.POSE_PLANE, (k, p), None),
+        (FactorKind.ODOMETRY, (k, k), Pose2(1, 0, 0)),
+        (FactorKind.DOORWAY_TO_ROOMS, (g.add_variable(VarKind.DOORWAY, [0, 0]), r, r), [1, 2]),
+        (FactorKind.PRIOR, (r,), [0, 0, 0]),
+        (FactorKind.ROOM_TO_WALLS, (r, p, p, p, p), [0.0]),
+    ):
+        with pytest.raises(GraphError, match=rf"{kind.value}.*shape"):
+            Factor(kind, variables, measurement)
 
 
 def test_odometry_residual_zero_for_consistent_measurement():
@@ -62,7 +74,7 @@ def test_odometry_residual_zero_for_consistent_measurement():
     true_rel = Pose2(1.0, -0.5, 0.2)
     p1 = Pose2(0.5, 0.2, 0.3).compose(true_rel)
     k1 = g.add_variable(VarKind.KEYFRAME, p1.as_array())
-    f = Factor(FactorKind.ODOMETRY, (k0, k1), true_rel)
+    f = Factor(FactorKind.ODOMETRY, (k0, k1), true_rel.as_array())
     assert g.evaluate_residual(f) == pytest.approx([0, 0, 0], abs=1e-12)
 
 
@@ -107,8 +119,8 @@ def test_chain_with_exact_odometry_recovered():
     k1 = g.add_variable(VarKind.KEYFRAME, [0.7, 0.2, 0.1])
     k2 = g.add_variable(VarKind.KEYFRAME, [2.4, -0.3, -0.1])
     g.add_factor(Factor(FactorKind.PRIOR, (k0,), [0, 0, 0]))
-    g.add_factor(Factor(FactorKind.ODOMETRY, (k0, k1), Pose2(1, 0, 0)))
-    g.add_factor(Factor(FactorKind.ODOMETRY, (k1, k2), Pose2(1, 0, 0)))
+    g.add_factor(Factor(FactorKind.ODOMETRY, (k0, k1), [1.0, 0.0, 0.0]))
+    g.add_factor(Factor(FactorKind.ODOMETRY, (k1, k2), [1.0, 0.0, 0.0]))
     report = g.optimize()
     assert report.converged
     assert g.value(k1) == pytest.approx([1, 0, 0], abs=1e-8)
@@ -129,9 +141,8 @@ def _synthetic_room_world(seed: int):
         if k == 0:
             g.add_factor(Factor(FactorKind.PRIOR, (kf,), pose.as_array()))
         else:
-            g.add_factor(
-                Factor(FactorKind.ODOMETRY, (kfs[k - 1], kf), poses[k].relative_to(poses[k - 1]))
-            )
+            rel = poses[k].relative_to(poses[k - 1]).as_array()
+            g.add_factor(Factor(FactorKind.ODOMETRY, (kfs[k - 1], kf), rel))
     planes = []
     for i in range(8):
         phi = (i % 4) * math.pi / 2 + 0.05
@@ -168,7 +179,7 @@ def test_optimize_requires_anchor():
     g = FactorGraph()
     k0 = g.add_variable(VarKind.KEYFRAME, [0, 0, 0])
     k1 = g.add_variable(VarKind.KEYFRAME, [1, 0, 0])
-    g.add_factor(Factor(FactorKind.ODOMETRY, (k0, k1), Pose2(1, 0, 0)))
+    g.add_factor(Factor(FactorKind.ODOMETRY, (k0, k1), [1.0, 0.0, 0.0]))
     with pytest.raises(GaugeFreedomError):
         g.optimize()
     g.fix(k0)
@@ -227,7 +238,7 @@ def _random_kind_graph(seed: int) -> FactorGraph:
     phi0, d0 = g.value(planes[0])
     meas_phi = wrap_angle(phi0 - kf_pose.theta + rng.normal(0, 0.02))
     meas_d = d0 - (kf_pose.x * math.cos(phi0) + kf_pose.y * math.sin(phi0)) + rng.normal(0, 0.05)
-    g.add_factor(Factor(FactorKind.ODOMETRY, (kf, kf2), Pose2(*rng.uniform(-1, 1, 2), rng.uniform(-1, 1))))
+    g.add_factor(Factor(FactorKind.ODOMETRY, (kf, kf2), rng.uniform(-1, 1, 3)))
     g.add_factor(Factor(FactorKind.POSE_PLANE, (kf, planes[0]), (meas_phi, meas_d)))
     g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (room, *planes)))
     g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, planes[0], planes[1])))
@@ -350,7 +361,7 @@ def test_angular_residuals_wrapped():
     g = FactorGraph()
     k0 = g.add_variable(VarKind.KEYFRAME, [0, 0, 3.0])
     k1 = g.add_variable(VarKind.KEYFRAME, [1, 0, -3.0])
-    f = Factor(FactorKind.ODOMETRY, (k0, k1), Pose2(1, 0, 0))
+    f = Factor(FactorKind.ODOMETRY, (k0, k1), [1.0, 0.0, 0.0])
     r = g.evaluate_residual(f)
     assert -math.pi < r[2] <= math.pi
     pb = g.add_variable(VarKind.PLANE, [3.1, 2.0])
@@ -389,11 +400,16 @@ def test_deserialization_rejects_duplicate_and_dangling_ids():
     g = FactorGraph()
     r = g.add_variable(VarKind.ROOM, [1, 2])
     g.add_factor(Factor(FactorKind.PRIOR, (r,), [1, 2]))
+    k = g.add_variable(VarKind.KEYFRAME, [0, 0, 0])
+    g.add_factor(Factor(FactorKind.POSE_PLANE, (k, g.add_variable(VarKind.PLANE, [0, 1])), [0, 1]))
     doc = g.to_json_dict()
+    prior, pose_plane = doc["factors"]
     for bad in (
         {**doc, "variables": doc["variables"] * 2},
         {**doc, "factors": doc["factors"] * 2},
-        {**doc, "factors": [{**doc["factors"][0], "variables": [["room", 5]]}]},
+        {**doc, "factors": [{**prior, "variables": [["room", 5]]}]},
+        {**doc, "factors": [prior, {**pose_plane, "measurement": {"plane": [0, 1, 2]}}]},
+        {**doc, "factors": [prior, {**pose_plane, "measurement": None}]},
     ):
         with pytest.raises(GraphError):
             FactorGraph.from_json_dict(bad)

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from planloc.geometry import (
     Axis,
-    FrameTransform,
     GeometryError,
-    Plane,
     Pose2,
-    classify_axis,
+    axis_of_normal,
     estimate_transform_closed_form,
-    normalize_away_from_origin,
-    transform_plane,
+    transform_phi_dist,
     wrap_angle,
 )
 
@@ -61,97 +58,68 @@ def test_compose_associative(x1, y1, t1, x2, y2, t2):
     assert a.compose(b).compose(c).almost_equal(a.compose(b.compose(c)), tol=1e-7)
 
 
-def test_normalize_away_from_origin_flips_sign():
-    p = normalize_away_from_origin((-1, 0), -2)
-    assert p.nx == pytest.approx(1.0)
-    assert p.ny == pytest.approx(0.0)
-    assert p.dist == pytest.approx(2.0)
-
-
-def test_normalize_away_from_origin_keeps_positive():
-    p = normalize_away_from_origin((0, 1), 3)
-    assert (p.nx, p.ny, p.dist) == pytest.approx((0.0, 1.0, 3.0))
-
-
-def test_normalize_away_from_origin_rescales_direction():
-    # a non-unit normal carries direction only; dist is metric. Negating both
-    # members preserves the plane {x: n.x = d}, so the input (x = -4) keeps
-    # its geometry under canonicalization.
-    p = normalize_away_from_origin((2, 0), -4)
-    assert (p.nx, p.ny, p.dist) == pytest.approx((-1.0, 0.0, 4.0))
-    assert p.foot() @ np.array([1.0, 0.0]) == pytest.approx(-4.0)
-
-
-def test_normalize_zero_normal_rejected():
-    with pytest.raises(GeometryError):
-        normalize_away_from_origin((0, 0), 1.0)
-
-
 def test_classify_axis():
-    assert classify_axis(Plane(1, 0, 1.0)) == Axis.X
-    assert classify_axis(Plane(0.6, 0.8, 1.0)) == Axis.Y
+    assert axis_of_normal(1, 0) == Axis.X
+    assert axis_of_normal(0.6, 0.8) == Axis.Y
     # exact tie goes to X
-    assert classify_axis(Plane(math.sqrt(0.5), math.sqrt(0.5), 1.0)) == Axis.X
+    assert axis_of_normal(math.sqrt(0.5), math.sqrt(0.5)) == Axis.X
 
 
-@given(st.floats(0.01, math.tau), st.floats(0.1, 10.0))
-def test_classify_axis_sign_invariant(phi, d):
-    p = Plane.from_phi_dist(phi, d)
-    q = normalize_away_from_origin(-p.normal, -p.dist)
-    assert classify_axis(p) == classify_axis(q)
+@given(st.floats(0.01, math.tau))
+def test_classify_axis_sign_invariant(phi):
+    c, s = math.cos(phi), math.sin(phi)
+    assert axis_of_normal(c, s) == axis_of_normal(-c, -s)
 
 
-def _refit_plane_from_points(points, frame):
-    """Independent oracle: fit the (normal, dist) line through transformed points."""
+def _same_plane(a, b, tol=1e-9) -> bool:
+    """Two (phi, d) planes describe one line, up to a polarity flip."""
+    (phi_a, d_a), (phi_b, d_b) = a, b
+    if abs(wrap_angle(phi_a - phi_b)) > math.pi / 2:
+        phi_b, d_b = phi_b + math.pi, -d_b
+    return abs(wrap_angle(phi_a - phi_b)) <= tol and abs(d_a - d_b) <= tol
+
+
+def _refit_plane_from_points(points):
+    """Independent oracle: fit the (phi, d) line through transformed points."""
     p0, p1 = np.asarray(points[0]), np.asarray(points[1])
     direction = (p1 - p0) / np.linalg.norm(p1 - p0)
     normal = np.array([-direction[1], direction[0]])
-    d = float(normal @ p0)
-    return normalize_away_from_origin(normal, d, frame)
+    return math.atan2(normal[1], normal[0]), float(normal @ p0)
 
 
 @pytest.mark.parametrize(
     "pose,plane,expected",
     [
-        (Pose2(0, 0, 0), Plane(1, 0, 2, "M"), Plane(1, 0, 2, "B")),
-        (Pose2(1, 0, 0), Plane(1, 0, 2, "M"), Plane(1, 0, 3, "B")),
-        (Pose2(0, 0, math.pi / 2), Plane(1, 0, 2, "M"), Plane(0, 1, 2, "B")),
+        (Pose2(0, 0, 0), (0.0, 2.0), (0.0, 2.0)),
+        (Pose2(1, 0, 0), (0.0, 2.0), (0.0, 3.0)),
+        (Pose2(0, 0, math.pi / 2), (0.0, 2.0), (math.pi / 2, 2.0)),
     ],
 )
 def test_transform_plane_cases(pose, plane, expected):
-    t = FrameTransform(pose)
-    got = transform_plane(t, plane)
-    assert got.almost_equal(expected, tol=1e-9)
+    got = transform_phi_dist(pose, *plane)
+    assert got == pytest.approx(expected, abs=1e-9)
     # point-set oracle: transporting sampled plane points gives the same plane
-    foot = plane.foot()
-    tangent = np.array([-plane.ny, plane.nx])
-    pts = [t.transform_point(foot + c * tangent) for c in (-1.0, 2.0)]
-    oracle = _refit_plane_from_points(pts, "B")
-    assert got.almost_equal(oracle, tol=1e-9)
+    phi, d = plane
+    normal = np.array([math.cos(phi), math.sin(phi)])
+    tangent = np.array([-normal[1], normal[0]])
+    pts = [pose.transform_point(d * normal + c * tangent) for c in (-1.0, 2.0)]
+    assert _same_plane(got, _refit_plane_from_points(pts))
 
 
-def test_transform_plane_frame_checked():
-    t = FrameTransform(Pose2(1, 0, 0), source="M", target="B")
-    with pytest.raises(GeometryError):
-        transform_plane(t, Plane(1, 0, 2, "B"))
-
-
-@given(coord, coord, finite_angle, st.floats(0.01, math.tau), st.floats(0.1, 10.0))
+@given(coord, coord, finite_angle, st.floats(0.01, math.tau), st.floats(-10.0, 10.0))
 @settings(max_examples=200)
 def test_transform_plane_roundtrip(x, y, theta, phi, d):
-    t = FrameTransform(Pose2(x, y, theta))
-    p = Plane.from_phi_dist(phi, d, "M")
-    back = transform_plane(t.inverse(), transform_plane(t, p))
-    # the round trip may flip polarity only when the plane passes through an origin
-    assert back.almost_equal(p, tol=1e-9) or (
-        p.dist < 1e-9 and abs(abs(back.phi - p.phi) - math.pi) < 1e-9
-    )
+    t = Pose2(x, y, theta)
+    back = transform_phi_dist(t.inverse(), *transform_phi_dist(t, phi, d))
+    # the orientation is kept, so the round trip returns the input itself
+    assert abs(wrap_angle(back[0] - phi)) <= 1e-9
+    assert back[1] == pytest.approx(d, abs=1e-9)
 
 
 def test_estimate_transform_identity_on_aligned():
     pts = [np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([-2.0, 0.5])]
     t = estimate_transform_closed_form([(p, p) for p in pts])
-    assert t.pose.almost_equal(Pose2.identity(), tol=1e-12)
+    assert t.almost_equal(Pose2.identity(), tol=1e-12)
 
 
 def test_estimate_transform_exact_recovery():
@@ -159,9 +127,9 @@ def test_estimate_transform_exact_recovery():
     src = [np.array([0.0, 0.0]), np.array([3.0, 1.0]), np.array([-1.0, 2.0])]
     dst = [true.transform_point(p) for p in src]
     t = estimate_transform_closed_form(list(zip(src, dst)))
-    assert abs(t.pose.x - true.x) < 1e-9
-    assert abs(t.pose.y - true.y) < 1e-9
-    assert abs(wrap_angle(t.pose.theta - true.theta)) < 1e-9
+    assert abs(t.x - true.x) < 1e-9
+    assert abs(t.y - true.y) < 1e-9
+    assert abs(wrap_angle(t.theta - true.theta)) < 1e-9
 
 
 def _grid_search_transform(pairs, center, span=0.2, steps=21):
@@ -188,12 +156,12 @@ def test_estimate_transform_noisy_beats_grid_oracle():
         (s, true.transform_point(s) + rng.normal(0, sigma, 2)) for s in src
     ]
     t = estimate_transform_closed_form(pairs)
-    residuals = [np.linalg.norm(t.pose.transform_point(s) - d) for s, d in pairs]
+    residuals = [np.linalg.norm(t.transform_point(s) - d) for s, d in pairs]
     rms = float(np.sqrt(np.mean(np.square(residuals))))
     assert rms <= 3 * sigma
-    oracle_cost, _ = _grid_search_transform(pairs, t.pose)
+    oracle_cost, _ = _grid_search_transform(pairs, t)
     closed_cost = sum(
-        float(np.sum((t.pose.transform_point(s) - d) ** 2)) for s, d in pairs
+        float(np.sum((t.transform_point(s) - d) ** 2)) for s, d in pairs
     )
     assert closed_cost <= oracle_cost + 1e-12
 
@@ -206,14 +174,26 @@ def test_estimate_transform_degenerate_inputs():
         estimate_transform_closed_form([(same, same), (same, same + 1)])
 
 
-def test_plane_cp_triplet_has_zero_elevation():
-    p = Plane.from_phi_dist(0.3, 2.0)
-    phi, elev, d = p.cp_triplet()
-    assert elev == 0.0
-    assert phi == pytest.approx(0.3)
-    assert d == pytest.approx(2.0)
+def _svd_transform(pairs) -> Pose2:
+    """Reference: the rigid fit from the SVD of the cross-covariance (Umeyama, no scale)."""
+    src = np.asarray([p[0] for p in pairs], dtype=float)
+    dst = np.asarray([p[1] for p in pairs], dtype=float)
+    cs, cd = src.mean(axis=0), dst.mean(axis=0)
+    u, _, vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    det = np.linalg.det(vt.T @ u.T)
+    rot = vt.T @ np.diag([1.0, float(np.sign(det)) or 1.0]) @ u.T
+    trans = cd - rot @ cs
+    return Pose2(trans[0], trans[1], math.atan2(rot[1, 0], rot[0, 0]))
 
 
-def test_plane_rejects_negative_dist():
-    with pytest.raises(GeometryError):
-        Plane(1, 0, -1.0)
+def test_estimate_transform_matches_svd_reference():
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        src = rng.uniform(-10, 10, size=(n, 2))
+        true = Pose2(*rng.uniform(-10, 10, 2), rng.uniform(-math.pi, math.pi))
+        dst = [true.transform_point(p) + rng.normal(0, rng.choice([0.0, 0.01, 1.0]), 2) for p in src]
+        pairs = list(zip(src, dst))
+        got, ref = estimate_transform_closed_form(pairs), _svd_transform(pairs)
+        assert abs(got.x - ref.x) <= 1e-12 and abs(got.y - ref.y) <= 1e-12
+        assert abs(wrap_angle(got.theta - ref.theta)) <= 1e-12

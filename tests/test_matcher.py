@@ -192,10 +192,10 @@ def test_wall_pairs_ground_truth():
         for wp in wall_pairs:
             ap = next(p for p in a_by[pair.a_node].planes if p.vid == wp.a_node)
             sp = next(p for p in s_by[pair.s_node].planes if p.vid == wp.s_node)
-            phi_t = wrap_angle(sp.phi + best.transform_hint.pose.theta)
-            d_t = sp.d + math.cos(phi_t) * best.transform_hint.pose.x + math.sin(
+            phi_t = wrap_angle(sp.phi + best.transform_hint.theta)
+            d_t = sp.d + math.cos(phi_t) * best.transform_hint.x + math.sin(
                 phi_t
-            ) * best.transform_hint.pose.y
+            ) * best.transform_hint.y
             dphi = wrap_angle(phi_t - ap.phi)
             if abs(dphi) > math.pi / 2:
                 dphi = wrap_angle(dphi - math.pi)
@@ -255,7 +255,7 @@ def test_score_ground_truth_zero_noise():
     result = match_entries(a_rooms, s_rooms)
     assert result.status == MatchStatus.MATCHED
     assert result.best.affinity >= 0.999
-    hint = result.best.transform_hint.pose
+    hint = result.best.transform_hint
     assert hint.almost_equal(pose, tol=1e-6)
 
 
@@ -283,7 +283,7 @@ def _reference_affinity(cand, a_by, s_by, cfg):
     """Per-pair scalar form of score_candidate's affinity."""
     hint = estimate_transform_closed_form(
         [(s_by[p.s_node].center, a_by[p.a_node].center) for p in cand.room_pairs]
-    ).pose
+    )
     rho_sq = [
         float(np.sum((hint.transform_point(s_by[p.s_node].center) - a_by[p.a_node].center) ** 2))
         for p in cand.room_pairs

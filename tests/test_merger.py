@@ -36,7 +36,7 @@ def run_zero_noise(map_offset):
 def test_zero_noise_transform_recovered_exactly(offset):
     merged = run_zero_noise(offset).merged
     assert merged is not None
-    t = merged.transform_estimate().pose
+    t = merged.transform_estimate()
     assert abs(t.x - offset[0]) < 1e-6
     assert abs(t.y - offset[1]) < 1e-6
     assert abs(wrap_angle(t.theta - offset[2])) < 1e-6
@@ -44,7 +44,7 @@ def test_zero_noise_transform_recovered_exactly(offset):
 
 def test_identity_offset_zero_merge_cost():
     merged = run_zero_noise([0.0, 0.0, 0.0]).merged
-    t = merged.transform_estimate().pose
+    t = merged.transform_estimate()
     assert t.almost_equal(Pose2.identity(), tol=1e-6)
     merge_cost = sum(merged.graph.chi2(fid) for fid in merged.merge_factor_ids)
     assert merge_cost <= 1e-12
@@ -172,7 +172,7 @@ def test_localized_trajectory_identity_transform():
         "two_rooms", odom_noise=[0.0, 0.0], plane_noise=[0.0, 0.0], map_offset=[0, 0, 0]
     )
     result = run_pipeline(plan, config)
-    t = result.merged.transform_estimate().pose
+    t = result.merged.transform_estimate()
     assert t.almost_equal(Pose2.identity(), tol=1e-9)
     traj = localized_trajectory(result.merged, result.sgraph)
     for est, kf in zip(traj, result.sgraph.keyframe_poses()):

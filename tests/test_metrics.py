@@ -71,12 +71,11 @@ def _plan_truth_estimates(plan, d_offset=0.0):
     out = []
     for sid, surf in sorted(wall_surfaces(plan).items()):
         seg = np.asarray(surf.seg_start), np.asarray(surf.seg_end)
-        m_hat = np.array([-surf.plane.ny, surf.plane.nx])
+        nx, ny = surf.normal
+        m_hat = np.array([-ny, nx])
         coords = sorted((float(seg[0] @ m_hat), float(seg[1] @ m_hat)))
         out.append(
-            EstimatedSurface(
-                surf.plane.phi, surf.plane.dist + d_offset, tuple(coords), sid
-            )
+            EstimatedSurface(math.atan2(ny, nx), surf.dist + d_offset, tuple(coords), sid)
         )
     return out
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import scenario_config, simulate_sgraph
 from planloc.a_graph import wall_surfaces
 from planloc.factor_graph import FactorKind, VarKind
-from planloc.geometry import Pose2, normalize_away_from_origin, wrap_angle
+from planloc.geometry import Pose2, transform_phi_dist, wrap_angle
 from planloc.metrics import compute_ape
 from planloc.plans import fixture_plan
 from planloc.s_graph import (
@@ -163,13 +163,13 @@ def test_zero_noise_full_traversal_matches_plan():
     surfaces = wall_surfaces(plan)
     offset = sim.map_offset
     for vid, rec in sg.planes.items():
-        phi, d = sg.graph.value(vid)
-        # map the estimate into the plan frame and canonicalize for comparison
-        phi_b = wrap_angle(phi + offset.theta)
-        d_b = d + math.cos(phi_b) * offset.x + math.sin(phi_b) * offset.y
-        est = normalize_away_from_origin((math.cos(phi_b), math.sin(phi_b)), d_b)
-        truth = surfaces[rec.truth_surface()].plane
-        assert est.almost_equal(truth, tol=1e-6)
+        # map the estimate into the plan frame; compare up to polarity
+        phi_b, d_b = transform_phi_dist(offset, *sg.graph.value(vid))
+        truth = surfaces[rec.truth_surface()]
+        if abs(wrap_angle(phi_b - math.atan2(truth.normal[1], truth.normal[0]))) > math.pi / 2:
+            phi_b, d_b = phi_b + math.pi, -d_b
+        assert (math.cos(phi_b), math.sin(phi_b)) == pytest.approx(truth.normal, abs=1e-6)
+        assert d_b == pytest.approx(truth.dist, abs=1e-6)
 
 
 def test_keyframe_chain_invariant():
