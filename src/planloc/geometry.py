@@ -130,8 +130,9 @@ def transform_phi_dist(pose: Pose2, phi: float, dist: float) -> tuple[float, flo
 def estimate_transform_closed_form(pairs) -> Pose2:
     """Least-squares rigid 2D transform (no scale) from (source, target) point pairs.
 
-    Solves min_T sum ||target_i - T(source_i)||^2 via the SVD of the 2x2
-    cross-covariance, constrained to a proper rotation.
+    Solves min_T sum ||target_i - T(source_i)||^2. In 2D the optimal angle is
+    atan2 of the summed cross and dot products of the centered pairs, and the
+    translation carries the rotated source centroid onto the target one.
     """
     pairs = list(pairs)
     if len(pairs) < 2:
@@ -145,10 +146,7 @@ def estimate_transform_closed_form(pairs) -> Pose2:
         raise GeometryError("source points are coincident; transform is underdetermined")
     cs = src.mean(axis=0)
     cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
-    u, _, vt = np.linalg.svd(h)
-    det = np.linalg.det(vt.T @ u.T)
-    rot = vt.T @ np.diag([1.0, float(np.sign(det)) or 1.0]) @ u.T
-    trans = cd - rot @ cs
-    theta = math.atan2(rot[1, 0], rot[0, 0])
+    h = (src - cs).T @ (dst - cd)  # h[i, j] = sum of a_i * b_j over the centered pairs
+    theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
+    trans = cd - rotation2(theta) @ cs
     return Pose2(trans[0], trans[1], theta)
