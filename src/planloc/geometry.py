@@ -3,8 +3,8 @@
 The whole stack works in a flat single-storey world. Robot poses are SE(2),
 wall surfaces are vertical planes reduced to oriented lines in closest-point
 form (phi, d), and the two reference frames ("M" for the online map, "B" for
-the plan) are related by a rigid 2D transform, a :class:`Pose2`. All angles are radians, all distances
-meters.
+the plan) are related by a rigid 2D transform, a :class:`Pose2`. All angles
+are radians, all distances meters.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ PERP = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class GeometryError(ValueError):
-    """Invalid geometric input (zero normal, degenerate point set, ...)."""
+    """Invalid geometric input (too few or coincident points, bad shapes)."""
 
 
 def wrap_angle(theta: float) -> float:

@@ -192,7 +192,8 @@ def test_estimate_transform_matches_svd_reference():
         n = int(rng.integers(2, 9))
         src = rng.uniform(-10, 10, size=(n, 2))
         true = Pose2(*rng.uniform(-10, 10, 2), rng.uniform(-math.pi, math.pi))
-        dst = [true.transform_point(p) + rng.normal(0, rng.choice([0.0, 0.01, 1.0]), 2) for p in src]
+        sigma = rng.choice([0.0, 0.01, 1.0])
+        dst = [true.transform_point(p) + rng.normal(0, sigma, 2) for p in src]
         pairs = list(zip(src, dst))
         got, ref = estimate_transform_closed_form(pairs), _svd_transform(pairs)
         assert abs(got.x - ref.x) <= 1e-12 and abs(got.y - ref.y) <= 1e-12
