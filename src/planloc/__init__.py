@@ -22,7 +22,6 @@ from .factor_graph import (
     GaugeFreedomError,
     GraphError,
     SolveReport,
-    SolverConfig,
     VariableId,
     VarKind,
 )
@@ -36,7 +35,6 @@ from .geometry import (
 )
 from .matcher import (
     MatchCandidate,
-    MatcherConfig,
     MatchPair,
     MatchResult,
     MatchStatus,

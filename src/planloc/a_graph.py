@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -93,15 +94,20 @@ class FloorPlan:
                 return r
         raise PlanError(f"unknown room id {room_id!r}")
 
+    # Built on first use; the plan is immutable, so the surfaces never change.
+    # Callers must not modify the dict.
+    @cached_property
+    def surfaces(self) -> dict[str, WallSurface]:
+        """All wall surfaces of the plan, keyed by surface id."""
+        return {surf.id: surf for wall in self.walls for surf in _surfaces_of_wall(wall)}
+
     def room_rect(self, room_id: str) -> tuple[float, float, float, float]:
         """Interior rectangle (x0, x1, y0, y1) spanned by a room's surfaces."""
-        surfaces = wall_surfaces(self)
         room = self.room(room_id)
-        px = _axis_position(surfaces[room.surfaces["px"]])
-        mx = _axis_position(surfaces[room.surfaces["mx"]])
-        py = _axis_position(surfaces[room.surfaces["py"]])
-        my = _axis_position(surfaces[room.surfaces["my"]])
-        return (mx, px, my, py)
+        x0, x1, y0, y1 = (
+            _axis_position(self.surfaces[room.surfaces[side]]) for side in ("mx", "px", "my", "py")
+        )
+        return (x0, x1, y0, y1)
 
 
 def _axis_position(surface: WallSurface) -> float:
@@ -146,12 +152,8 @@ def _surfaces_of_wall(wall: PlanWall) -> list[WallSurface]:
 
 
 def wall_surfaces(plan: FloorPlan) -> dict[str, WallSurface]:
-    """All wall surfaces of a plan, keyed by surface id."""
-    out: dict[str, WallSurface] = {}
-    for wall in plan.walls:
-        for surf in _surfaces_of_wall(wall):
-            out[surf.id] = surf
-    return out
+    """All wall surfaces of a plan, keyed by surface id (``plan.surfaces``)."""
+    return plan.surfaces
 
 
 def _parse_point(obj, where: str) -> tuple[float, float]:
@@ -231,7 +233,7 @@ def validate_plan(plan: FloorPlan) -> None:
             raise PlanError(f"wall {wall.id!r} has zero length")
         if wall.thickness <= 0:
             raise PlanError(f"wall {wall.id!r} has non-positive thickness")
-    surfaces = wall_surfaces(plan)
+    surfaces = plan.surfaces
 
     seen_rooms = set()
     for room in plan.rooms:
@@ -242,31 +244,20 @@ def validate_plan(plan: FloorPlan) -> None:
             sid = room.surfaces[side]
             if sid not in surfaces:
                 raise PlanError(f"room {room.id!r} references missing surface {sid!r}")
-        px = surfaces[room.surfaces["px"]]
-        mx = surfaces[room.surfaces["mx"]]
-        py = surfaces[room.surfaces["py"]]
-        my = surfaces[room.surfaces["my"]]
-        for side, surf, want_axis in (
-            ("px", px, Axis.X),
-            ("mx", mx, Axis.X),
-            ("py", py, Axis.Y),
-            ("my", my, Axis.Y),
-        ):
+        for side in ROOM_SIDES:
+            surf = surfaces[room.surfaces[side]]
+            want_axis = Axis.X if side.endswith("x") else Axis.Y
             if surf.axis != want_axis:
                 raise PlanError(
                     f"room {room.id!r} side {side} expects a {want_axis.value}-surface, "
                     f"got {surf.id!r}"
                 )
-        x1, x0, y1, y0 = (
-            _axis_position(px),
-            _axis_position(mx),
-            _axis_position(py),
-            _axis_position(my),
-        )
+        x0, x1, y0, y1 = plan.room_rect(room.id)
         if not (x0 < x1 and y0 < y1):
             raise PlanError(f"room {room.id!r} surfaces do not form a positive-area rectangle")
         cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-        for side, surf in (("px", px), ("mx", mx), ("py", py), ("my", my)):
+        for side in ROOM_SIDES:
+            surf = surfaces[room.surfaces[side]]
             fn = np.asarray(surf.face_normal)
             mid = (np.asarray(surf.seg_start) + np.asarray(surf.seg_end)) / 2.0
             if float(fn @ (np.array([cx, cy]) - mid)) <= 0:
@@ -320,13 +311,7 @@ class AGraph:
     plan: FloorPlan
     graph: FactorGraph
     plane_ids: dict[str, VariableId]  # surface id -> plane variable
-    wall_ids: dict[str, VariableId]
     room_ids: dict[str, VariableId]
-    doorway_ids: dict[str, VariableId]
-    surfaces: dict[str, WallSurface] = field(default_factory=dict)
-
-    def plane_of(self, surface_id: str) -> VariableId:
-        return self.plane_ids[surface_id]
 
     def surface_of_plane(self, vid: VariableId) -> str:
         for sid, pid in self.plane_ids.items():
@@ -344,7 +329,7 @@ class AGraph:
 def build_a_graph(plan: FloorPlan) -> AGraph:
     """Construct the plan's factor graph with all variables at their analytic values."""
     validate_plan(plan)
-    surfaces = wall_surfaces(plan)
+    surfaces = plan.surfaces
     graph = FactorGraph()
 
     plane_ids: dict[str, VariableId] = {}
@@ -356,7 +341,6 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
                 VarKind.PLANE, [math.atan2(surf.normal[1], surf.normal[0]), surf.dist]
             )
 
-    wall_ids: dict[str, VariableId] = {}
     for wall in plan.walls:
         plus = surfaces[f"{wall.id}:+"]
         minus = surfaces[f"{wall.id}:-"]
@@ -364,7 +348,6 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
         # level with the start point: the start point itself, as the
         # zero-cost check below confirms.
         wid = graph.add_variable(VarKind.WALL, wall.start)
-        wall_ids[wall.id] = wid
         graph.add_factor(
             Factor(
                 FactorKind.WALL_CENTER,
@@ -396,11 +379,9 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
         first = room_ids[plan.rooms[0].id]
         graph.add_factor(Factor(FactorKind.PRIOR, (first,), graph.value(first)))
 
-    doorway_ids: dict[str, VariableId] = {}
     for doorway in plan.doorways:
         pos = np.asarray(doorway.position, float)
         did = graph.add_variable(VarKind.DOORWAY, pos)
-        doorway_ids[doorway.id] = did
         r1, r2 = doorway.rooms
         offsets = (pos - graph.value(room_ids[r1]), pos - graph.value(room_ids[r2]))
         graph.add_factor(
@@ -414,4 +395,4 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
     cost = graph.total_cost()
     if cost > 1e-12:
         raise PlanError(f"plan is internally inconsistent: initial graph cost {cost:.3e}")
-    return AGraph(plan, graph, plane_ids, wall_ids, room_ids, doorway_ids, surfaces)
+    return AGraph(plan, graph, plane_ids, room_ids)

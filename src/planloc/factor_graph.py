@@ -35,6 +35,20 @@ import numpy as np
 
 from .geometry import wrap_angle
 
+# Levenberg-Marquardt schedule: the starting damping, its factor after a
+# rejected and after an accepted trial step, and the two stopping tests
+# (relative cost decrease, largest gradient entry).
+INITIAL_LAMBDA = 1e-4
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.5
+REL_TOL = 1e-9
+ABS_TOL = 1e-10
+
+# check_jacobians: central-difference step and the largest relative
+# disagreement (absolute below magnitude 1) an analytic entry may show.
+JACOBIAN_STEP = 1e-6
+JACOBIAN_TOL = 1e-5
+
 
 class GraphError(ValueError):
     """Malformed graph input: bad dimensions, unknown variables, bad payloads."""
@@ -163,22 +177,6 @@ class Factor:
             )
         self.measurement = measurement
         self.information = _as_info(self.kind, self.information, spec.dim(kinds))
-
-
-@dataclass
-class SolverConfig:
-    max_iterations: int = 100
-    initial_lambda: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.5
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-10
-
-    def __post_init__(self):
-        if min(self.max_iterations, self.initial_lambda, self.rel_tol, self.abs_tol) <= 0:
-            raise GraphError("solver config values must be positive")
-        if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
-            raise GraphError("need lambda_up > 1 > lambda_down > 0")
 
 
 @dataclass
@@ -733,8 +731,7 @@ class FactorGraph:
             self._values[vid] = newval
         return backup
 
-    def optimize(self, config: SolverConfig | None = None) -> SolveReport:
-        config = config or SolverConfig()
+    def optimize(self, max_iterations: int = 100) -> SolveReport:
         if not self._factors:
             raise GraphError("cannot optimize a graph without factors")
         anchored = bool(self._fixed) or any(
@@ -753,14 +750,14 @@ class FactorGraph:
             return SolveReport(True, 0, initial_cost, initial_cost, trace, "no free variables")
 
         diagonal = np.diag_indices(n)
-        lam = config.initial_lambda
+        lam = INITIAL_LAMBDA
         cost = initial_cost
         converged = False
         message = "max iterations reached"
         iterations = 0
-        for iterations in range(1, config.max_iterations + 1):
+        for iterations in range(1, max_iterations + 1):
             h, b, cost = self._linearize()
-            if float(np.max(np.abs(b), initial=0.0)) <= config.abs_tol:
+            if float(np.max(np.abs(b), initial=0.0)) <= ABS_TOL:
                 converged = True
                 message = "gradient below tolerance"
                 iterations -= 1
@@ -773,16 +770,16 @@ class FactorGraph:
                 try:
                     delta = np.linalg.solve(h, -b)
                 except np.linalg.LinAlgError:
-                    lam *= config.lambda_up
+                    lam *= LAMBDA_UP
                     continue
                 backup = self._apply_step(structure.offsets, delta)
                 new_cost = self.total_cost()
                 if new_cost <= cost:
-                    lam = max(lam * config.lambda_down, 1e-12)
+                    lam = max(lam * LAMBDA_DOWN, 1e-12)
                     stepped = True
                     break
                 self._values.update(backup)
-                lam *= config.lambda_up
+                lam *= LAMBDA_UP
             if not stepped:
                 converged = False
                 message = "step search failed: lambda escalation exhausted"
@@ -790,7 +787,7 @@ class FactorGraph:
             trace.append(new_cost)
             rel = (cost - new_cost) / max(cost, 1e-300)
             cost = new_cost
-            if rel <= config.rel_tol:
+            if rel <= REL_TOL:
                 converged = True
                 message = "relative cost decrease below tolerance"
                 break
@@ -806,11 +803,11 @@ class FactorGraph:
 
     # -- verification ------------------------------------------------------
 
-    def check_jacobians(self, tolerance: float = 1e-5, step: float = 1e-6) -> list[int]:
+    def check_jacobians(self) -> list[int]:
         """Compare analytic Jacobians against central finite differences.
 
         Returns the ids of factors whose worst entry disagrees beyond
-        ``tolerance`` (relative, clamped to absolute below magnitude 1).
+        ``JACOBIAN_TOL`` (relative, clamped to absolute below magnitude 1).
         """
         offenders = []
         for fid in sorted(self._factors):
@@ -828,18 +825,18 @@ class FactorGraph:
                 num = np.zeros_like(jac)
                 for col in range(len(base)):
                     saved = base[col]
-                    base[col] = saved + step
+                    base[col] = saved + JACOBIAN_STEP
                     r_plus = self.evaluate_residual(factor)
-                    base[col] = saved - step
+                    base[col] = saved - JACOBIAN_STEP
                     r_minus = self.evaluate_residual(factor)
                     base[col] = saved
                     diff = r_plus - r_minus
                     for row in angle_rows:
                         diff[row] = wrap_angle(diff[row])
-                    num[:, col] = diff / (2.0 * step)
+                    num[:, col] = diff / (2.0 * JACOBIAN_STEP)
                 denom = np.maximum(1.0, np.maximum(np.abs(jac), np.abs(num)))
                 worst = max(worst, float(np.max(np.abs(jac - num) / denom)))
-            if worst > tolerance:
+            if worst > JACOBIAN_TOL:
                 offenders.append(fid)
         return offenders
 
@@ -881,24 +878,28 @@ class FactorGraph:
         rebuilt graph hands out later never collide with stored ones.
         """
         graph = cls()
-        for var in doc["variables"]:
-            kind, index = VarKind(var["kind"]), int(var["index"])
-            if index < 0 or VariableId(kind, index) in graph._values:
-                raise GraphError(f"duplicate or negative variable index: {var}")
-            top = max(graph._counters.get(kind, 0), index + 1)
-            graph._counters[kind] = index
-            graph.add_variable(kind, var["value"], fixed=bool(var.get("fixed")))
-            graph._counters[kind] = top
-        for fac in sorted(doc["factors"], key=lambda f: f["id"]):
-            kind, fid = FactorKind(fac["kind"]), int(fac["id"])
-            if fid < 0 or fid in graph._factors:
-                raise GraphError(f"duplicate or negative factor id {fid}")
-            variables = tuple(VariableId(VarKind(k), i) for k, i in fac["variables"])
-            key = _FACTOR_SPECS[kind].key
-            measurement = None if key is None else (fac.get("measurement") or {}).get(key)
-            graph._next_factor_id = fid
-            graph.add_factor(Factor(kind, variables, measurement, np.asarray(fac["information"])))
-            graph._next_factor_id = fid + 1
+        try:
+            for var in doc["variables"]:
+                kind, index = VarKind(var["kind"]), int(var["index"])
+                if index < 0 or VariableId(kind, index) in graph._values:
+                    raise GraphError(f"duplicate or negative variable index: {var}")
+                top = max(graph._counters.get(kind, 0), index + 1)
+                graph._counters[kind] = index
+                graph.add_variable(kind, var["value"], fixed=bool(var.get("fixed")))
+                graph._counters[kind] = top
+            for fac in sorted(doc["factors"], key=lambda f: f["id"]):
+                kind, fid = FactorKind(fac["kind"]), int(fac["id"])
+                if fid < 0 or fid in graph._factors:
+                    raise GraphError(f"duplicate or negative factor id {fid}")
+                variables = tuple(VariableId(VarKind(k), i) for k, i in fac["variables"])
+                key = _FACTOR_SPECS[kind].key
+                measurement = None if key is None else (fac.get("measurement") or {}).get(key)
+                graph._next_factor_id = fid
+                information = np.asarray(fac["information"])
+                graph.add_factor(Factor(kind, variables, measurement, information))
+                graph._next_factor_id = fid + 1
+        except KeyError as exc:
+            raise GraphError(f"graph JSON is missing field {exc.args[0]!r}") from None
         return graph
 
     @classmethod

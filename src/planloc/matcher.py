@@ -28,6 +28,14 @@ from .geometry import GeometryError, Pose2, axis_of_normal, estimate_transform_c
 EXHAUSTIVE_MAX_ROOMS = 8
 BEAM_WIDTH = 50
 
+DIM_TOL = 0.3  # per-axis room dimension gate [m]
+DIST_TOL = 0.5  # pairwise center-distance consistency [m]
+ROOM_AFFINITY_MIN = 0.5  # drop room-level candidates below this
+ACCEPT_AFFINITY = 0.6  # best candidate must reach this to match
+CLUSTER_REL_WIDTH = 0.10  # relative width of the winning cluster
+RHO_SCALE = 0.25  # [m], room-center residual scale in the affinity
+PI_SCALE = 0.1  # mixed rad/m wall residual scale in the affinity
+
 
 class MatchError(ValueError):
     """Structural problem in the matching inputs."""
@@ -45,17 +53,6 @@ class MatchStatus(Enum):
     MATCHED = "matched"
     AMBIGUOUS = "ambiguous"
     NO_MATCH = "no_match"
-
-
-@dataclass(frozen=True)
-class MatcherConfig:
-    dim_tol: float = 0.3  # per-axis room dimension gate [m]
-    dist_tol: float = 0.5  # pairwise center-distance consistency [m]
-    room_affinity_min: float = 0.5  # drop room-level candidates below this
-    accept_affinity: float = 0.6  # best candidate must reach this to match
-    cluster_rel_width: float = 0.10  # relative width of the winning cluster
-    rho_scale: float = 0.25  # [m], room-center residual scale in the affinity
-    pi_scale: float = 0.1  # mixed rad/m wall residual scale in the affinity
 
 
 @dataclass(frozen=True)
@@ -169,9 +166,9 @@ class MatchResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
 
 
-def _dims_compatible(a: RoomEntry, s: RoomEntry, cfg: MatcherConfig) -> bool:
+def _dims_compatible(a: RoomEntry, s: RoomEntry) -> bool:
     da, ds = a.dims, s.dims
-    return abs(da[0] - ds[0]) <= cfg.dim_tol and abs(da[1] - ds[1]) <= cfg.dim_tol
+    return abs(da[0] - ds[0]) <= DIM_TOL and abs(da[1] - ds[1]) <= DIM_TOL
 
 
 def _center_fit(pts) -> tuple[Pose2, float] | None:
@@ -188,14 +185,12 @@ def _center_fit(pts) -> tuple[Pose2, float] | None:
     return hint, math.sqrt(float(np.mean(np.sum(rho**2, axis=1))))
 
 
-def _room_level_candidate(
-    assignment: list[tuple[RoomEntry, RoomEntry]], cfg: MatcherConfig
-) -> MatchCandidate | None:
+def _room_level_candidate(assignment: list[tuple[RoomEntry, RoomEntry]]) -> MatchCandidate | None:
     fit = _center_fit([(s.center, a.center) for a, s in assignment])
     if fit is None:
         return None
     hint, e_rho = fit
-    affinity = math.exp(-e_rho / cfg.rho_scale)
+    affinity = math.exp(-e_rho / RHO_SCALE)
     pairs = tuple(
         MatchPair(a.vid, s.vid, "room")
         for a, s in sorted(assignment, key=lambda t: t[1].vid.index)
@@ -203,9 +198,7 @@ def _room_level_candidate(
     return MatchCandidate(pairs, affinity, hint)
 
 
-def propose_room_pairs(
-    a_rooms: list[RoomEntry], s_rooms: list[RoomEntry], cfg: MatcherConfig | None = None
-) -> list[MatchCandidate]:
+def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> list[MatchCandidate]:
     """Room-level candidates: injective S->A assignments passing the geometric gates.
 
     The search assigns one observed room per level (in index order) to a
@@ -217,7 +210,6 @@ def propose_room_pairs(
     below the room-level affinity floor are dropped; output is sorted best
     first.
     """
-    cfg = cfg or MatcherConfig()
     if len(s_rooms) < 2 or not a_rooms:
         return []
     s_rooms = sorted(s_rooms, key=lambda r: r.vid.index)
@@ -227,14 +219,14 @@ def propose_room_pairs(
     partials: list[tuple[int, ...]] = [()]
     for level, s in enumerate(s_rooms):
         s_dist = [math.dist(ps.center, s.center) for ps in s_rooms[:level]]
-        compat = [i for i, a in enumerate(a_rooms) if _dims_compatible(a, s, cfg)]
+        compat = [i for i, a in enumerate(a_rooms) if _dims_compatible(a, s)]
         grown = [
             partial + (i,)
             for partial in partials
             for i in compat
             if i not in partial
             and all(
-                abs(a_dist[pi][i] - ds) <= cfg.dist_tol
+                abs(a_dist[pi][i] - ds) <= DIST_TOL
                 for pi, ds in zip(partial, s_dist)
             )
         ]
@@ -250,8 +242,8 @@ def propose_room_pairs(
     candidates = []
     for partial in partials:
         assignment = [(a_rooms[i], s) for i, s in zip(partial, s_rooms)]
-        cand = _room_level_candidate(assignment, cfg)
-        if cand is not None and cand.affinity >= cfg.room_affinity_min:
+        cand = _room_level_candidate(assignment)
+        if cand is not None and cand.affinity >= ROOM_AFFINITY_MIN:
             candidates.append(cand)
     candidates.sort(key=MatchCandidate.sort_key)
     return candidates
@@ -352,13 +344,11 @@ def score_candidate(
     cand: MatchCandidate,
     a_rooms_by_vid: dict[VariableId, RoomEntry],
     s_rooms_by_vid: dict[VariableId, RoomEntry],
-    cfg: MatcherConfig | None = None,
 ) -> MatchCandidate | None:
     """Global affinity of an all-level candidate under its re-estimated alignment.
 
     Returns None when the alignment is degenerate (candidate unusable).
     """
-    cfg = cfg or MatcherConfig()
     room_pairs = cand.room_pairs
     if len(room_pairs) < 2:
         raise MatchError("scoring needs at least 2 room pairs")
@@ -381,44 +371,33 @@ def score_candidate(
         t_vals = np.full((m, 3), hint.as_array())
         r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
         e_pi = math.sqrt(float(np.mean(r**2)))
-    affinity = math.exp(-(e_rho / cfg.rho_scale + e_pi / cfg.pi_scale))
+    affinity = math.exp(-(e_rho / RHO_SCALE + e_pi / PI_SCALE))
     return MatchCandidate(cand.pairs, affinity, hint)
 
 
-def cluster_and_decide(
-    scored: list[MatchCandidate], cfg: MatcherConfig | None = None
-) -> MatchResult:
+def cluster_and_decide(scored: list[MatchCandidate]) -> MatchResult:
     """1-D affinity clustering: unique winner, symmetric cluster, or no match."""
-    cfg = cfg or MatcherConfig()
     ranked = sorted(scored, key=MatchCandidate.sort_key)
-    if not ranked or ranked[0].affinity < cfg.accept_affinity:
+    if not ranked or ranked[0].affinity < ACCEPT_AFFINITY:
         return MatchResult(MatchStatus.NO_MATCH, None, [])
     top = ranked[0].affinity
-    cluster = [c for c in ranked if c.affinity >= top * (1.0 - cfg.cluster_rel_width)]
+    cluster = [c for c in ranked if c.affinity >= top * (1.0 - CLUSTER_REL_WIDTH)]
     if len(cluster) == 1:
         return MatchResult(MatchStatus.MATCHED, cluster[0], cluster)
     return MatchResult(MatchStatus.AMBIGUOUS, cluster[0], cluster)
 
 
-def match(
-    a_graph: FactorGraph, s_graph: FactorGraph, cfg: MatcherConfig | None = None
-) -> MatchResult:
+def match(a_graph: FactorGraph, s_graph: FactorGraph) -> MatchResult:
     """Full pipeline: propose -> expand -> combine -> score -> cluster."""
-    cfg = cfg or MatcherConfig()
-    a_rooms = room_entries(a_graph)
-    s_rooms = room_entries(s_graph)
-    return match_entries(a_rooms, s_rooms, cfg)
+    return match_entries(room_entries(a_graph), room_entries(s_graph))
 
 
-def match_entries(
-    a_rooms: list[RoomEntry], s_rooms: list[RoomEntry], cfg: MatcherConfig | None = None
-) -> MatchResult:
-    cfg = cfg or MatcherConfig()
+def match_entries(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> MatchResult:
     if len(s_rooms) < 2:
         return MatchResult(MatchStatus.NO_MATCH, None, [])
     a_by_vid = {r.vid: r for r in a_rooms}
     s_by_vid = {r.vid: r for r in s_rooms}
-    room_cands = propose_room_pairs(a_rooms, s_rooms, cfg)
+    room_cands = propose_room_pairs(a_rooms, s_rooms)
     expanded: list[tuple[MatchCandidate, list[MatchPair]]] = []
     for cand in room_cands:
         wall_pairs: list[MatchPair] = []
@@ -433,7 +412,7 @@ def match_entries(
     combined = combine_bottom_up(expanded)
     scored = []
     for cand in combined:
-        rescored = score_candidate(cand, a_by_vid, s_by_vid, cfg)
+        rescored = score_candidate(cand, a_by_vid, s_by_vid)
         if rescored is not None:
             scored.append(rescored)
-    return cluster_and_decide(scored, cfg)
+    return cluster_and_decide(scored)

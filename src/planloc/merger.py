@@ -20,7 +20,7 @@ from .a_graph import AGraph
 from .factor_graph import Factor, FactorGraph, FactorKind, SolveReport, VariableId, VarKind
 from .geometry import Pose2
 from .matcher import (
-    MatcherConfig,
+    DIST_TOL,
     MatchPair,
     MatchResult,
     MatchStatus,
@@ -121,12 +121,7 @@ def _add_match_factors(state: MergedState, room_pairs, wall_pairs) -> None:
         )
 
 
-def extend_matches(
-    state: MergedState,
-    a: AGraph,
-    s: SGraph,
-    cfg: MatcherConfig | None = None,
-) -> int:
+def extend_matches(state: MergedState, a: AGraph, s: SGraph) -> int:
     """Match newly observed rooms against the plan under the known transform.
 
     Each still-unmatched robot room is paired with the plan room whose center
@@ -134,7 +129,6 @@ def extend_matches(
     and distance thresholds as the matcher; its wall surfaces follow by side
     role. Returns the number of new room pairs added.
     """
-    cfg = cfg or MatcherConfig()
     graph = state.graph
     t = state.transform_estimate()
 
@@ -153,10 +147,10 @@ def extend_matches(
         for a_vid, a_room in a_rooms.items():
             if state.a_var_map[a_vid] in matched_a_rooms:
                 continue
-            if not _dims_compatible(a_room, s_room, cfg):
+            if not _dims_compatible(a_room, s_room):
                 continue
             dist = float(np.linalg.norm(mapped - np.asarray(a_room.center)))
-            if dist > cfg.dist_tol:
+            if dist > DIST_TOL:
                 continue
             if best is None or (dist, a_vid.index) < (best[0], best[1].index):
                 best = (dist, a_vid)

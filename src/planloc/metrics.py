@@ -2,9 +2,9 @@
 
 The headline trajectory metric is the unaligned 2D absolute pose error: the
 point of global localization is that the estimate already lives in the plan
-frame, so no post-hoc alignment may be applied. A rigid-alignment variant
-exists for diagnostics. Map quality is the RMS distance from sampled points
-of each estimated wall surface to its plan counterpart.
+frame, so no post-hoc alignment may be applied. Map quality is the RMS
+distance from sampled points of each estimated wall surface to its plan
+counterpart.
 """
 
 from __future__ import annotations
@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .a_graph import FloorPlan, wall_surfaces
-from .geometry import (
-    Pose2,
-    axis_of_normal,
-    estimate_transform_closed_form,
-)
+from .a_graph import FloorPlan
+from .geometry import Pose2, axis_of_normal
 
-ALIGN_NONE = "none"
-ALIGN_SE2 = "se2_umeyama"
+# Map RMSE: spacing [m] of the points sampled along each estimated surface,
+# and the largest distance [m] to a plan surface of the same axis at which an
+# estimate without a merge-time association falls back to it.
+MAP_SAMPLE_STEP = 0.1
+MAP_ASSOC_TOL = 0.5
 
 
 class MetricsError(ValueError):
@@ -35,7 +34,6 @@ class ApeReport:
     mean: float
     max: float
     per_pose: list[float]
-    alignment: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -43,7 +41,7 @@ class ApeReport:
             "mean": self.mean,
             "max": self.max,
             "n_poses": len(self.per_pose),
-            "alignment": self.alignment,
+            "alignment": "none",
         }
 
 
@@ -56,30 +54,22 @@ class MapRmseReport:
         return {"rmse": self.rmse, "n_points": self.n_points}
 
 
-def compute_ape(
-    estimated: list[Pose2], ground_truth: list[Pose2], align: str = ALIGN_NONE
-) -> ApeReport:
-    """Per-pose translational error between two equal-length trajectories."""
+def compute_ape(estimated: list[Pose2], ground_truth: list[Pose2]) -> ApeReport:
+    """Per-pose translational error between two equal-length trajectories, unaligned."""
     if len(estimated) != len(ground_truth):
         raise MetricsError(
             f"trajectory length mismatch: {len(estimated)} vs {len(ground_truth)}"
         )
     if not estimated:
         raise MetricsError("empty trajectories")
-    if align not in (ALIGN_NONE, ALIGN_SE2):
-        raise MetricsError(f"unknown alignment {align!r}")
     est_pts = np.array([[p.x, p.y] for p in estimated])
     gt_pts = np.array([[p.x, p.y] for p in ground_truth])
-    if align == ALIGN_SE2 and len(estimated) >= 2:
-        t = estimate_transform_closed_form(list(zip(est_pts, gt_pts)))
-        est_pts = est_pts @ t.rotation().T + t.translation
     errors = np.linalg.norm(est_pts - gt_pts, axis=1)
     report = ApeReport(
         rmse=float(np.sqrt(np.mean(errors**2))),
         mean=float(np.mean(errors)),
         max=float(np.max(errors)),
         per_pose=errors.tolist(),
-        alignment=align,
     )
     assert report.max >= report.rmse >= 0.0
     assert report.rmse >= report.mean - 1e-12  # RMSE dominates the mean abs error
@@ -96,19 +86,14 @@ class EstimatedSurface:
     surface_id: str | None = None  # merge-time association, when known
 
 
-def compute_map_rmse(
-    estimates: list[EstimatedSurface],
-    plan: FloorPlan,
-    sample_step: float = 0.1,
-    assoc_tol: float = 0.5,
-) -> MapRmseReport:
+def compute_map_rmse(estimates: list[EstimatedSurface], plan: FloorPlan) -> MapRmseReport:
     """RMS distance from sampled estimated-surface points to their plan surfaces.
 
     Surfaces without a merge-time association fall back to the nearest plan
-    surface of the same axis within ``assoc_tol``; estimates with no
+    surface of the same axis within ``MAP_ASSOC_TOL``; estimates with no
     association at all are skipped.
     """
-    surfaces = wall_surfaces(plan)
+    surfaces = plan.surfaces
     sq_sum = 0.0
     n_points = 0
     for est in estimates:
@@ -123,13 +108,13 @@ def compute_map_rmse(
                 if surf.axis != axis:
                     continue
                 gap = abs(float(np.asarray(surf.normal) @ foot) - surf.dist)
-                if gap <= assoc_tol and (best is None or gap < best[0]):
+                if gap <= MAP_ASSOC_TOL and (best is None or gap < best[0]):
                     best = (gap, surf)
             if best is None:
                 continue
             target = best[1]
         lo, hi = est.extent
-        coords = np.arange(lo, hi + 1e-9, sample_step)
+        coords = np.arange(lo, hi + 1e-9, MAP_SAMPLE_STEP)
         if len(coords) == 0:
             coords = np.array([(lo + hi) / 2.0])
         pts = est.d * n[None, :] + coords[:, None] * m_hat[None, :]

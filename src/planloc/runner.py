@@ -34,7 +34,7 @@ import numpy as np
 from .a_graph import AGraph, FloorPlan, build_a_graph, load_plan, plan_from_dict
 from .factor_graph import FactorGraph
 from .geometry import Pose2, transform_phi_dist
-from .matcher import MatcherConfig, MatchResult, MatchStatus, match
+from .matcher import MatchResult, MatchStatus, match
 from .merger import MergedState, extend_matches, localized_trajectory, merge
 from .metrics import EstimatedSurface, compute_ape, compute_map_rmse
 from .plans import fixture_dir, fixture_plan
@@ -96,17 +96,12 @@ def run_estimator(plan: FloorPlan, config: SimConfig) -> tuple[PlanSimulator, SG
     return sim, sgraph
 
 
-def run_pipeline(
-    plan: FloorPlan,
-    config: SimConfig,
-    matcher_config: MatcherConfig | None = None,
-) -> RunResult:
+def run_pipeline(plan: FloorPlan, config: SimConfig) -> RunResult:
     """Execute the full loop on in-memory inputs.
 
     Matches after every update until the first unique match, merges it, then
     extends the merge to rooms observed later.
     """
-    matcher_config = matcher_config or MatcherConfig()
     agraph = build_a_graph(plan)
     sim, sgraph = _start(plan, config)
 
@@ -117,14 +112,14 @@ def run_pipeline(
     for step in sim.steps():
         sgraph.add_step(step)
         if merged is None:
-            result = match(agraph.graph, sgraph.graph, matcher_config)
+            result = match(agraph.graph, sgraph.graph)
             history.append({"step": step.index, "status": result.status.value})
             decisive = result
             if result.status == MatchStatus.MATCHED:
                 merged = merge(agraph, sgraph, result)
                 merged_at = step.index
         else:
-            extend_matches(merged, agraph, sgraph, matcher_config)
+            extend_matches(merged, agraph, sgraph)
     sgraph.final_optimize()
 
     status = MatchStatus.MATCHED if merged is not None else (
@@ -299,7 +294,8 @@ def evaluate_run_dir(run_dir) -> dict:
     run_dir = Path(run_dir)
     report = json.loads((run_dir / "run_report.json").read_text())
     out: dict = {"status": report["status"]}
-    rows = list(csv.DictReader(open(run_dir / "trajectory.csv")))
+    with open(run_dir / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     est = [Pose2(float(r["est_x"]), float(r["est_y"]), float(r["est_theta"])) for r in rows]
     gt = [Pose2(float(r["gt_x"]), float(r["gt_y"]), float(r["gt_theta"])) for r in rows]
     out["ape"] = compute_ape(est, gt).to_json_dict()

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .a_graph import FloorPlan, WallSurface, shared_wall, wall_surfaces
+from .a_graph import FloorPlan, WallSurface, shared_wall
 from .factor_graph import (
     Factor,
     FactorGraph,
     FactorKind,
     SolveReport,
-    SolverConfig,
     VariableId,
     VarKind,
 )
@@ -37,6 +36,28 @@ DEG = math.pi / 180.0
 # sigma_phi [rad], sigma_d [m].
 DEFAULT_ODOM_NOISE = (0.01, 0.2 * DEG)
 DEFAULT_PLANE_NOISE = (0.3 * DEG, 0.02)
+
+# Estimator thresholds. An observation joins a known plane within these
+# gates on angle [rad] and closest-point distance [m].
+ASSOC_PHI_TOL = 0.15
+ASSOC_D_TOL = 0.35
+# Two planes bound a room from opposite sides when they are within
+# OPPOSED_TOL [rad] of exactly opposed, their gap [m] lies in
+# [ROOM_GAP_MIN, ROOM_GAP_MAX], their extents overlap by PAIR_OVERLAP_MIN [m]
+# and no other plane lies more than EMPTY_MARGIN [m] inside the gap.
+OPPOSED_TOL = 0.3
+ROOM_GAP_MIN = 1.0
+ROOM_GAP_MAX = 15.0
+PAIR_OVERLAP_MIN = 0.5
+EMPTY_MARGIN = 0.1
+# Two such pairs form a four-wall room when |cos| of their normals is at most this.
+PERP_DOT_MAX = 0.3
+# A lone pair becomes a two-wall room once this many keyframes saw both planes.
+GAMMA_MIN_OBSERVERS = 3
+# Information of each room-to-floor factor [1/m^2].
+FLOOR_INFORMATION = 1e-2
+# LM iterations of the re-solve after each update.
+UPDATE_ITERATIONS = 15
 
 
 class SimulationError(RuntimeError):
@@ -64,6 +85,8 @@ class SimConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
+        if "waypoints" not in doc:
+            raise SimulationError("scenario is missing the 'waypoints' field")
         offset = doc.get("map_offset")
         return SimConfig(
             waypoints=tuple((float(x), float(y)) for x, y in doc["waypoints"]),
@@ -75,18 +98,6 @@ class SimConfig:
             map_offset=None if offset is None else Pose2.from_array(offset),
             doorway_gap=float(doc.get("doorway_gap", 0.9)),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "waypoints": [[x, y] for x, y in self.waypoints],
-            "keyframe_spacing": self.keyframe_spacing,
-            "odom_noise": list(self.odom_noise),
-            "plane_noise": list(self.plane_noise),
-            "sensor_range": self.sensor_range,
-            "seed": self.seed,
-            "map_offset": None if self.map_offset is None else self.map_offset.as_array().tolist(),
-            "doorway_gap": self.doorway_gap,
-        }
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ class PlanSimulator:
     def __init__(self, plan: FloorPlan, config: SimConfig):
         self.plan = plan
         self.config = config
-        self.surfaces: dict[str, WallSurface] = wall_surfaces(plan)
+        self.surfaces: dict[str, WallSurface] = plan.surfaces
         self._rng = np.random.default_rng(config.seed)
         self._solid = self._solid_intervals()
         self._blockers, blocker_wall = self._blocking_segments()
@@ -339,24 +350,13 @@ class PlanSimulator:
 
 @dataclass
 class SGraphConfig:
-    assoc_phi_tol: float = 0.15
-    assoc_d_tol: float = 0.35
-    room_gap_min: float = 1.0
-    room_gap_max: float = 15.0
-    gamma_min_observers: int = 3
-    pair_overlap_min: float = 0.5
-    empty_margin: float = 0.1
-    opposed_tol: float = 0.3
-    perp_dot_max: float = 0.3
-    floor_information: float = 1e-2
-    update_iterations: int = 15
     # Measurement information; None falls back to the library-wide defaults.
     odom_information: np.ndarray | None = None
     plane_information: np.ndarray | None = None
 
     @staticmethod
     def for_noise(
-        odom_noise: tuple[float, float], plane_noise: tuple[float, float], **kwargs
+        odom_noise: tuple[float, float], plane_noise: tuple[float, float]
     ) -> "SGraphConfig":
         """Inverse-variance measurement weights for a known sensor noise model.
 
@@ -371,7 +371,6 @@ class SGraphConfig:
                 [inv_var(odom_noise[0]), inv_var(odom_noise[0]), inv_var(odom_noise[1])]
             ),
             plane_information=np.diag([inv_var(plane_noise[0]), inv_var(plane_noise[1])]),
-            **kwargs,
         )
 
 
@@ -420,7 +419,7 @@ class SGraph:
 
     # -- update -----------------------------------------------------------
 
-    def add_step(self, step: SimStep, optimize: bool = True) -> SolveReport | None:
+    def add_step(self, step: SimStep) -> SolveReport:
         kf = self._add_keyframe(step)
         self.gt_plan.append(step.gt_plan)
         self.gt_map.append(step.gt_map)
@@ -435,12 +434,8 @@ class SGraph:
             )
         self.detect_rooms()
         self._update_floor()
-        if optimize:
-            self.last_report = self.graph.optimize(
-                SolverConfig(max_iterations=self.config.update_iterations)
-            )
-            return self.last_report
-        return None
+        self.last_report = self.graph.optimize(UPDATE_ITERATIONS)
+        return self.last_report
 
     def _add_keyframe(self, step: SimStep) -> VariableId:
         if not self.keyframes:
@@ -493,10 +488,10 @@ class SGraph:
             phi_p, d_p = self.graph.value(vid)
             if axis_of_normal(math.cos(phi_p), math.sin(phi_p)) != axis:
                 continue
-            if abs(wrap_angle(phi_m - phi_p)) >= self.config.assoc_phi_tol:
+            if abs(wrap_angle(phi_m - phi_p)) >= ASSOC_PHI_TOL:
                 continue
             dd = abs(d_m - d_p)
-            if dd >= self.config.assoc_d_tol:
+            if dd >= ASSOC_D_TOL:
                 continue
             key = (dd, vid.index, vid)
             if best is None or key < best:
@@ -550,21 +545,20 @@ class SGraph:
         return (lo, hi) if sign > 0 else (-hi, -lo)
 
     def _qualifying_pairs(self, geo):
-        cfg = self.config
         pairs = []
         for i in range(len(geo)):
             for j in range(i + 1, len(geo)):
                 gi, gj = geo[i], geo[j]
-                if abs(wrap_angle(gi["phi"] - gj["phi"])) <= math.pi - cfg.opposed_tol:
+                if abs(wrap_angle(gi["phi"] - gj["phi"])) <= math.pi - OPPOSED_TOL:
                     continue
                 n_hat = gi["n"]
                 gap = float(gi["d"] - gj["d"] * (gi["n"] @ gj["n"]))
-                if not (cfg.room_gap_min <= gap <= cfg.room_gap_max):
+                if not (ROOM_GAP_MIN <= gap <= ROOM_GAP_MAX):
                     continue
                 ei = gi["extent"]
                 ej = self._extent_along(gj, gi["m_hat"])
                 band = (max(ei[0], ej[0]), min(ei[1], ej[1]))
-                if band[1] - band[0] < cfg.pair_overlap_min:
+                if band[1] - band[0] < PAIR_OVERLAP_MIN:
                     continue
                 u_i = float(gi["foot"] @ n_hat)
                 u_j = float(gj["foot"] @ n_hat)
@@ -584,14 +578,13 @@ class SGraph:
 
     def _region_occupied(self, geo, gi, gj, n_hat, lo, hi, band) -> bool:
         """True when another same-orientation plane subdivides the pair's gap."""
-        margin = self.config.empty_margin
         for gk in geo:
             if gk is gi or gk is gj:
                 continue
             if abs(float(gk["n"] @ n_hat)) < 0.7:
                 continue
             u_k = float(gk["foot"] @ n_hat)
-            if not (lo + margin < u_k < hi - margin):
+            if not (lo + EMPTY_MARGIN < u_k < hi - EMPTY_MARGIN):
                 continue
             ek = self._extent_along(gk, gi["m_hat"])
             if min(ek[1], band[1]) - max(ek[0], band[0]) > 0.3:
@@ -603,7 +596,6 @@ class SGraph:
 
         Idempotent: re-running without new planes or pose changes adds nothing.
         """
-        cfg = self.config
         geo = self._plane_geometry()
         pairs = self._qualifying_pairs(geo)
         # Distinct rooms may legitimately share faces (a long wall bounding
@@ -615,7 +607,7 @@ class SGraph:
         for a in range(len(pairs)):
             for b in range(a + 1, len(pairs)):
                 pa, pb = pairs[a], pairs[b]
-                if abs(float(pa["n_hat"] @ pb["n_hat"])) > cfg.perp_dot_max:
+                if abs(float(pa["n_hat"] @ pb["n_hat"])) > PERP_DOT_MAX:
                     continue
                 if not self._cross_overlap(pa, pb) or not self._cross_overlap(pb, pa):
                     continue
@@ -658,7 +650,7 @@ class SGraph:
                 continue
             if frozenset(vids) in {frozenset(r.planes) for r in self.gammas.values()}:
                 continue
-            if len(gi["observers"] & gj["observers"]) < cfg.gamma_min_observers:
+            if len(gi["observers"] & gj["observers"]) < GAMMA_MIN_OBSERVERS:
                 continue
             center = self._center_of(vids)
             gamma = self.graph.add_variable(VarKind.TWO_WALL_ROOM, center)
@@ -672,7 +664,7 @@ class SGraph:
         lo_b, hi_b = pb["interval"]
         for g in pa["planes"]:
             e = self._extent_along(g, pb["n_hat"])
-            if min(e[1], hi_b) - max(e[0], lo_b) < self.config.pair_overlap_min:
+            if min(e[1], hi_b) - max(e[0], lo_b) < PAIR_OVERLAP_MIN:
                 return False
         return True
 
@@ -695,7 +687,7 @@ class SGraph:
         room_vids = list(self.rooms) + list(self.gammas)
         if not room_vids:
             return
-        info = np.eye(2) * self.config.floor_information
+        info = np.eye(2) * FLOOR_INFORMATION
         if self.floor is None:
             centroid = np.mean([self.graph.value(v) for v in room_vids], axis=0)
             self.floor = self.graph.add_variable(VarKind.FLOOR, centroid)
@@ -712,8 +704,8 @@ class SGraph:
     def keyframe_poses(self) -> list[Pose2]:
         return [Pose2.from_array(self.graph.value(k)) for k in self.keyframes]
 
-    def final_optimize(self, config: SolverConfig | None = None) -> SolveReport:
-        self.last_report = self.graph.optimize(config or SolverConfig())
+    def final_optimize(self) -> SolveReport:
+        self.last_report = self.graph.optimize()
         return self.last_report
 
     def truth_of_plane(self, vid: VariableId) -> str:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import planloc.a_graph
 from planloc.a_graph import (
     PlanError,
     build_a_graph,
@@ -19,6 +20,7 @@ from planloc.plans import (
     FIXTURE_PLANS,
     fixture_plan,
     generate_random_plan,
+    route_waypoints,
     single_room_plan,
     two_rooms_plan,
 )
@@ -228,3 +230,19 @@ def test_shared_wall_lookup():
     wall = shared_wall(plan, "a", "b")
     assert wall is not None and wall.id == "s_ab"
     assert shared_wall(plan, "a", "a") is None
+
+
+def test_plan_surfaces_are_built_once(monkeypatch):
+    # generating the plan validates it, which builds its surfaces; later
+    # readers of the same plan reuse them
+    plan = generate_random_plan(16, 0)
+    built = []
+    surfaces_of_wall = planloc.a_graph._surfaces_of_wall
+    monkeypatch.setattr(
+        planloc.a_graph,
+        "_surfaces_of_wall",
+        lambda wall: built.append(wall.id) or surfaces_of_wall(wall),
+    )
+    route_waypoints(plan)
+    build_a_graph(plan)
+    assert built == []

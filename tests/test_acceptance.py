@@ -13,7 +13,7 @@ import pytest
 from conftest import _correspondence_ok, scenario_config
 from planloc.a_graph import build_a_graph
 from planloc.geometry import Pose2, wrap_angle
-from planloc.matcher import MatcherConfig, MatchStatus, propose_room_pairs
+from planloc.matcher import MatchStatus, propose_room_pairs
 from planloc.plans import (
     FIXTURE_PLANS,
     fixture_dir,
@@ -112,7 +112,6 @@ def test_criterion_4_symmetry_detection():
 
 
 def test_criterion_5_matching_oracle_equivalence():
-    cfg = MatcherConfig()
     rng = np.random.default_rng(500)
     mismatches = 0
     for trial in range(20):
@@ -124,9 +123,9 @@ def test_criterion_5_matching_oracle_equivalence():
         _, a_rooms, s_rooms = synthetic_views(plan, pose, subset=subset)
         got = {
             frozenset((p.a_node, p.s_node) for p in c.pairs)
-            for c in propose_room_pairs(a_rooms, s_rooms, cfg)
+            for c in propose_room_pairs(a_rooms, s_rooms)
         }
-        want = brute_force_assignments(a_rooms, s_rooms, cfg)
+        want = brute_force_assignments(a_rooms, s_rooms)
         if got != want:
             mismatches += 1
     _report(
@@ -139,7 +138,7 @@ def test_criterion_5_matching_oracle_equivalence():
 def test_criterion_6_solver_correctness():
     offender_total = 0
     for seed in range(50):
-        offender_total += len(_random_kind_graph(seed).check_jacobians(tolerance=1e-5))
+        offender_total += len(_random_kind_graph(seed).check_jacobians())
     traces_ok = True
     for name in FIXTURE_PLANS:
         plan = fixture_plan(name)

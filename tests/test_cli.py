@@ -91,6 +91,14 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert main(["build-agraph", str(tmp_path / "missing.json"), "-o", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    scenario = tmp_path / "no_waypoints.scenario.json"
+    scenario.write_text(json.dumps({"plan": "fixture:two_rooms", "seed": 0}))
+    assert main(["run", str(scenario), "-o", str(tmp_path / "run")]) == 1
+    assert "error:" in capsys.readouterr().err
+    graph = tmp_path / "no_variables.json"
+    graph.write_text(json.dumps({"factors": []}))
+    assert main(["match", str(graph), str(graph)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_write_fixtures_cli(tmp_path):

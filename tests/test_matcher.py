@@ -9,8 +9,12 @@ from planloc.a_graph import build_a_graph
 from planloc.factor_graph import VariableId, VarKind
 from planloc.geometry import Pose2, estimate_transform_closed_form, wrap_angle
 from planloc.matcher import (
+    DIM_TOL,
+    DIST_TOL,
+    PI_SCALE,
+    RHO_SCALE,
+    ROOM_AFFINITY_MIN,
     MatchCandidate,
-    MatcherConfig,
     MatchPair,
     MatchStatus,
     PlaneEntry,
@@ -67,20 +71,20 @@ def synthetic_views(plan_name_or_plan, pose: Pose2, subset=None):
     return ag, a_rooms, s_rooms
 
 
-def brute_force_assignments(a_rooms, s_rooms, cfg: MatcherConfig):
+def brute_force_assignments(a_rooms, s_rooms):
     """Independent oracle: every injective, gate-passing full assignment."""
     out = set()
     for combo in itertools.permutations(range(len(a_rooms)), len(s_rooms)):
         assignment = [(a_rooms[ai], s_rooms[si]) for si, ai in enumerate(combo)]
         if not all(
-            abs(a.dims[0] - s.dims[0]) <= cfg.dim_tol
-            and abs(a.dims[1] - s.dims[1]) <= cfg.dim_tol
+            abs(a.dims[0] - s.dims[0]) <= DIM_TOL
+            and abs(a.dims[1] - s.dims[1]) <= DIM_TOL
             for a, s in assignment
         ):
             continue
         if not all(
             abs(math.dist(a1.center, a2.center) - math.dist(s1.center, s2.center))
-            <= cfg.dist_tol
+            <= DIST_TOL
             for (a1, s1), (a2, s2) in itertools.combinations(assignment, 2)
         ):
             continue
@@ -92,7 +96,7 @@ def brute_force_assignments(a_rooms, s_rooms, cfg: MatcherConfig):
         t = estimate_transform_closed_form(list(zip(src, dst)))
         res = [np.linalg.norm(t.transform_point(s) - d) for s, d in zip(src, dst)]
         e_rho = math.sqrt(float(np.mean(np.square(res))))
-        if math.exp(-e_rho / cfg.rho_scale) < cfg.room_affinity_min:
+        if math.exp(-e_rho / RHO_SCALE) < ROOM_AFFINITY_MIN:
             continue
         out.add(frozenset((a.vid, s.vid) for a, s in assignment))
     return out
@@ -147,7 +151,6 @@ def test_propose_dimension_gate():
 
 
 def test_propose_equals_bruteforce_on_random_plans():
-    cfg = MatcherConfig()
     rng = np.random.default_rng(21)
     for trial in range(20):
         n = 3 + trial % 3
@@ -158,9 +161,9 @@ def test_propose_equals_bruteforce_on_random_plans():
         _, a_rooms, s_rooms = synthetic_views(plan, pose, subset=subset)
         got = {
             frozenset((p.a_node, p.s_node) for p in c.pairs)
-            for c in propose_room_pairs(a_rooms, s_rooms, cfg)
+            for c in propose_room_pairs(a_rooms, s_rooms)
         }
-        want = brute_force_assignments(a_rooms, s_rooms, cfg)
+        want = brute_force_assignments(a_rooms, s_rooms)
         assert got == want
 
 
@@ -279,7 +282,7 @@ def test_score_noisy_candidate_affinity():
     assert float(np.percentile(affs, 5)) >= 0.8
 
 
-def _reference_affinity(cand, a_by, s_by, cfg):
+def _reference_affinity(cand, a_by, s_by):
     """Per-pair scalar form of score_candidate's affinity."""
     hint = estimate_transform_closed_form(
         [(s_by[p.s_node].center, a_by[p.a_node].center) for p in cand.room_pairs]
@@ -301,12 +304,11 @@ def _reference_affinity(cand, a_by, s_by, cfg):
         comp_sq += [dphi**2, (d_t - ap.d) ** 2]
     e_rho = math.sqrt(sum(rho_sq) / len(rho_sq))
     e_pi = math.sqrt(sum(comp_sq) / len(comp_sq))
-    return math.exp(-(e_rho / cfg.rho_scale + e_pi / cfg.pi_scale))
+    return math.exp(-(e_rho / RHO_SCALE + e_pi / PI_SCALE))
 
 
 def test_score_matches_scalar_reference():
     # noisy observed planes, every other one stored with the opposite polarity
-    cfg = MatcherConfig()
     for trial in range(10):
         rng = np.random.default_rng(2000 + trial)
         pose = Pose2(*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
@@ -321,11 +323,11 @@ def test_score_matches_scalar_reference():
                     phi, d = wrap_angle(phi + math.pi), -d
                 planes.append(PlaneEntry(p.vid, phi, d))
             noisy.append(RoomEntry(r.vid, r.center, tuple(planes)))
-        result = match_entries(a_rooms, noisy, cfg)
+        result = match_entries(a_rooms, noisy)
         a_by, s_by = {r.vid: r for r in a_rooms}, {r.vid: r for r in noisy}
         assert result.cluster
         for cand in result.cluster:
-            want = _reference_affinity(cand, a_by, s_by, cfg)
+            want = _reference_affinity(cand, a_by, s_by)
             assert cand.affinity == pytest.approx(want, rel=1e-12)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from planloc.geometry import Pose2
 from planloc.metrics import (
-    ALIGN_SE2,
     EstimatedSurface,
     MetricsError,
     compute_ape,
@@ -33,29 +32,6 @@ def test_ape_constant_offset_unaligned():
     assert report.mean == pytest.approx(0.1, abs=1e-12)
     assert report.max >= report.rmse >= 0.0
     assert report.rmse >= report.mean - 1e-12
-
-
-def test_ape_alignment_removes_rigid_offset():
-    gt = _line()
-    move = Pose2(1.3, -0.4, 0.6)
-    est = [move.compose(p) for p in gt]
-    unaligned = compute_ape(est, gt)
-    aligned = compute_ape(est, gt, align=ALIGN_SE2)
-    assert unaligned.rmse > 0.5
-    assert aligned.rmse == pytest.approx(0.0, abs=1e-9)
-
-
-def test_ape_alignment_invariant_to_rigid_motion():
-    rng = np.random.default_rng(5)
-    gt = _line(15)
-    est = [Pose2(p.x + rng.normal(0, 0.05), p.y + rng.normal(0, 0.05), 0.0) for p in gt]
-    base = compute_ape(est, gt, align=ALIGN_SE2).rmse
-    for _ in range(5):
-        move = Pose2(*rng.uniform(-5, 5, 2), rng.uniform(-math.pi, math.pi))
-        moved = [move.compose(p) for p in est]
-        assert compute_ape(moved, gt, align=ALIGN_SE2).rmse == pytest.approx(
-            base, abs=1e-9
-        )
 
 
 def test_ape_length_mismatch():

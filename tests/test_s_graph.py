@@ -132,7 +132,7 @@ def test_association_tie_break_smallest_distance():
     from planloc.s_graph import PlaneRecord, SimStep
 
     sg = SGraph(Pose2.identity())
-    sg.add_step(SimStep(0, Pose2.identity(), Pose2.identity(), None, ()), optimize=False)
+    sg.add_step(SimStep(0, Pose2.identity(), Pose2.identity(), None, ()))
     p_far = sg.graph.add_variable(VarKind.PLANE, [0.0, 2.2])
     p_near = sg.graph.add_variable(VarKind.PLANE, [0.0, 2.1])
     sg.planes[p_far] = PlaneRecord(p_far, (0.0, 1.0))
@@ -146,7 +146,7 @@ def test_association_polarity_distinguishes_wall_faces():
     sg = SGraph(Pose2.identity())
     from planloc.s_graph import PlaneRecord, SimStep
 
-    sg.add_step(SimStep(0, Pose2.identity(), Pose2.identity(), None, ()), optimize=False)
+    sg.add_step(SimStep(0, Pose2.identity(), Pose2.identity(), None, ()))
     # a stored face at x=2 seen from the -x side (normal +x)
     stored = sg.graph.add_variable(VarKind.PLANE, [0.0, 2.0])
     sg.planes[stored] = PlaneRecord(stored, (0.0, 1.0))
