@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import wrap_angle
+from .geometry import wrap_angle, wrap_angles
 
 # Levenberg-Marquardt schedule: the starting damping, its factor after a
 # rejected and after an accepted trial step, and the two stopping tests
@@ -67,6 +67,10 @@ class VarKind(Enum):
     DOORWAY = "doorway"
     FLOOR = "floor"
     TRANSFORM = "transform"
+
+    # Members are singletons, so identity hashing is exact; Enum's default
+    # hashes the member name in Python on every VariableId lookup.
+    __hash__ = object.__hash__
 
 
 VAR_DIM = {
@@ -200,13 +204,6 @@ class SolveReport:
 # into (-pi, pi].
 
 
-def _wrap(theta: np.ndarray) -> np.ndarray:
-    """Elementwise ``wrap_angle``; every step is exact, so the two agree bit for bit."""
-    r = np.fmod(theta, math.tau)
-    r = np.where(r > math.pi, r - math.tau, r)
-    return np.where(r <= -math.pi, r + math.tau, r)
-
-
 def _eye(m: int, dim: int) -> np.ndarray:
     return np.tile(np.eye(dim), (m, 1, 1))
 
@@ -227,7 +224,7 @@ def _align_polarity(phi, d, phi_ref):
     an orientation flip; they are compared in whichever polarity agrees in
     angle. Returns (phi, d, sign) with sign -1 where the plane was flipped.
     """
-    sign = np.where(np.abs(_wrap(phi - phi_ref)) > math.pi / 2, -1.0, 1.0)
+    sign = np.where(np.abs(wrap_angles(phi - phi_ref)) > math.pi / 2, -1.0, 1.0)
     return np.where(sign < 0, phi + math.pi, phi), sign * d, sign
 
 
@@ -242,7 +239,7 @@ def _odometry(kinds, vals, meas):
     # a z and b q with a = R(t1 - t2), b = R(-t2), q = p2 - p1
     azx, azy = ca * zx - sa * zy, sa * zx + ca * zy
     bqx, bqy = cb * qx - sb * qy, sb * qx + cb * qy
-    r = np.stack([azx - bqx, azy - bqy, _wrap(zt - (t2 - t1))], axis=-1)
+    r = np.stack([azx - bqx, azy - bqy, wrap_angles(zt - (t2 - t1))], axis=-1)
     j1 = _stack(m, [[cb, -sb, -azy], [sb, cb, azx], [0.0, 0.0, 1.0]])
     j2 = _stack(m, [[-cb, sb, azy - bqy], [-sb, -cb, bqx - azx], [0.0, 0.0, -1.0]])
     return r, [j1, j2]
@@ -255,7 +252,7 @@ def _pose_plane(kinds, vals, meas):
     m = len(meas)
     c, s = np.cos(phi), np.sin(phi)
     phi_b, d_b, sign = _align_polarity(phi - t, d - (x * c + y * s), phi_z)
-    r = np.stack([_wrap(phi_b - phi_z), d_b - d_z], axis=-1)
+    r = np.stack([wrap_angles(phi_b - phi_z), d_b - d_z], axis=-1)
     jk = _stack(m, [[0.0, 0.0, -1.0], [-sign * c, -sign * s, 0.0]])
     jp = _stack(m, [[1.0, 0.0], [sign * (x * s - y * c), sign]])
     return r, [jk, jp]
@@ -347,7 +344,7 @@ def plane_to_plane(kinds, vals, meas):
     cp, sp = np.cos(phi_p), np.sin(phi_p)
     dperp = -sp * tx + cp * ty  # d d_p / d phi_p
     phi_p, d_p, sign = _align_polarity(phi_p, d_m + cp * tx + sp * ty, phi_b)
-    r = np.stack([_wrap(phi_p - phi_b), d_p - d_b], axis=-1)
+    r = np.stack([wrap_angles(phi_p - phi_b), d_p - d_b], axis=-1)
     jacs = [-_eye(m, 2), _stack(m, [[1.0, 0.0], [sign * dperp, sign]])]
     if has_t:
         jacs.append(_stack(m, [[0.0, 0.0, 1.0], [sign * cp, sign * sp, sign * dperp]]))
@@ -357,7 +354,7 @@ def plane_to_plane(kinds, vals, meas):
 def _prior(kinds, vals, meas):
     r = vals[0] - meas
     for slot in ANGLE_SLOTS.get(kinds[0], ()):
-        r[:, slot] = _wrap(r[:, slot])
+        r[:, slot] = wrap_angles(r[:, slot])
     return r, [_eye(len(meas), r.shape[1])]
 
 
@@ -479,20 +476,124 @@ class _Group:
     information: np.ndarray  # (m, k, k)
     b_take: np.ndarray  # entries of the (m, D) gradient blocks that land on free columns
     h_take: np.ndarray  # entries of the (m, D, D) Hessian blocks that land on free columns
+    # Summed chi2, once evaluated, of a group with no free column: LM steps
+    # never move its variables.
+    fixed_chi2: float | None = None
 
 
-@dataclass
+def _empty_index() -> np.ndarray:
+    return np.zeros(0, dtype=np.intp)
+
+
 class _Structure:
     """Everything evaluation needs from a graph except the variable values.
 
-    The flat state is the values of all variables concatenated in insertion order.
+    Built by appending: variables in insertion order, then factors in id order.
+    A graph that only grows extends its structure the same way, so an
+    extended structure equals one rebuilt from scratch, entry for entry.
     """
 
-    offsets: dict[VariableId, int]  # first free column of each free variable, in order
-    n: int  # number of free columns
-    groups: list[_Group]
-    b_dst: np.ndarray  # free column of each b_take entry, groups concatenated
-    h_dst: np.ndarray  # row * n + column of each h_take entry, groups concatenated
+    def __init__(self):
+        self.n = 0  # number of free columns
+        self.column = _empty_index()  # free column of each flat-state entry, -1 when fixed
+        self.free = _empty_index()  # flat-state entry of each free column
+        self.angles = _empty_index()  # flat-state entries of the free angle slots
+        self.groups: list[_Group] = []
+        self._group_of: dict[tuple, int] = {}  # (kind, signature) -> index in groups
+        # Scatter targets, groups concatenated in group order: the free column
+        # of each b_take entry, and row * n + column of each h_take entry.
+        self.b_dst = _empty_index()
+        self.h_dst = _empty_index()
+
+    def extend(self, offset, fixed, variables, factors) -> None:
+        """Append variables (new at the end of the flat state) and then factors."""
+        column, free, angles = [self.column], [self.free], [self.angles]
+        n = self.n
+        for vid in variables:
+            dim = VAR_DIM[vid.kind]
+            if vid in fixed:
+                column.append(np.full(dim, -1, dtype=np.intp))
+                continue
+            first = offset[vid]
+            column.append(np.arange(n, n + dim))
+            free.append(np.arange(first, first + dim))
+            angles.append(first + np.array(ANGLE_SLOTS.get(vid.kind, ()), dtype=np.intp))
+            n += dim
+        self.column = np.concatenate(column)
+        self.free = np.concatenate(free)
+        self.angles = np.concatenate(angles)
+        old_n, self.n = self.n, n
+
+        members: dict[tuple, list[Factor]] = {}
+        for f in factors:
+            members.setdefault((f.kind, tuple(_kinds(f))), []).append(f)
+        old_sizes = [(g.b_take.size, g.h_take.size) for g in self.groups]
+        added = {}  # group index -> scatter targets of its new factors
+        for key, new in members.items():
+            k = self._group_of.get(key)
+            if k is None:
+                k = self._group_of[key] = len(self.groups)
+                self.groups.append(self._new_group(*key))
+            added[k] = self._append(self.groups[k], new, offset)
+
+        # Each group's scatter targets stay contiguous and in factor order, so
+        # bincount sums H and b in the order a rebuild would.
+        h_dst = self.h_dst
+        if old_n != n and h_dst.size:
+            row, col = np.divmod(h_dst, old_n)
+            h_dst = row * n + col
+        b_parts, h_parts = [_empty_index()], [_empty_index()]
+        b_at = h_at = 0
+        for k in range(len(self.groups)):
+            nb, nh = old_sizes[k] if k < len(old_sizes) else (0, 0)
+            b_parts.append(self.b_dst[b_at : b_at + nb])
+            h_parts.append(h_dst[h_at : h_at + nh])
+            b_at += nb
+            h_at += nh
+            if k in added:
+                b_parts.append(added[k][0])
+                h_parts.append(added[k][1])
+        self.b_dst = np.concatenate(b_parts)
+        self.h_dst = np.concatenate(h_parts)
+
+    @staticmethod
+    def _new_group(kind: FactorKind, signature: tuple[VarKind, ...]) -> _Group:
+        spec = _FACTOR_SPECS[kind]
+        k, p = spec.dim(list(signature)), int(np.prod(spec.shape(list(signature))))
+        return _Group(
+            kind,
+            signature,
+            [np.zeros((0, VAR_DIM[v]), dtype=np.intp) for v in signature],
+            np.zeros((0, p)),
+            np.zeros((0, k, k)),
+            _empty_index(),
+            _empty_index(),
+        )
+
+    def _append(self, group: _Group, factors: list[Factor], offset):
+        """Stack factors onto a group; returns their b and h scatter targets."""
+        m = len(group.measurements)
+        slots, cols = [], []
+        for s, vkind in enumerate(group.signature):
+            span = np.arange(VAR_DIM[vkind])
+            slot = np.array([offset[f.variables[s]] for f in factors])[:, None] + span
+            slots.append(slot)
+            cols.append(self.column[slot])
+        col = np.concatenate(cols, axis=1)
+        on_free = col >= 0
+        pair = on_free[:, :, None] & on_free[:, None, :]
+        width = col.shape[1]
+        group.slots = [np.concatenate(parts) for parts in zip(group.slots, slots)]
+        group.measurements = np.concatenate(
+            [group.measurements, np.array([f.measurement for f in factors]).reshape(len(factors), -1)]
+        )
+        group.information = np.concatenate(
+            [group.information, np.array([f.information for f in factors])]
+        )
+        group.fixed_chi2 = None
+        group.b_take = np.concatenate([group.b_take, np.flatnonzero(on_free) + m * width])
+        group.h_take = np.concatenate([group.h_take, np.flatnonzero(pair) + m * width * width])
+        return col[on_free], (col[:, :, None] * self.n + col[:, None, :])[pair]
 
 
 def _whitened(information: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -502,22 +603,32 @@ def _whitened(information: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float
 
 
 class FactorGraph:
-    """Typed variables plus residual factors, solvable by Levenberg-Marquardt."""
+    """Typed variables plus residual factors, solvable by Levenberg-Marquardt.
+
+    All values live in one flat float array, each variable at a fixed offset
+    in insertion order.
+    """
 
     def __init__(self):
-        self._values: dict[VariableId, np.ndarray] = {}
+        self._state = np.zeros(0)
+        self._offset: dict[VariableId, int] = {}  # in insertion order
         self._fixed: set[VariableId] = set()
-        self._order: list[VariableId] = []
         self._counters: dict[VarKind, int] = {}
         self._factors: dict[int, Factor] = {}
         self._next_factor_id = 0
-        # Built on first evaluation; every structural edit drops it.
+        # Built on first evaluation and extended by later additions; fix,
+        # removals and new values of fixed variables drop it.
         self._cache: _Structure | None = None
+        self._new_variables: list[VariableId] = []
+        self._new_factors: list[int] = []
+        # Per-group (whitened residuals, Jacobians) and the cost of the current
+        # state, kept from its last evaluation; every write drops them.
+        self._evaluated: tuple[list, float] | None = None
 
     # -- variables ---------------------------------------------------------
 
     def add_variable(self, kind: VarKind, value, *, fixed: bool = False) -> VariableId:
-        value = np.asarray(value, dtype=float).copy()
+        value = np.asarray(value, dtype=float)
         if value.shape != (VAR_DIM[kind],):
             raise GraphError(
                 f"{kind.value} variable needs dimension {VAR_DIM[kind]}, got shape {value.shape}"
@@ -525,63 +636,76 @@ class FactorGraph:
         index = self._counters.get(kind, 0)
         self._counters[kind] = index + 1
         vid = VariableId(kind, index)
-        self._values[vid] = value
-        self._order.append(vid)
+        self._offset[vid] = self._state.size
+        self._state = np.concatenate([self._state, value])
         if fixed:
             self._fixed.add(vid)
-        self._cache = None
+        self._new_variables.append(vid)
+        self._evaluated = None
         return vid
 
-    def value(self, vid: VariableId) -> np.ndarray:
+    def _slice(self, vid: VariableId) -> slice:
         try:
-            return self._values[vid].copy()
+            first = self._offset[vid]
         except KeyError:
             raise GraphError(f"unknown variable {vid}") from None
+        return slice(first, first + VAR_DIM[vid.kind])
+
+    def value(self, vid: VariableId) -> np.ndarray:
+        return self._state[self._slice(vid)].copy()
 
     def set_value(self, vid: VariableId, value) -> None:
-        value = np.asarray(value, dtype=float).copy()
-        if vid not in self._values:
-            raise GraphError(f"unknown variable {vid}")
-        if value.shape != self._values[vid].shape:
+        where = self._slice(vid)
+        value = np.asarray(value, dtype=float)
+        if value.shape != (VAR_DIM[vid.kind],):
             raise GraphError(f"value shape mismatch for {vid}")
-        self._values[vid] = value
+        self._state[where] = value
+        self._evaluated = None
+        if vid in self._fixed:
+            self._drop_structure()  # it holds the chi2 of groups of fixed variables
 
     def fix(self, vid: VariableId, fixed: bool = True) -> None:
-        if vid not in self._values:
+        if vid not in self._offset:
             raise GraphError(f"unknown variable {vid}")
         if fixed:
             self._fixed.add(vid)
         else:
             self._fixed.discard(vid)
-        self._cache = None
+        self._drop_structure()
 
     def is_fixed(self, vid: VariableId) -> bool:
         return vid in self._fixed
 
     def variables(self) -> list[VariableId]:
-        return list(self._order)
+        return list(self._offset)
 
     def variables_of(self, kind: VarKind) -> list[VariableId]:
-        return [v for v in self._order if v.kind == kind]
+        return [v for v in self._offset if v.kind == kind]
 
     def remove_variable(self, vid: VariableId) -> None:
+        where = self._slice(vid)
         if any(vid in f.variables for f in self._factors.values()):
             raise GraphError(f"variable {vid} still referenced by factors")
-        self._values.pop(vid, None)
+        del self._offset[vid]
         self._fixed.discard(vid)
-        self._order.remove(vid)
-        self._cache = None
+        self._state = np.delete(self._state, where)
+        dim = where.stop - where.start
+        for v, first in self._offset.items():
+            if first > where.start:
+                self._offset[v] = first - dim
+        self._drop_structure()
 
     # -- factors -----------------------------------------------------------
 
     def add_factor(self, factor: Factor) -> int:
         for vid in factor.variables:
-            if vid not in self._values:
+            if vid not in self._offset:
                 raise GraphError(f"factor references unknown variable {vid}")
         fid = self._next_factor_id
         self._next_factor_id += 1
         self._factors[fid] = factor
-        self._cache = None
+        self._new_factors.append(fid)
+        self._evaluated = None
         return fid
 
     def factor(self, fid: int) -> Factor:
@@ -600,17 +724,12 @@ class FactorGraph:
         if fid not in self._factors:
             raise GraphError(f"unknown factor id {fid}")
         del self._factors[fid]
-        self._cache = None
+        self._drop_structure()
 
     # -- evaluation --------------------------------------------------------
 
     def _gather(self, factor: Factor) -> list[np.ndarray]:
-        vals = []
-        for vid in factor.variables:
-            if vid not in self._values:
-                raise GraphError(f"factor references unknown variable {vid}")
-            vals.append(self._values[vid])
-        return vals
+        return [self._state[self._slice(vid)] for vid in factor.variables]
 
     def residual_and_jacobians(self, factor: Factor) -> tuple[np.ndarray, list[np.ndarray]]:
         """The factor's kind kernel run on a batch of one."""
@@ -628,88 +747,61 @@ class FactorGraph:
         return float(r @ f.information @ r)
 
     def total_cost(self) -> float:
-        cost = 0.0
-        for group, r, _ in self._group_residuals(self._structure()):
-            cost += _whitened(group.information, r)[1]
-        return cost
+        return self._evaluate()[1]
+
+    def _drop_structure(self) -> None:
+        self._cache = None
+        self._new_variables = []
+        self._new_factors = []
+        self._evaluated = None
 
     def _structure(self) -> _Structure:
         if self._cache is None:
-            self._cache = self._build_structure()
+            self._cache = _Structure()
+            variables, fids = list(self._offset), sorted(self._factors)
+        else:
+            variables, fids = self._new_variables, self._new_factors
+        if variables or fids:
+            factors = [self._factors[fid] for fid in fids]
+            self._cache.extend(self._offset, self._fixed, variables, factors)
+            self._new_variables, self._new_factors = [], []
         return self._cache
 
-    def _build_structure(self) -> _Structure:
-        # Flat-state position and first free column (-1 when fixed) of every
-        # variable, indexed by kind and then by variable index.
-        position = {kind: np.zeros(count, dtype=np.intp) for kind, count in self._counters.items()}
-        column = {kind: np.full(count, -1, dtype=np.intp) for kind, count in self._counters.items()}
-        offsets: dict[VariableId, int] = {}
-        flat = n = 0
-        for vid in self._order:
-            position[vid.kind][vid.index] = flat
-            flat += VAR_DIM[vid.kind]
-            if vid not in self._fixed:
-                column[vid.kind][vid.index] = offsets[vid] = n
-                n += VAR_DIM[vid.kind]
-
-        members: dict[tuple, list[Factor]] = {}
-        for fid in sorted(self._factors):
-            f = self._factors[fid]
-            members.setdefault((f.kind, tuple(_kinds(f))), []).append(f)
-
-        groups = []
-        b_dst = [np.zeros(0, dtype=np.intp)]
-        h_dst = [np.zeros(0, dtype=np.intp)]
-        for (kind, signature), factors in members.items():
-            index = np.array([[vid.index for vid in f.variables] for f in factors])
-            slots, cols = [], []
-            for s, vkind in enumerate(signature):
-                span = np.arange(VAR_DIM[vkind])
-                slots.append(position[vkind][index[:, s], None] + span)
-                first = column[vkind][index[:, s], None]
-                cols.append(np.where(first >= 0, first + span, -1))
-            col = np.concatenate(cols, axis=1)
-            on_free = col >= 0
-            pair = on_free[:, :, None] & on_free[:, None, :]
-            b_dst.append(col[on_free])
-            h_dst.append((col[:, :, None] * n + col[:, None, :])[pair])
-            groups.append(
-                _Group(
-                    kind,
-                    signature,
-                    slots,
-                    np.array([f.measurement for f in factors]).reshape(len(factors), -1),
-                    np.array([f.information for f in factors]),
-                    np.flatnonzero(on_free),
-                    np.flatnonzero(pair),
+    def _evaluate(self) -> tuple[list, float]:
+        """Run every group's kernel once per state: (whitened residuals, Jacobians) and cost."""
+        if self._evaluated is None:
+            cost = 0.0
+            parts = []
+            for group in self._structure().groups:
+                if group.fixed_chi2 is not None:
+                    cost += group.fixed_chi2
+                    parts.append(None)
+                    continue
+                vals = [self._state[idx] for idx in group.slots]
+                r, jacs = _FACTOR_SPECS[group.kind].kernel(
+                    group.signature, vals, group.measurements
                 )
-            )
-        return _Structure(offsets, n, groups, np.concatenate(b_dst), np.concatenate(h_dst))
-
-    def _group_residuals(self, structure: _Structure):
-        """Yield (group, r, Jacobians) of every factor group at the current values."""
-        if not structure.groups:
-            return
-        state = np.concatenate([self._values[vid] for vid in self._order])
-        for group in structure.groups:
-            vals = [state[idx] for idx in group.slots]
-            r, jacs = _FACTOR_SPECS[group.kind].kernel(group.signature, vals, group.measurements)
-            yield group, r, jacs
+                wr, chi2 = _whitened(group.information, r)
+                if group.b_take.size == 0:
+                    group.fixed_chi2 = chi2
+                cost += chi2
+                parts.append((wr, jacs))
+            self._evaluated = (parts, cost)
+        return self._evaluated
 
     # -- optimization ------------------------------------------------------
 
     def _linearize(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Gauss-Newton system H, b over the free columns, and the cost, at the current values."""
         structure = self._structure()
+        parts, cost = self._evaluate()
         n = structure.n
-        cost = 0.0
         b_parts = [np.zeros(0)]
         h_parts = [np.zeros(0)]
-        for group, r, jacs in self._group_residuals(structure):
-            wr, chi2 = _whitened(group.information, r)
-            cost += chi2
+        for group, part in zip(structure.groups, parts):
             if group.b_take.size == 0:
                 continue
+            wr, jacs = part
             jac = np.concatenate(jacs, axis=2)
             b_parts.append(np.einsum("mkd,mk->md", jac, wr).ravel()[group.b_take])
             hess = jac.transpose(0, 2, 1) @ (group.information @ jac)
@@ -719,17 +811,6 @@ class FactorGraph:
         b = np.bincount(structure.b_dst, np.concatenate(b_parts), minlength=n)
         h = np.bincount(structure.h_dst, np.concatenate(h_parts), minlength=n * n)
         return h.reshape(n, n), b, cost
-
-    def _apply_step(self, offsets, delta) -> dict[VariableId, np.ndarray]:
-        backup = {}
-        for vid, off in offsets.items():
-            dim = VAR_DIM[vid.kind]
-            backup[vid] = self._values[vid].copy()
-            newval = self._values[vid] + delta[off : off + dim]
-            for slot in ANGLE_SLOTS.get(vid.kind, ()):
-                newval[slot] = wrap_angle(newval[slot])
-            self._values[vid] = newval
-        return backup
 
     def optimize(self, max_iterations: int = 100) -> SolveReport:
         if not self._factors:
@@ -772,13 +853,16 @@ class FactorGraph:
                 except np.linalg.LinAlgError:
                     lam *= LAMBDA_UP
                     continue
-                backup = self._apply_step(structure.offsets, delta)
+                backup = self._state.copy(), self._evaluated
+                self._state[structure.free] += delta
+                self._state[structure.angles] = wrap_angles(self._state[structure.angles])
+                self._evaluated = None
                 new_cost = self.total_cost()
                 if new_cost <= cost:
                     lam = max(lam * LAMBDA_DOWN, 1e-12)
                     stepped = True
                     break
-                self._values.update(backup)
+                self._state, self._evaluated = backup
                 lam *= LAMBDA_UP
             if not stepped:
                 converged = False
@@ -796,6 +880,7 @@ class FactorGraph:
             converged=converged,
             iterations=iterations,
             initial_cost=initial_cost,
+            # The state the loop last scored, so this evaluates nothing.
             final_cost=self.total_cost(),
             cost_trace=trace,
             message=message,
@@ -821,7 +906,8 @@ class FactorGraph:
                 analytic[vid] = analytic.get(vid, 0.0) + jac
             worst = 0.0
             for vid, jac in analytic.items():
-                base = self._values[vid]
+                # Each entry is restored exactly, so a kept evaluation stays valid.
+                base = self._state[self._slice(vid)]
                 num = np.zeros_like(jac)
                 for col in range(len(base)):
                     saved = base[col]
@@ -847,10 +933,10 @@ class FactorGraph:
             {
                 "kind": vid.kind.value,
                 "index": vid.index,
-                "value": self._values[vid].tolist(),
+                "value": self.value(vid).tolist(),
                 "fixed": vid in self._fixed,
             }
-            for vid in self._order
+            for vid in self._offset
         ]
         factors = []
         for fid in sorted(self._factors):
@@ -881,7 +967,7 @@ class FactorGraph:
         try:
             for var in doc["variables"]:
                 kind, index = VarKind(var["kind"]), int(var["index"])
-                if index < 0 or VariableId(kind, index) in graph._values:
+                if index < 0 or VariableId(kind, index) in graph._offset:
                     raise GraphError(f"duplicate or negative variable index: {var}")
                 top = max(graph._counters.get(kind, 0), index + 1)
                 graph._counters[kind] = index

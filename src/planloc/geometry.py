@@ -31,6 +31,13 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """Elementwise ``wrap_angle``; every step is exact, so the two agree bit for bit."""
+    r = np.fmod(theta, math.tau)
+    r = np.where(r > math.pi, r - math.tau, r)
+    return np.where(r <= -math.pi, r + math.tau, r)
+
+
 def rotation2(theta: float) -> np.ndarray:
     """2x2 rotation matrix."""
     c, s = math.cos(theta), math.sin(theta)

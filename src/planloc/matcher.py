@@ -90,20 +90,23 @@ def _pair_gap(a: PlaneEntry, b: PlaneEntry) -> float:
     return abs(float((a.foot - b.foot) @ n))
 
 
+def room_entry(graph: FactorGraph, room: VariableId, planes) -> RoomEntry:
+    """View of one four-wall room, its four planes in factor order, at the graph's values."""
+    plane_entries = []
+    for vid in planes:
+        phi, d = graph.value(vid)
+        plane_entries.append(PlaneEntry(vid, float(phi), float(d)))
+    cx, cy = graph.value(room)
+    return RoomEntry(room, (float(cx), float(cy)), tuple(plane_entries))
+
+
 def room_entries(graph: FactorGraph) -> list[RoomEntry]:
     """Four-wall room views (center, plane pairs) read off a graph snapshot."""
-    entries = []
-    for _, factor in graph.factors_of(FactorKind.ROOM_TO_WALLS):
-        if factor.variables[0].kind != VarKind.ROOM or len(factor.variables) != 5:
-            continue
-        room = factor.variables[0]
-        planes = []
-        for vid in factor.variables[1:]:
-            phi, d = graph.value(vid)
-            planes.append(PlaneEntry(vid, float(phi), float(d)))
-        cx, cy = graph.value(room)
-        entries.append(RoomEntry(room, (float(cx), float(cy)), tuple(planes)))
-    return entries
+    return [
+        room_entry(graph, factor.variables[0], factor.variables[1:])
+        for _, factor in graph.factors_of(FactorKind.ROOM_TO_WALLS)
+        if factor.variables[0].kind == VarKind.ROOM and len(factor.variables) == 5
+    ]
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,12 @@ from .matcher import (
     MatchPair,
     MatchResult,
     MatchStatus,
+    RoomEntry,
     WallPairingError,
     _dims_compatible,
     propose_wall_pairs,
     room_entries,
+    room_entry,
 )
 from .s_graph import SGraph
 
@@ -45,6 +47,7 @@ class MergedState:
     a_var_map: dict[VariableId, VariableId]  # plan-graph id -> merged-graph id
     room_pairs: dict[VariableId, VariableId]  # merged plan room -> robot room
     plane_pairs: dict[VariableId, VariableId]  # merged plan plane -> robot plane
+    plan_rooms: dict[VariableId, RoomEntry]  # plan-graph room -> its entry; the plan is constant
     merge_factor_ids: list[int] = field(default_factory=list)
     report: SolveReport | None = None
 
@@ -82,7 +85,8 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
     # closed-form hint right before optimization.
     transform = graph.add_variable(VarKind.TRANSFORM, Pose2.identity().as_array())
 
-    state = MergedState(graph, transform, a_var_map, {}, {})
+    plan_rooms = {r.vid: r for r in room_entries(a.graph)}
+    state = MergedState(graph, transform, a_var_map, {}, {}, plan_rooms)
     _add_match_factors(state, m.best.room_pairs, m.best.wall_pairs)
 
     graph.set_value(transform, m.best.transform_hint.as_array())
@@ -121,7 +125,7 @@ def _add_match_factors(state: MergedState, room_pairs, wall_pairs) -> None:
         )
 
 
-def extend_matches(state: MergedState, a: AGraph, s: SGraph) -> int:
+def extend_matches(state: MergedState, s: SGraph) -> int:
     """Match newly observed rooms against the plan under the known transform.
 
     Each still-unmatched robot room is paired with the plan room whose center
@@ -134,13 +138,15 @@ def extend_matches(state: MergedState, a: AGraph, s: SGraph) -> int:
 
     matched_s_rooms = set(state.room_pairs.values())
     matched_a_rooms = set(state.room_pairs)
-    a_rooms = {r.vid: r for r in room_entries(a.graph)}
-    s_rooms = {r.vid: r for r in room_entries(graph) if r.vid in s.rooms}
+    a_rooms = state.plan_rooms
+    s_rooms = {
+        vid: room_entry(graph, vid, rec.planes)
+        for vid, rec in s.rooms.items()
+        if vid not in matched_s_rooms
+    }
 
     added = 0
     for s_vid in sorted(s_rooms, key=lambda v: v.index):
-        if s_vid in matched_s_rooms:
-            continue
         s_room = s_rooms[s_vid]
         mapped = t.transform_point(s_room.center)
         best: tuple[float, VariableId] | None = None

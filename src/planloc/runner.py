@@ -119,7 +119,7 @@ def run_pipeline(plan: FloorPlan, config: SimConfig) -> RunResult:
                 merged = merge(agraph, sgraph, result)
                 merged_at = step.index
         else:
-            extend_matches(merged, agraph, sgraph)
+            extend_matches(merged, sgraph)
     sgraph.final_optimize()
 
     status = MatchStatus.MATCHED if merged is not None else (

@@ -28,7 +28,7 @@ from .factor_graph import (
     VariableId,
     VarKind,
 )
-from .geometry import PERP, Pose2, axis_of_normal, transform_phi_dist, wrap_angle
+from .geometry import PERP, Pose2, axis_of_normal, transform_phi_dist, wrap_angle, wrap_angles
 
 DEG = math.pi / 180.0
 
@@ -123,6 +123,16 @@ class SimStep:
     gt_map: Pose2
     odometry: Pose2 | None
     observations: tuple[PlaneObservation, ...]
+
+
+def _pairwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out[p, q] = a[p] @ b[q]`` over rows of two entries.
+
+    Each entry is a stacked 1x2 by 2x1 product, which numpy computes with the
+    same dot routine as ``a[p] @ b[q]``, so the two agree bit for bit;
+    ``a @ b.T`` or an elementwise sum may differ in the last bit.
+    """
+    return (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]
 
 
 def _segments_cross(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
@@ -545,51 +555,68 @@ class SGraph:
         return (lo, hi) if sign > 0 else (-hi, -lo)
 
     def _qualifying_pairs(self, geo):
-        pairs = []
-        for i in range(len(geo)):
-            for j in range(i + 1, len(geo)):
-                gi, gj = geo[i], geo[j]
-                if abs(wrap_angle(gi["phi"] - gj["phi"])) <= math.pi - OPPOSED_TOL:
-                    continue
-                n_hat = gi["n"]
-                gap = float(gi["d"] - gj["d"] * (gi["n"] @ gj["n"]))
-                if not (ROOM_GAP_MIN <= gap <= ROOM_GAP_MAX):
-                    continue
-                ei = gi["extent"]
-                ej = self._extent_along(gj, gi["m_hat"])
-                band = (max(ei[0], ej[0]), min(ei[1], ej[1]))
-                if band[1] - band[0] < PAIR_OVERLAP_MIN:
-                    continue
-                u_i = float(gi["foot"] @ n_hat)
-                u_j = float(gj["foot"] @ n_hat)
-                lo, hi = min(u_i, u_j), max(u_i, u_j)
-                if self._region_occupied(geo, gi, gj, n_hat, lo, hi, band):
-                    continue
-                pairs.append(
-                    {
-                        "planes": (gi, gj),
-                        "n_hat": n_hat,
-                        "interval": (lo, hi),
-                        "band": band,
-                        "gap": gap,
-                    }
-                )
-        return pairs
+        """Opposed plane pairs that bound an empty slab, found in one pass over all pairs.
 
-    def _region_occupied(self, geo, gi, gj, n_hat, lo, hi, band) -> bool:
-        """True when another same-orientation plane subdivides the pair's gap."""
-        for gk in geo:
-            if gk is gi or gk is gj:
-                continue
-            if abs(float(gk["n"] @ n_hat)) < 0.7:
-                continue
-            u_k = float(gk["foot"] @ n_hat)
-            if not (lo + EMPTY_MARGIN < u_k < hi - EMPTY_MARGIN):
-                continue
-            ek = self._extent_along(gk, gi["m_hat"])
-            if min(ek[1], band[1]) - max(ek[0], band[0]) > 0.3:
-                return True
-        return False
+        A pair (i < j, in plane order) qualifies when its normals are opposed,
+        its gap lies in [ROOM_GAP_MIN, ROOM_GAP_MAX], its extents overlap by
+        PAIR_OVERLAP_MIN along the wall, and no third plane of the same
+        orientation subdivides the slab over that band.
+        """
+        if len(geo) < 2:
+            return []
+        phi = np.array([g["phi"] for g in geo])
+        d = np.array([g["d"] for g in geo])
+        n = np.array([g["n"] for g in geo])
+        extent = np.array([g["extent"] for g in geo])
+        # [a, b] entries: n_a . n_b, foot_a . n_b, and extent a along m_hat b
+        # (flipped where the two in-plane directions disagree).
+        nn = _pairwise_dot(n, n)
+        fn = _pairwise_dot(np.array([g["foot"] for g in geo]), n)
+        m_hat = np.array([g["m_hat"] for g in geo])
+        flip = _pairwise_dot(m_hat, m_hat) < 0
+        lo_along = np.where(flip, -extent[:, None, 1], extent[:, None, 0])
+        hi_along = np.where(flip, -extent[:, None, 0], extent[:, None, 1])
+
+        i, j = np.triu_indices(len(geo), 1)
+        keep = np.abs(wrap_angles(phi[i] - phi[j])) > math.pi - OPPOSED_TOL
+        i, j = i[keep], j[keep]
+        gap = d[i] - d[j] * nn[i, j]
+        keep = (ROOM_GAP_MIN <= gap) & (gap <= ROOM_GAP_MAX)
+        i, j = i[keep], j[keep]
+        band_lo = np.maximum(extent[i, 0], lo_along[j, i])
+        band_hi = np.minimum(extent[i, 1], hi_along[j, i])
+        keep = band_hi - band_lo >= PAIR_OVERLAP_MIN
+        i, j, band_lo, band_hi = i[keep], j[keep], band_lo[keep], band_hi[keep]
+        lo = np.minimum(fn[i, i], fn[j, i])
+        hi = np.maximum(fn[i, i], fn[j, i])
+
+        # [pair, k]: a third plane k of the same orientation, strictly inside
+        # the slab and overlapping its band by more than 0.3 m, occupies it.
+        k = np.arange(len(geo))
+        u_k = fn[:, i].T
+        occupied = (
+            (k != i[:, None])
+            & (k != j[:, None])
+            & (np.abs(nn[:, i].T) >= 0.7)
+            & (lo[:, None] + EMPTY_MARGIN < u_k)
+            & (u_k < hi[:, None] - EMPTY_MARGIN)
+            & (
+                np.minimum(hi_along[:, i].T, band_hi[:, None])
+                - np.maximum(lo_along[:, i].T, band_lo[:, None])
+                > 0.3
+            )
+        ).any(axis=1)
+
+        rows = zip(*(x[~occupied].tolist() for x in (i, j, lo, hi, band_lo, band_hi)))
+        return [
+            {
+                "planes": (geo[a], geo[b]),
+                "n_hat": geo[a]["n"],
+                "interval": (lo_ab, hi_ab),
+                "band": (band_lo_ab, band_hi_ab),
+            }
+            for a, b, lo_ab, hi_ab, band_lo_ab, band_hi_ab in rows
+        ]
 
     def detect_rooms(self) -> list[VariableId]:
         """Create four-wall rooms and two-wall rooms from the current planes.

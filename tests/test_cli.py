@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planloc
 from planloc.cli import main
 from planloc.plans import fixture_dir
 
@@ -63,6 +68,32 @@ def test_run_and_eval(tmp_path, capsys):
     out = capsys.readouterr().out
     recomputed = json.loads(out)
     assert recomputed["ape"]["rmse"] == pytest.approx(report["ape"]["rmse"], rel=1e-12)
+
+
+def test_run_is_byte_identical_across_hash_seeds(tmp_path):
+    # Two interpreters with different string-hash seeds and one BLAS thread
+    # must write the same artifacts; only timing.json holds wall-clock times.
+    src = str(Path(planloc.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "planloc.cli", "run", fixture("two_rooms.scenario.json"),
+             "-o", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        files = (p for p in out.rglob("*") if p.is_file() and p.name != "timing.json")
+        outputs.append({p.relative_to(out): p.read_bytes() for p in files})
+    assert len(outputs[0]) > 5
+    assert outputs[0] == outputs[1]
 
 
 def test_run_exit_code_reflects_ambiguity(tmp_path):

@@ -335,6 +335,32 @@ def _assert_solves_like_rebuilt(g: FactorGraph) -> None:
     assert g.to_json() == fresh.to_json()
 
 
+def _assert_linearizes_like_rebuilt(g: FactorGraph) -> None:
+    """H, b and cost equal, bit for bit, those of a graph rebuilt from g's JSON."""
+    fresh = FactorGraph.from_json(g.to_json())
+    h, b, cost = g._linearize()
+    fresh_h, fresh_b, fresh_cost = fresh._linearize()
+    assert np.array_equal(h, fresh_h)
+    assert np.array_equal(b, fresh_b)
+    assert cost == fresh_cost == g.total_cost()
+
+
+def _append_keyframe(g: FactorGraph, rng, planes: list[VariableId]) -> None:
+    """One online update: a keyframe, its odometry, plane observations, maybe a new plane."""
+    last = g.variables_of(VarKind.KEYFRAME)[-1]
+    step = Pose2(0.3, rng.normal(0, 0.05), rng.normal(0, 0.05))
+    pose = Pose2.from_array(g.value(last)).compose(step)
+    kf = g.add_variable(VarKind.KEYFRAME, pose.as_array() + rng.normal(0, 0.01, 3))
+    g.add_factor(Factor(FactorKind.ODOMETRY, (last, kf), step.as_array()))
+    if rng.random() < 0.4:
+        planes.append(g.add_variable(VarKind.PLANE, [rng.uniform(-3, 3), rng.uniform(1, 5)]))
+    for vid in rng.choice(len(planes), size=min(3, len(planes)), replace=False):
+        phi, d = g.value(planes[vid])
+        phi_b = wrap_angle(phi - pose.theta + rng.normal(0, 0.01))
+        d_b = d - (pose.x * math.cos(phi) + pose.y * math.sin(phi)) + rng.normal(0, 0.02)
+        g.add_factor(Factor(FactorKind.POSE_PLANE, (kf, planes[vid]), (phi_b, d_b)))
+
+
 def test_structure_cache_follows_graph_edits():
     g = _random_kind_graph(3)
     planes = g.variables_of(VarKind.PLANE)
@@ -351,6 +377,81 @@ def test_structure_cache_follows_graph_edits():
     _assert_solves_like_rebuilt(g)
     g.fix(planes[1])
     _assert_solves_like_rebuilt(g)
+
+    # Online updates extend the structure in place instead of rebuilding it.
+    rng = np.random.default_rng(3)
+    structure = g._structure()
+    for k in range(20):
+        _append_keyframe(g, rng, planes)
+        _assert_linearizes_like_rebuilt(g)
+        if k % 2:
+            g.optimize(15)
+            _assert_linearizes_like_rebuilt(g)
+    assert g._structure() is structure
+
+    # A merge: fixed plan copies with a factor among themselves, a free
+    # transform, and alignment factors through it.
+    plan_planes = [
+        g.add_variable(VarKind.PLANE, g.value(vid) + rng.normal(0, 0.05, 2), fixed=True)
+        for vid in planes[:4]
+    ]
+    plan_room = g.add_variable(VarKind.ROOM, g.value(rooms[0]), fixed=True)
+    t = g.add_variable(VarKind.TRANSFORM, [0.0, 0.0, 0.0])
+    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (plan_room, *plan_planes)))
+    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (plan_room, rooms[0], t)))
+    for plan_plane, vid in zip(plan_planes, planes):
+        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (plan_plane, vid, t)))
+    g.add_factor(Factor(FactorKind.PRIOR, (plan_planes[0],), [0.1, 2.0]))  # all fixed
+    _assert_linearizes_like_rebuilt(g)
+    g.set_value(t, [0.02, -0.01, 0.005])
+    _assert_linearizes_like_rebuilt(g)
+    assert g._structure() is structure
+    g.set_value(plan_planes[0], g.value(plan_planes[0]) + 0.01)
+    _assert_linearizes_like_rebuilt(g)
+    structure = g._structure()
+    g.add_factor(Factor(FactorKind.PRIOR, (plan_planes[1],), [0.2, 1.0]))
+    _assert_linearizes_like_rebuilt(g)
+    g.optimize()
+    _assert_linearizes_like_rebuilt(g)
+    for _ in range(3):
+        _append_keyframe(g, rng, planes)
+        g.optimize(15)
+        _assert_linearizes_like_rebuilt(g)
+    assert g._structure() is structure
+    g.fix(t)
+    assert g._structure() is not structure
+    _assert_linearizes_like_rebuilt(g)
+
+
+def test_optimize_scores_each_trial_step_once(monkeypatch):
+    """total_cost runs once before the loop, once per solved trial step and once after."""
+    cost_calls = solves = 0
+    total_cost, solve = FactorGraph.total_cost, np.linalg.solve
+
+    def counted_cost(graph):
+        nonlocal cost_calls
+        cost_calls += 1
+        return total_cost(graph)
+
+    def counted_solve(*args):
+        nonlocal solves
+        out = solve(*args)
+        solves += 1
+        return out
+
+    monkeypatch.setattr(FactorGraph, "total_cost", counted_cost)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    rejected = 0
+    for seed in range(10):
+        g = _random_kind_graph(seed)
+        for vid in g.variables():
+            g.set_value(vid, g.value(vid) + 0.05)
+        cost_calls = solves = 0
+        report = g.optimize()
+        assert cost_calls == 2 + solves
+        rejected += solves - (len(report.cost_trace) - 1)
+        assert report.final_cost == total_cost(g)
+    assert rejected > 0  # the count covers rejected trial steps too
 
 
 def test_jacobians_empty_graph():

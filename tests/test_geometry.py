@@ -13,6 +13,7 @@ from planloc.geometry import (
     estimate_transform_closed_form,
     transform_phi_dist,
     wrap_angle,
+    wrap_angles,
 )
 
 finite_angle = st.floats(-50.0, 50.0, allow_nan=False)
@@ -30,6 +31,15 @@ def test_wrap_angle_boundary():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+
+
+def test_wrap_angles_equals_wrap_angle_bit_for_bit():
+    rng = np.random.default_rng(0)
+    edges = [k * math.pi for k in range(-7, 8)] + [math.tau * k for k in (-3, 3)]
+    theta = np.concatenate([rng.uniform(-40, 40, 5000), rng.normal(0, 1, 5000), edges])
+    theta = np.concatenate([theta, np.nextafter(theta, np.inf), np.nextafter(theta, -np.inf)])
+    scalar = np.array([wrap_angle(float(t)) for t in theta])
+    assert np.array_equal(wrap_angles(theta).view(np.uint64), scalar.view(np.uint64))
 
 
 def test_compose_identity():

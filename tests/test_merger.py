@@ -160,7 +160,7 @@ def test_extend_matches_adds_late_rooms():
                 merged = merge(ag, sg, result)
                 early_rooms = len(merged.room_pairs)
         else:
-            extend_matches(merged, ag, sg)
+            extend_matches(merged, sg)
     assert merged is not None
     assert len(merged.room_pairs) > early_rooms
     assert len(merged.room_pairs) >= 4

@@ -10,7 +10,13 @@ from planloc.geometry import Pose2, transform_phi_dist, wrap_angle
 from planloc.metrics import compute_ape
 from planloc.plans import fixture_plan
 from planloc.s_graph import (
+    EMPTY_MARGIN,
+    OPPOSED_TOL,
+    PAIR_OVERLAP_MIN,
+    ROOM_GAP_MAX,
+    ROOM_GAP_MIN,
     PlaneObservation,
+    PlaneRecord,
     PlanSimulator,
     SGraph,
     SimConfig,
@@ -208,6 +214,102 @@ def test_detect_rooms_idempotent():
     n_factors = len(sg.graph.factors())
     assert sg.detect_rooms() == []
     assert len(sg.graph.factors()) == n_factors
+
+
+def _extent_along(entry, direction):
+    sign = 1.0 if float(entry["m_hat"] @ direction) >= 0 else -1.0
+    lo, hi = entry["extent"]
+    return (lo, hi) if sign > 0 else (-hi, -lo)
+
+
+def _reference_pairs(geo):
+    """The pair search as a loop over pairs and third planes; returns (pairs, occupied count)."""
+    pairs, occupied = [], 0
+    for i in range(len(geo)):
+        for j in range(i + 1, len(geo)):
+            gi, gj = geo[i], geo[j]
+            if abs(wrap_angle(gi["phi"] - gj["phi"])) <= math.pi - OPPOSED_TOL:
+                continue
+            n_hat = gi["n"]
+            gap = float(gi["d"] - gj["d"] * (gi["n"] @ gj["n"]))
+            if not (ROOM_GAP_MIN <= gap <= ROOM_GAP_MAX):
+                continue
+            ei = gi["extent"]
+            ej = _extent_along(gj, gi["m_hat"])
+            band = (max(ei[0], ej[0]), min(ei[1], ej[1]))
+            if band[1] - band[0] < PAIR_OVERLAP_MIN:
+                continue
+            u_i = float(gi["foot"] @ n_hat)
+            u_j = float(gj["foot"] @ n_hat)
+            lo, hi = min(u_i, u_j), max(u_i, u_j)
+            blocked = False
+            for gk in geo:
+                if gk is gi or gk is gj or abs(float(gk["n"] @ n_hat)) < 0.7:
+                    continue
+                u_k = float(gk["foot"] @ n_hat)
+                if not (lo + EMPTY_MARGIN < u_k < hi - EMPTY_MARGIN):
+                    continue
+                ek = _extent_along(gk, gi["m_hat"])
+                if min(ek[1], band[1]) - max(ek[0], band[0]) > 0.3:
+                    blocked = True
+                    break
+            if blocked:
+                occupied += 1
+                continue
+            pairs.append({"planes": (gi, gj), "interval": (lo, hi), "band": band})
+    return pairs, occupied
+
+
+def _random_plane_set(rng) -> SGraph:
+    """Axis-near walls whose gaps, feet and overlaps sit at or next to the search thresholds."""
+    sg = SGraph(Pose2.identity())
+
+    def add(phi, d, extent):
+        vid = sg.graph.add_variable(VarKind.PLANE, [phi, d])
+        sg.planes[vid] = PlaneRecord(vid, extent)
+
+    exact = rng.random() < 0.5
+    tiny = (0.0, 0.0, 1e-12, -1e-12, 1e-3, -1e-3)
+    # Opposed pairs with these distances have gaps at the ROOM_GAP bounds.
+    dists = (0.0, EMPTY_MARGIN, 0.5, ROOM_GAP_MIN - EMPTY_MARGIN, ROOM_GAP_MIN, 2.0, 7.5,
+             ROOM_GAP_MAX - 1.0, ROOM_GAP_MAX)
+    lengths = (PAIR_OVERLAP_MIN, 0.3, 1.0, 3.0)
+    for _ in range(rng.integers(4, 13)):
+        axis = rng.integers(2) * math.pi / 2
+        facing = rng.choice([0.0, math.pi])
+        phi = wrap_angle(axis + facing + (0.0 if exact else rng.normal(0, 0.03)))
+        d = rng.choice(dists) + rng.choice(tiny) + (0.0 if exact else rng.normal(0, 0.01))
+        length = float(rng.choice(lengths)) + rng.choice(tiny)
+        lo = -length / 2 + float(rng.choice([0.0, 0.0, 0.25, -1.0]))
+        add(phi, d, (lo, lo + length))
+    # Third planes parallel to a pair's first plane, at or one ulp off the
+    # EMPTY_MARGIN edge of the pair's slab.
+    geo = sg._plane_geometry()
+    for _ in range(rng.integers(0, 4)):
+        gi, gj = (geo[k] for k in rng.choice(len(geo), 2, replace=False))
+        u = sorted(float(g["foot"] @ gi["n"]) for g in (gi, gj))
+        edge = rng.choice([u[0] + EMPTY_MARGIN, u[1] - EMPTY_MARGIN])
+        edge = rng.choice([edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf)])
+        add(gi["phi"], edge, gi["extent"])
+    return sg
+
+
+def test_pair_search_matches_loop_reference():
+    found = occupied = 0
+    for seed in range(200):
+        sg = _random_plane_set(np.random.default_rng(seed))
+        geo = sg._plane_geometry()
+        want, blocked = _reference_pairs(geo)
+        got = sg._qualifying_pairs(geo)
+        assert [p["planes"] for p in got] == [p["planes"] for p in want]
+        for p, q in zip(got, want):
+            assert p["interval"] == q["interval"]
+            assert p["band"] == q["band"]
+            assert p["n_hat"] is p["planes"][0]["n"]
+        found += len(want)
+        occupied += blocked
+    # the inputs reach every branch of the search
+    assert found > 100 and occupied > 20
 
 
 def test_two_wall_room_in_partial_corridor():
