@@ -25,6 +25,7 @@ transform      3     map->plan alignment (x, y, theta)
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -136,13 +137,22 @@ def _as_info(kind: FactorKind, information, dim: int) -> np.ndarray:
     info = np.asarray(information, dtype=float)
     if info.shape != (dim, dim):
         raise GraphError(f"information for {kind.value} must be {dim}x{dim}, got {info.shape}")
+    _check_information(info.shape, info.tobytes())
+    return info
+
+
+# Factors of one kind mostly share a few information matrices (the estimator's
+# configured weights, the plan's copies), so each distinct matrix is checked
+# once. A raise is not cached: an invalid matrix is checked, and fails, again.
+@functools.lru_cache(maxsize=256)
+def _check_information(shape: tuple[int, int], data: bytes) -> None:
+    info = np.frombuffer(data).reshape(shape)
     if not np.allclose(info, info.T, atol=1e-12):
         raise GraphError("information matrix must be symmetric")
     try:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError as exc:
         raise GraphError("information matrix must be positive definite") from exc
-    return info
 
 
 @dataclass
@@ -185,12 +195,19 @@ class Factor:
 
 @dataclass
 class SolveReport:
+    """Outcome of one ``FactorGraph.optimize`` call.
+
+    The costs are summed chi2 over the factors the solve evaluated: the whole
+    graph, or for a windowed solve the factors touching the window.
+    """
+
     converged: bool
     iterations: int
     initial_cost: float
     final_cost: float
     cost_trace: list[float] = field(default_factory=list)
     message: str = ""
+    free_columns: int = 0  # state entries the solve could move
 
 
 # ---------------------------------------------------------------------------
@@ -572,17 +589,13 @@ class _Structure:
 
     def _append(self, group: _Group, factors: list[Factor], offset):
         """Stack factors onto a group; returns their b and h scatter targets."""
-        m = len(group.measurements)
-        slots, cols = [], []
-        for s, vkind in enumerate(group.signature):
-            span = np.arange(VAR_DIM[vkind])
-            slot = np.array([offset[f.variables[s]] for f in factors])[:, None] + span
-            slots.append(slot)
-            cols.append(self.column[slot])
-        col = np.concatenate(cols, axis=1)
-        on_free = col >= 0
-        pair = on_free[:, :, None] & on_free[:, None, :]
-        width = col.shape[1]
+        slots = [
+            np.array([offset[f.variables[s]] for f in factors])[:, None] + np.arange(VAR_DIM[vkind])
+            for s, vkind in enumerate(group.signature)
+        ]
+        b_take, h_take, b_dst, h_dst = _scatter_targets(
+            self.column, self.n, slots, len(group.measurements)
+        )
         group.slots = [np.concatenate(parts) for parts in zip(group.slots, slots)]
         group.measurements = np.concatenate(
             [group.measurements, np.array([f.measurement for f in factors]).reshape(len(factors), -1)]
@@ -591,9 +604,69 @@ class _Structure:
             [group.information, np.array([f.information for f in factors])]
         )
         group.fixed_chi2 = None
-        group.b_take = np.concatenate([group.b_take, np.flatnonzero(on_free) + m * width])
-        group.h_take = np.concatenate([group.h_take, np.flatnonzero(pair) + m * width * width])
-        return col[on_free], (col[:, :, None] * self.n + col[:, None, :])[pair]
+        group.b_take = np.concatenate([group.b_take, b_take])
+        group.h_take = np.concatenate([group.h_take, h_take])
+        return b_dst, h_dst
+
+    def window(self, inside: np.ndarray) -> "_Structure":
+        """The structure of a solve restricted to a window, selected by index masks.
+
+        ``inside`` marks the flat-state entries of the window's variables. Only
+        their free columns are solved, in this structure's column order, and
+        each group keeps, in order, its factors with a slot on a window entry.
+        """
+        out = _Structure()
+        out.free = self.free[inside[self.free]]
+        out.n = out.free.size
+        out.angles = self.angles[inside[self.angles]]
+        out.column = np.full(self.column.size, -1, dtype=np.intp)
+        out.column[out.free] = np.arange(out.n)
+        b_parts, h_parts = [_empty_index()], [_empty_index()]
+        for group in self.groups:
+            rows = np.zeros(len(group.measurements), dtype=bool)
+            for slot in group.slots:
+                rows |= inside[slot[:, 0]]
+            if not rows.any():
+                continue
+            slots = [slot[rows] for slot in group.slots]
+            b_take, h_take, b_dst, h_dst = _scatter_targets(out.column, out.n, slots)
+            out.groups.append(
+                _Group(
+                    group.kind,
+                    group.signature,
+                    slots,
+                    group.measurements[rows],
+                    group.information[rows],
+                    b_take,
+                    h_take,
+                )
+            )
+            b_parts.append(b_dst)
+            h_parts.append(h_dst)
+        out.b_dst = np.concatenate(b_parts)
+        out.h_dst = np.concatenate(h_parts)
+        return out
+
+
+def _scatter_targets(column: np.ndarray, n: int, slots: list[np.ndarray], first_row: int = 0):
+    """Where the gradient and Hessian blocks of stacked factors land among n free columns.
+
+    ``slots`` are the factors' flat-state positions per variable slot and
+    ``column`` maps flat-state entries to free columns (-1 when fixed). Returns
+    the entries of the (m, D) and (m, D, D) blocks that land on free columns,
+    counted from row ``first_row`` of the group, and their targets: the free
+    column of each b entry and row * n + column of each h entry.
+    """
+    col = np.concatenate([column[slot] for slot in slots], axis=1)
+    on_free = col >= 0
+    pair = on_free[:, :, None] & on_free[:, None, :]
+    width = col.shape[1]
+    return (
+        np.flatnonzero(on_free) + first_row * width,
+        np.flatnonzero(pair) + first_row * width * width,
+        col[on_free],
+        (col[:, :, None] * n + col[:, None, :])[pair],
+    )
 
 
 def _whitened(information: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -621,6 +694,9 @@ class FactorGraph:
         self._cache: _Structure | None = None
         self._new_variables: list[VariableId] = []
         self._new_factors: list[int] = []
+        # The structure of a windowed optimize while one runs; cost and
+        # linearization then cover only its factors.
+        self._window: _Structure | None = None
         # Per-group (whitened residuals, Jacobians) and the cost of the current
         # state, kept from its last evaluation; every write drops them.
         self._evaluated: tuple[list, float] | None = None
@@ -653,6 +729,18 @@ class FactorGraph:
 
     def value(self, vid: VariableId) -> np.ndarray:
         return self._state[self._slice(vid)].copy()
+
+    def values(self, vids) -> np.ndarray:
+        """Values of variables of one dimension, one row each, read in one gather."""
+        vids = list(vids)
+        dims = {VAR_DIM[vid.kind] for vid in vids}
+        if len(dims) > 1:
+            raise GraphError(f"values() needs variables of one dimension, got dimensions {dims}")
+        try:
+            first = np.array([self._offset[vid] for vid in vids], dtype=np.intp)
+        except KeyError as exc:
+            raise GraphError(f"unknown variable {exc.args[0]}") from None
+        return self._state[first[:, None] + np.arange(dims.pop() if dims else 0)]
 
     def set_value(self, vid: VariableId, value) -> None:
         where = self._slice(vid)
@@ -747,6 +835,7 @@ class FactorGraph:
         return float(r @ f.information @ r)
 
     def total_cost(self) -> float:
+        """Summed chi2 of every factor; inside a windowed optimize, of the window's factors."""
         return self._evaluate()[1]
 
     def _drop_structure(self) -> None:
@@ -767,12 +856,16 @@ class FactorGraph:
             self._new_variables, self._new_factors = [], []
         return self._cache
 
+    def _scored(self) -> _Structure:
+        """The structure that cost and linearization cover: a running window's, else the graph's."""
+        return self._structure() if self._window is None else self._window
+
     def _evaluate(self) -> tuple[list, float]:
         """Run every group's kernel once per state: (whitened residuals, Jacobians) and cost."""
         if self._evaluated is None:
             cost = 0.0
             parts = []
-            for group in self._structure().groups:
+            for group in self._scored().groups:
                 if group.fixed_chi2 is not None:
                     cost += group.fixed_chi2
                     parts.append(None)
@@ -793,7 +886,7 @@ class FactorGraph:
 
     def _linearize(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Gauss-Newton system H, b over the free columns, and the cost, at the current values."""
-        structure = self._structure()
+        structure = self._scored()
         parts, cost = self._evaluate()
         n = structure.n
         b_parts = [np.zeros(0)]
@@ -812,7 +905,15 @@ class FactorGraph:
         h = np.bincount(structure.h_dst, np.concatenate(h_parts), minlength=n * n)
         return h.reshape(n, n), b, cost
 
-    def optimize(self, max_iterations: int = 100) -> SolveReport:
+    def optimize(self, max_iterations: int = 100, window=None) -> SolveReport:
+        """Levenberg-Marquardt over the free variables, or over those in ``window``.
+
+        A window (variable ids) restricts the solve: only its free variables
+        move, every other variable is held at its value, and only the factors
+        with a variable in the window are evaluated. The report's costs, and
+        ``total_cost`` while the solve runs, are then the summed chi2 of those
+        factors, not of the whole graph.
+        """
         if not self._factors:
             raise GraphError("cannot optimize a graph without factors")
         anchored = bool(self._fixed) or any(
@@ -823,7 +924,22 @@ class FactorGraph:
                 "graph has no prior factor and no fixed variable; anchor it first"
             )
 
-        structure = self._structure()
+        if window is None:
+            return self._solve(max_iterations)
+        inside = np.zeros(self._state.size, dtype=bool)
+        for vid in window:
+            inside[self._slice(vid)] = True
+        self._window = self._structure().window(inside)
+        self._evaluated = None
+        try:
+            return self._solve(max_iterations)
+        finally:
+            self._window = None
+            self._evaluated = None
+
+    def _solve(self, max_iterations: int) -> SolveReport:
+        """The LM loop over the free columns of the structure that cost and linearization cover."""
+        structure = self._scored()
         n = structure.n
         initial_cost = self.total_cost()
         trace = [initial_cost]
@@ -884,6 +1000,7 @@ class FactorGraph:
             final_cost=self.total_cost(),
             cost_trace=trace,
             message=message,
+            free_columns=n,
         )
 
     # -- verification ------------------------------------------------------

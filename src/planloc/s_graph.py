@@ -5,7 +5,7 @@ emitting noisy odometry and noisy plane observations of the wall surfaces
 that are in range, facing the robot, and not occluded (doorways punch
 openings into their walls). The estimator ingests those measurements into a
 factor graph over keyframes, wall-surface planes, rooms and a floor node,
-re-optimizing after every update.
+re-optimizing the neighbourhood of the latest keyframes after every update.
 
 Observed planes keep the orientation seen by the sensor (normal pointing
 from the robot into the wall material), so the two faces of one wall never
@@ -58,6 +58,9 @@ GAMMA_MIN_OBSERVERS = 3
 FLOOR_INFORMATION = 1e-2
 # LM iterations of the re-solve after each update.
 UPDATE_ITERATIONS = 15
+# Keyframes whose neighbourhood the re-solve after each update moves; the
+# rest of the graph is held at its values (fixed-lag smoothing).
+WINDOW_KEYFRAMES = 10
 
 
 class SimulationError(RuntimeError):
@@ -444,8 +447,31 @@ class SGraph:
             )
         self.detect_rooms()
         self._update_floor()
-        self.last_report = self.graph.optimize(UPDATE_ITERATIONS)
+        self.last_report = self.graph.optimize(UPDATE_ITERATIONS, window=self._window())
         return self.last_report
+
+    def _window(self) -> set[VariableId] | None:
+        """The variables the re-solve after an update moves; None solves them all.
+
+        Once there are more than WINDOW_KEYFRAMES keyframes: the last
+        WINDOW_KEYFRAMES of them, every free variable added since the oldest
+        of those, the planes they observe, the rooms and two-wall rooms on
+        one of those planes, and the map-to-plan transform after a merge.
+        """
+        first = len(self.keyframes) - WINDOW_KEYFRAMES
+        if first <= 0:
+            return None
+        variables = self.graph.variables()
+        recent = variables[variables.index(self.keyframes[first]) :]
+        window = {vid for vid in recent if not self.graph.is_fixed(vid)}
+        window.update(vid for vid in variables if vid.kind == VarKind.TRANSFORM)
+        steps = range(first, len(self.keyframes))
+        window.update(
+            vid for vid, rec in self.planes.items() if not rec.observers.isdisjoint(steps)
+        )
+        for records in (self.rooms, self.gammas):
+            window.update(vid for vid, rec in records.items() if not window.isdisjoint(rec.planes))
+        return window
 
     def _add_keyframe(self, step: SimStep) -> VariableId:
         if not self.keyframes:
@@ -483,20 +509,27 @@ class SGraph:
         """
         pose = Pose2.from_array(self.graph.value(keyframe))
         step_index = self.keyframes.index(keyframe)
+        # Plane values do not change during association; a plane created here
+        # enters with the (phi, d) it was created from.
+        vids = list(self.planes)
+        known = {
+            vid: (phi, d, axis_of_normal(math.cos(phi), math.sin(phi)))
+            for vid, (phi, d) in zip(vids, self.graph.values(vids).tolist())
+        }
         out = []
         for obs in observations:
-            vid = self._associate(pose, obs)
-            self._update_record(vid, pose, obs, step_index)
+            vid = self._associate(pose, obs, known)
+            self._update_record(vid, pose, obs, step_index, known[vid][0])
             out.append((obs, vid))
         return out
 
-    def _associate(self, pose: Pose2, obs: PlaneObservation) -> VariableId:
+    def _associate(self, pose: Pose2, obs: PlaneObservation, known: dict) -> VariableId:
+        """The known plane the observation joins, or a new plane added to ``known``."""
         phi_m, d_m = transform_phi_dist(pose, obs.phi, obs.dist)
         axis = axis_of_normal(math.cos(phi_m), math.sin(phi_m))
         best: tuple[float, int, VariableId] | None = None
-        for vid, rec in self.planes.items():
-            phi_p, d_p = self.graph.value(vid)
-            if axis_of_normal(math.cos(phi_p), math.sin(phi_p)) != axis:
+        for vid, (phi_p, d_p, axis_p) in known.items():
+            if axis_p != axis:
                 continue
             if abs(wrap_angle(phi_m - phi_p)) >= ASSOC_PHI_TOL:
                 continue
@@ -508,10 +541,13 @@ class SGraph:
                 best = key
         if best is not None:
             return best[2]
-        return self.graph.add_variable(VarKind.PLANE, [phi_m, d_m])
+        vid = self.graph.add_variable(VarKind.PLANE, [phi_m, d_m])
+        known[vid] = (phi_m, d_m, axis)
+        return vid
 
-    def _update_record(self, vid: VariableId, pose: Pose2, obs: PlaneObservation, step: int):
-        phi_p, _ = self.graph.value(vid)
+    def _update_record(
+        self, vid: VariableId, pose: Pose2, obs: PlaneObservation, step: int, phi_p: float
+    ):
         m_hat = np.array([-math.sin(phi_p), math.cos(phi_p)])
         # extent was measured along the body-frame in-plane direction; shifting
         # by the keyframe translation lands it in map coordinates.
@@ -529,8 +565,8 @@ class SGraph:
 
     def _plane_geometry(self):
         out = []
-        for vid in sorted(self.planes, key=lambda v: v.index):
-            phi, d = self.graph.value(vid)
+        vids = sorted(self.planes, key=lambda v: v.index)
+        for vid, (phi, d) in zip(vids, self.graph.values(vids).tolist()):
             n = np.array([math.cos(phi), math.sin(phi)])
             rec = self.planes[vid]
             out.append(
@@ -697,8 +733,7 @@ class SGraph:
 
     def _center_of(self, plane_vids) -> np.ndarray:
         center = np.zeros(2)
-        for vid in plane_vids:
-            phi, d = self.graph.value(vid)
+        for phi, d in self.graph.values(plane_vids).tolist():
             center += 0.5 * d * np.array([math.cos(phi), math.sin(phi)])
         return center
 

@@ -441,17 +441,147 @@ def test_optimize_scores_each_trial_step_once(monkeypatch):
 
     monkeypatch.setattr(FactorGraph, "total_cost", counted_cost)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    rejected = 0
+    rejected = windowed_rejected = 0
     for seed in range(10):
         g = _random_kind_graph(seed)
         for vid in g.variables():
             g.set_value(vid, g.value(vid) + 0.05)
+        windowed = FactorGraph.from_json(g.to_json())
         cost_calls = solves = 0
         report = g.optimize()
         assert cost_calls == 2 + solves
         rejected += solves - (len(report.cost_trace) - 1)
         assert report.final_cost == total_cost(g)
+
+        window = windowed.variables()[1::2]
+        cost_calls = solves = 0
+        report = windowed.optimize(window=window)
+        assert cost_calls == 2 + solves
+        windowed_rejected += solves - (len(report.cost_trace) - 1)
+        # The costs are those of the factors touching the window.
+        assert report.final_cost == report.cost_trace[-1]
+        touching = [fid for fid, f in windowed.factors().items() if set(f.variables) & set(window)]
+        assert report.final_cost == pytest.approx(
+            sum(windowed.chi2(fid) for fid in touching), rel=1e-12
+        )
     assert rejected > 0  # the count covers rejected trial steps too
+    assert windowed_rejected > 0
+
+
+def _merged_run_graph() -> FactorGraph:
+    """The final graph of a run that merged: fixed plan copies, a transform, alignment factors."""
+    plan, config, _ = load_scenario(fixture_dir() / "two_rooms.scenario.json")
+    result = run_pipeline(plan, config)
+    assert result.merged is not None
+    return result.sgraph.graph
+
+
+def test_window_of_every_variable_solves_like_the_full_graph():
+    graphs = [_random_kind_graph(seed) for seed in range(10)] + [_merged_run_graph()]
+    for g in graphs:
+        for vid in g.variables():
+            if not g.is_fixed(vid):
+                g.set_value(vid, g.value(vid) + 0.02)
+        doc = g.to_json()
+        full, windowed = FactorGraph.from_json(doc), FactorGraph.from_json(doc)
+        full_report = full.optimize()
+        report = windowed.optimize(window=windowed.variables())
+        assert windowed.to_json() == full.to_json()
+        assert dataclasses.asdict(report) == dataclasses.asdict(full_report)
+        assert windowed.total_cost() == full.total_cost()
+
+
+def _keyframe_chain(seed: int, n_keyframes: int = 24):
+    """A prior-anchored keyframe chain observing planes, as the estimator builds it."""
+    rng = np.random.default_rng(seed)
+    g = FactorGraph()
+    kf = g.add_variable(VarKind.KEYFRAME, [0.0, 0.0, 0.0])
+    g.add_factor(Factor(FactorKind.PRIOR, (kf,), [0.0, 0.0, 0.0]))
+    planes = [g.add_variable(VarKind.PLANE, [rng.uniform(-3, 3), rng.uniform(1, 5)])]
+    for _ in range(n_keyframes):
+        _append_keyframe(g, rng, planes)
+    for vid in g.variables():
+        g.set_value(vid, g.value(vid) + rng.normal(0, 0.02, len(g.value(vid))))
+    return g
+
+
+def test_window_holds_the_rest_and_evaluates_only_its_factors(monkeypatch):
+    for seed in range(5):
+        g = _keyframe_chain(seed)
+        keyframes = g.variables_of(VarKind.KEYFRAME)
+        window = set(keyframes[-5:])
+        window |= {
+            v for _, f in g.factors_of(FactorKind.POSE_PLANE) if f.variables[0] in window
+            for v in f.variables
+        }
+        before = {vid: g.value(vid) for vid in g.variables()}
+        touching = [f for f in g.factors().values() if set(f.variables) & window]
+        expected = {}
+        for f in touching:
+            key = (f.kind, tuple(v.kind for v in f.variables))
+            expected[key] = expected.get(key, 0) + 1
+
+        calls = []
+        for kind, spec in list(fg._FACTOR_SPECS.items()):
+            def recorded(kinds, vals, meas, kind=kind, kernel=spec.kernel):
+                calls.append(((kind, tuple(kinds)), len(meas)))
+                return kernel(kinds, vals, meas)
+
+            monkeypatch.setitem(fg._FACTOR_SPECS, kind, dataclasses.replace(spec, kernel=recorded))
+        report = g.optimize(15, window=window)
+        monkeypatch.undo()
+
+        # Each kernel run gets exactly its group's factors that touch the window.
+        assert calls and {key: m for key, m in calls} == expected
+        assert report.free_columns == sum(len(before[v]) for v in window)
+        moved = {vid for vid in before if not np.array_equal(g.value(vid), before[vid])}
+        assert moved and moved <= window
+        assert report.final_cost == pytest.approx(sum(
+            r @ f.information @ r for f in touching for r in [g.evaluate_residual(f)]
+        ), rel=1e-12)
+        # Once the solve returns, the cost covers the whole graph again.
+        assert g.total_cost() == pytest.approx(sum(g.chi2(fid) for fid in g.factors()), rel=1e-12)
+
+
+def test_values_reads_rows_of_one_dimension():
+    g = _random_kind_graph(2)
+    planes = g.variables_of(VarKind.PLANE)
+    assert np.array_equal(g.values(planes), np.array([g.value(v) for v in planes]))
+    assert g.values([]).shape == (0, 0)
+    with pytest.raises(GraphError):
+        g.values([planes[0], g.variables_of(VarKind.KEYFRAME)[0]])
+    with pytest.raises(GraphError):
+        g.values([VariableId(VarKind.PLANE, 99)])
+
+
+def test_information_check_is_memoized_but_still_rejects(monkeypatch):
+    fg._check_information.cache_clear()
+    g = FactorGraph()
+    k = g.add_variable(VarKind.KEYFRAME, [0, 0, 0])
+    good = np.diag([1.0, 2.0, 3.0])
+    first = Factor(FactorKind.PRIOR, (k,), [0, 0, 0], good)
+    # A valid matrix of the same shape seen first does not let bad ones through,
+    # and the same bad input fails every time.
+    for _ in range(2):
+        with pytest.raises(GraphError, match="symmetric"):
+            Factor(FactorKind.PRIOR, (k,), [0, 0, 0], good + np.triu(np.ones((3, 3)), 1))
+        with pytest.raises(GraphError, match="positive definite"):
+            Factor(FactorKind.PRIOR, (k,), [0, 0, 0], np.diag([1.0, -2.0, 3.0]))
+    # An equal matrix is checked once, and each factor keeps its own array.
+    checks = 0
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        nonlocal checks
+        checks += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    second = Factor(FactorKind.PRIOR, (k,), [0, 0, 0], good.copy())
+    assert checks == 0
+    assert second.information is not first.information
+    Factor(FactorKind.PRIOR, (k,), [0, 0, 0], np.diag([1.0, 2.0, 4.0]))
+    assert checks == 1
 
 
 def test_jacobians_empty_graph():

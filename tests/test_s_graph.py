@@ -8,13 +8,15 @@ from planloc.a_graph import wall_surfaces
 from planloc.factor_graph import FactorKind, VarKind
 from planloc.geometry import Pose2, transform_phi_dist, wrap_angle
 from planloc.metrics import compute_ape
-from planloc.plans import fixture_plan
+from planloc.plans import fixture_plan, generate_random_plan, route_waypoints
+from planloc.runner import run_estimator
 from planloc.s_graph import (
     EMPTY_MARGIN,
     OPPOSED_TOL,
     PAIR_OVERLAP_MIN,
     ROOM_GAP_MAX,
     ROOM_GAP_MIN,
+    WINDOW_KEYFRAMES,
     PlaneObservation,
     PlaneRecord,
     PlanSimulator,
@@ -134,6 +136,18 @@ def test_association_reuses_plane_and_allocates_new():
     assert n_pose_plane > 4 * 3
 
 
+def test_association_joins_a_plane_created_by_the_same_keyframe():
+    from planloc.s_graph import SimStep
+
+    sg = SGraph(Pose2.identity())
+    sg.add_step(SimStep(0, Pose2.identity(), Pose2.identity(), None, ()))
+    first = PlaneObservation(phi=0.0, dist=2.0, extent=(0.0, 1.0), surface_id="x")
+    second = PlaneObservation(phi=0.01, dist=2.05, extent=(0.5, 1.5), surface_id="x")
+    (_, a), (_, b) = sg.associate_planes(sg.keyframes[0], [first, second])
+    assert a == b and list(sg.planes) == [a]
+    assert sg.planes[a].extent == (0.0, 1.5)
+
+
 def test_association_tie_break_smallest_distance():
     from planloc.s_graph import PlaneRecord, SimStep
 
@@ -144,7 +158,7 @@ def test_association_tie_break_smallest_distance():
     sg.planes[p_far] = PlaneRecord(p_far, (0.0, 1.0))
     sg.planes[p_near] = PlaneRecord(p_near, (0.0, 1.0))
     obs = PlaneObservation(phi=0.0, dist=2.0, extent=(0.0, 1.0), surface_id="x")
-    vid = sg._associate(Pose2.identity(), obs)
+    [(_, vid)] = sg.associate_planes(sg.keyframes[0], [obs])
     assert vid == p_near  # |delta d| 0.1 beats 0.2
 
 
@@ -158,7 +172,7 @@ def test_association_polarity_distinguishes_wall_faces():
     sg.planes[stored] = PlaneRecord(stored, (0.0, 1.0))
     # observing the *other* face of the same wall from x>2.2: raw normal -x
     obs = PlaneObservation(phi=math.pi, dist=-2.2, extent=(0.0, 1.0), surface_id="y")
-    vid = sg._associate(Pose2.identity(), obs)
+    [(_, vid)] = sg.associate_planes(sg.keyframes[0], [obs])
     assert vid != stored
 
 
@@ -365,3 +379,39 @@ def test_update_determinism_full_graph():
     _, _, sg1 = simulate_sgraph("five_rooms")
     _, _, sg2 = simulate_sgraph("five_rooms")
     assert sg1.graph.to_json() == sg2.graph.to_json()
+
+
+# Largest number of state entries one keyframe's re-solve may move, however
+# long the run. Measured peaks on 12-room routes are 78-90 (85 on the rows16
+# bench route), against 420-470 free entries in the whole graph at the end.
+WINDOW_COLUMNS_BOUND = 120
+
+
+def test_update_solves_a_window_that_does_not_grow(monkeypatch):
+    for seed in (0, 1):
+        plan = generate_random_plan(12, seed)
+        config = SimConfig(waypoints=tuple(route_waypoints(plan)), seed=seed)
+        checked = []
+
+        def add_step(sg, step, _add_step=SGraph.add_step):
+            report = _add_step(sg, step)
+            graph = sg.graph
+            free = sum(len(graph.value(v)) for v in graph.variables() if not graph.is_fixed(v))
+            if free > 300:
+                checked.append(report.free_columns)
+                window = sg._window()
+                assert [v for v in sg.keyframes if v in window] == sg.keyframes[-WINDOW_KEYFRAMES:]
+                recent = set(range(len(sg.keyframes) - WINDOW_KEYFRAMES, len(sg.keyframes)))
+                for vid, rec in sg.planes.items():
+                    assert (vid in window) == bool(rec.observers & recent)
+                for vid, rec in [*sg.rooms.items(), *sg.gammas.items()]:
+                    assert (vid in window) == bool(window & set(rec.planes))
+            return report
+
+        monkeypatch.setattr(SGraph, "add_step", add_step)
+        _, sg = run_estimator(plan, config)
+        monkeypatch.undo()
+        assert len(checked) >= 20
+        assert max(checked) < WINDOW_COLUMNS_BOUND
+        # The final batch solve still moves the whole graph.
+        assert sg.last_report.free_columns > 300
