@@ -280,14 +280,19 @@ def _room_to_walls(kinds, vals, meas):
     # the pair-wise midpoint sum, i.e. the room center.
     m = len(meas)
     k = len(vals) - 1
+    planes = np.stack(vals[1:])  # (k, m, 2)
+    c, s = np.cos(planes[..., 0]), np.sin(planes[..., 0])
+    dk = planes[..., 1] / k
+    feet = dk[..., None] * np.stack([c, s], axis=-1)
     mid = np.zeros((m, 2))
-    jacs = [_eye(m, 2)]
-    for plane in vals[1:]:
-        phi, d = plane.T
-        c, s = np.cos(phi), np.sin(phi)
-        mid += (d / k)[:, None] * np.stack([c, s], axis=-1)
-        jacs.append(-(k / 2.0) * _stack(m, [[(d / k) * -s, c / k], [(d / k) * c, s / k]]))
-    return vals[0] - mid * (k / 2.0), jacs
+    for foot in feet:
+        mid += foot
+    jac = np.empty((k, m, 2, 2))
+    jac[..., 0, 0] = dk * -s
+    jac[..., 0, 1] = c / k
+    jac[..., 1, 0] = dk * c
+    jac[..., 1, 1] = s / k
+    return vals[0] - mid * (k / 2.0), [_eye(m, 2), *(-(k / 2.0) * jac)]
 
 
 def _wall_center(kinds, vals, meas):

@@ -85,6 +85,10 @@ class SimConfig:
             raise SimulationError("keyframe_spacing must be positive")
         if min(*self.odom_noise, *self.plane_noise) < 0:
             raise SimulationError("noise sigmas must be >= 0")
+        if not self.sensor_range > 0:
+            raise SimulationError("sensor_range must be positive")
+        if not self.doorway_gap >= 0:
+            raise SimulationError("doorway_gap must be >= 0")
 
     @staticmethod
     def from_dict(doc: dict) -> "SimConfig":
@@ -138,18 +142,28 @@ def _pairwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]
 
 
-def _segments_cross(p: np.ndarray, q: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+def _crossings(p, q, a, b) -> np.ndarray:
+    """Whether segment p->q properly crosses segment a->b, broadcast over leading axes.
+
+    Each of p, q, a, b has a last axis of 2. Touching or collinear segments do
+    not cross (the tests are strict).
+    """
     r = q - p
     e = b - a
-    d1 = r[0] * (a[1] - p[1]) - r[1] * (a[0] - p[0])
-    d2 = r[0] * (b[1] - p[1]) - r[1] * (b[0] - p[0])
-    d3 = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
-    d4 = e[0] * (q[1] - a[1]) - e[1] * (q[0] - a[0])
-    return d1 * d2 < 0 and d3 * d4 < 0
+    d1 = r[..., 0] * (a[..., 1] - p[..., 1]) - r[..., 1] * (a[..., 0] - p[..., 0])
+    d2 = r[..., 0] * (b[..., 1] - p[..., 1]) - r[..., 1] * (b[..., 0] - p[..., 0])
+    d3 = e[..., 0] * (p[..., 1] - a[..., 1]) - e[..., 1] * (p[..., 0] - a[..., 0])
+    d4 = e[..., 0] * (q[..., 1] - a[..., 1]) - e[..., 1] * (q[..., 0] - a[..., 0])
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
 
 
 class PlanSimulator:
-    """Deterministic waypoint-following robot with a synthetic plane sensor."""
+    """Deterministic waypoint-following robot with a synthetic plane sensor.
+
+    The sensor sees a wall surface through sample points spread along its
+    solid parts. The samples of all surfaces sit in one array, so each
+    keyframe tests them all in one numpy pass.
+    """
 
     def __init__(self, plan: FloorPlan, config: SimConfig):
         self.plan = plan
@@ -157,14 +171,9 @@ class PlanSimulator:
         self.surfaces: dict[str, WallSurface] = plan.surfaces
         self._rng = np.random.default_rng(config.seed)
         self._solid = self._solid_intervals()
-        self._blockers, blocker_wall = self._blocking_segments()
-        # Static sight geometry of each surface: its sample points and the
-        # blocking segments of every other wall.
-        self._samples = {sid: self._surface_samples(s) for sid, s in self.surfaces.items()}
-        self._other_blockers = {
-            w.id: self._blockers[np.array([owner != w.id for owner in blocker_wall], dtype=bool)]
-            for w in plan.walls
-        }
+        wall_index = {w.id: i for i, w in enumerate(plan.walls)}
+        self._blocking_segments(wall_index)
+        self._surface_samples(wall_index)
         self._gt_plan = self._sample_path()
         self._check_path_free()
         offset = config.map_offset or self._gt_plan[0]
@@ -198,13 +207,9 @@ class PlanSimulator:
         return poses
 
     def _check_path_free(self):
-        pts = [np.asarray(w, float) for w in self.config.waypoints]
-        for a, b in zip(pts[:-1], pts[1:]):
-            for blocker in self._blockers:
-                if _segments_cross(a, b, blocker[0], blocker[1]):
-                    raise SimulationError(
-                        "waypoint path exits plan free space (crosses a wall)"
-                    )
+        pts = np.asarray(self.config.waypoints, float)[:, None, :]
+        if _crossings(pts[:-1], pts[1:], self._blk_a, self._blk_b).any():
+            raise SimulationError("waypoint path exits plan free space (crosses a wall)")
 
     # -- occlusion geometry ---------------------------------------------------
 
@@ -237,12 +242,12 @@ class PlanSimulator:
             out[wall.id] = [(a0, a1) for a0, a1 in intervals if a1 - a0 > 1e-6]
         return out
 
-    def _blocking_segments(self) -> tuple[np.ndarray, list[str]]:
+    def _blocking_segments(self, wall_index: dict[str, int]):
+        """Endpoints ``_blk_a``/``_blk_b``, wall index and bounding box of every blocking face."""
         # Both faces of each solid slab block line of sight; using faces
         # instead of centerlines also hides surface slivers that are embedded
         # inside another wall's material at corner junctions.
-        segs = []
-        owners = []
+        starts, ends, owners = [], [], []
         for wall in self.plan.walls:
             a = np.asarray(wall.start, float)
             u = wall.direction()
@@ -250,72 +255,95 @@ class PlanSimulator:
             for lo, hi in self._solid[wall.id]:
                 for sign in (1.0, -1.0):
                     off = sign * (wall.thickness / 2.0) * nu
-                    segs.append((a + lo * u + off, a + hi * u + off))
-                    owners.append(wall.id)
-        return np.asarray(segs), owners
+                    starts.append(a + lo * u + off)
+                    ends.append(a + hi * u + off)
+                    owners.append(wall_index[wall.id])
+        self._blk_a = np.reshape(starts, (-1, 2))
+        self._blk_b = np.reshape(ends, (-1, 2))
+        self._blk_wall = np.array(owners, dtype=np.intp)
+        self._blk_lo = np.minimum(self._blk_a, self._blk_b)
+        self._blk_hi = np.maximum(self._blk_a, self._blk_b)
 
-    def _surface_samples(self, surface: WallSurface) -> np.ndarray:
-        wall = self.plan.wall(surface.wall_id)
-        a = np.asarray(wall.start, float)
-        u = wall.direction()
-        off = (wall.thickness / 2.0) * np.asarray(surface.face_normal)
-        pts = []
-        for lo, hi in self._solid[wall.id]:
-            span = hi - lo
-            n = max(2, int(span / 0.35) + 1)
-            for t in np.linspace(lo + 0.02, hi - 0.02, n):
-                pts.append(a + t * u + off)
-        return np.asarray(pts)
+    def _surface_samples(self, wall_index: dict[str, int]):
+        """Sample points of every surface, and the per-surface constants of its observation.
+
+        ``_sensed`` holds, in sorted surface-id order, each surface's id and
+        the (n_raw, d_raw, phi_raw, m_hat) of its observation. ``_points``
+        holds the samples of all surfaces, grouped by face normal and within
+        a group by surface; ``_pt_surface`` and ``_pt_wall`` give each
+        sample's surface (an index into ``_sensed``) and wall, and
+        ``_facing`` lists each face normal with the sample range of its group.
+        """
+        sids = sorted(self.surfaces)
+        self._sensed = []
+        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for i, sid in enumerate(sids):
+            face_n = np.asarray(self.surfaces[sid].face_normal)
+            n_raw = -face_n
+            d_raw = float(n_raw @ np.asarray(self.surfaces[sid].seg_start))
+            self._sensed.append((sid, n_raw, d_raw, math.atan2(n_raw[1], n_raw[0]), PERP @ n_raw))
+            groups.setdefault(face_n.tobytes(), (face_n, []))[1].append(i)
+        points, counts, surface_of, wall_of = [], [], [], []
+        self._facing = []
+        for face_n, group in groups.values():
+            first = sum(counts)
+            for i in group:
+                wall = self.plan.wall(self.surfaces[sids[i]].wall_id)
+                a = np.asarray(wall.start, float)
+                u = wall.direction()
+                off = (wall.thickness / 2.0) * face_n
+                for lo, hi in self._solid[wall.id]:
+                    t = np.linspace(lo + 0.02, hi - 0.02, max(2, int((hi - lo) / 0.35) + 1))
+                    points.append(a + t[:, None] * u + off)
+                    counts.append(len(t))
+                    surface_of.append(i)
+                    wall_of.append(wall_index[wall.id])
+            self._facing.append((face_n, first, sum(counts)))
+        self._points = np.concatenate(points) if points else np.empty((0, 2))
+        self._pt_surface = np.repeat(np.array(surface_of, dtype=np.intp), counts)
+        self._pt_wall = np.repeat(np.array(wall_of, dtype=np.intp), counts)
 
     # -- sensing --------------------------------------------------------------
 
-    def _visible_extent(self, surface: WallSurface, pose: Pose2) -> tuple[float, float] | None:
-        """Body-frame in-plane extent of the visible part of a surface, if any."""
-        p = pose.translation
-        face_n = np.asarray(surface.face_normal)
-        samples = self._samples[surface.id]
-        if len(samples) == 0:
-            return None
-        rel = samples - p
-        in_range = np.einsum("ij,ij->i", rel, rel) <= self.config.sensor_range**2
-        facing = rel @ face_n < 0  # robot on the side the face points to
-        cand = samples[in_range & facing]
+    def _visible(self, p: np.ndarray) -> np.ndarray:
+        """Indices, ascending, of the samples the sensor sees from position p."""
+        rel = self._points - p
+        keep = np.einsum("ij,ij->i", rel, rel) <= self.config.sensor_range**2
+        # The robot is on the side the face points to. One product per face
+        # normal gives each sample the bits of a product over its surface alone.
+        for face_n, lo, hi in self._facing:
+            keep[lo:hi] &= rel[lo:hi] @ face_n < 0
+        cand = np.flatnonzero(keep)
         if len(cand) == 0:
-            return None
-        blockers = self._other_blockers[surface.wall_id]
-        if len(blockers) > 0:
-            r = cand - p  # (S, 2)
-            ap = blockers[:, 0, :] - p  # (K, 2)
-            bp = blockers[:, 1, :] - p
-            d1 = r[:, None, 0] * ap[None, :, 1] - r[:, None, 1] * ap[None, :, 0]
-            d2 = r[:, None, 0] * bp[None, :, 1] - r[:, None, 1] * bp[None, :, 0]
-            e = blockers[:, 1, :] - blockers[:, 0, :]
-            pa = p[None, :] - blockers[:, 0, :]
-            d3 = e[:, 0] * pa[:, 1] - e[:, 1] * pa[:, 0]  # (K,)
-            qa = cand[:, None, :] - blockers[None, :, 0, :]
-            d4 = e[None, :, 0] * qa[:, :, 1] - e[None, :, 1] * qa[:, :, 0]
-            blocked = (d1 * d2 < 0) & (d3[None, :] * d4 < 0)
-            cand = cand[~blocked.any(axis=1)]
-        if len(cand) == 0:
-            return None
-        n_raw = -face_n
-        m_hat = PERP @ n_raw
-        coords = (cand - p) @ m_hat
-        return (float(coords.min()), float(coords.max()))
+            return cand
+        # A face that crosses a sight line meets the box spanned by p and the
+        # candidates; a face never hides the surfaces of its own wall.
+        q = self._points[cand]
+        lo = np.minimum(p, q.min(axis=0))
+        hi = np.maximum(p, q.max(axis=0))
+        near = np.flatnonzero(
+            np.all(self._blk_lo <= hi, axis=1) & np.all(self._blk_hi >= lo, axis=1)
+        )
+        blocked = _crossings(p, q[:, None, :], self._blk_a[near], self._blk_b[near])
+        blocked &= self._pt_wall[cand][:, None] != self._blk_wall[near]
+        return cand[~blocked.any(axis=1)]
 
     def _observe(self, pose: Pose2) -> list[PlaneObservation]:
+        p = pose.translation
+        seen = self._visible(p)
+        surface = self._pt_surface[seen]
+        starts = np.flatnonzero(np.diff(surface, prepend=-1)).tolist()
+        runs = sorted(zip(surface[starts].tolist(), starts, [*starts[1:], len(seen)]))
         obs = []
         sigma_phi, sigma_d = self.config.plane_noise
-        for sid in sorted(self.surfaces):
-            surface = self.surfaces[sid]
-            extent = self._visible_extent(surface, pose)
-            if extent is None:
-                continue
-            n_raw = -np.asarray(surface.face_normal)
-            d_raw = float(n_raw @ np.asarray(surface.seg_start))
-            phi_raw = math.atan2(n_raw[1], n_raw[0])
+        for i, lo, hi in runs:  # in sorted surface-id order
+            sid, n_raw, d_raw, phi_raw, m_hat = self._sensed[i]
+            # Body-frame in-plane extent of the visible samples. One product per
+            # surface: numpy rounds a stacked product differently from this one.
+            coords = (self._points[seen[lo:hi]] - p) @ m_hat
+            extent = (float(coords.min()), float(coords.max()))
             phi_b = wrap_angle(phi_raw - pose.theta)
-            d_b = d_raw - float(n_raw @ pose.translation)
+            d_b = d_raw - float(n_raw @ p)
             phi_b = wrap_angle(phi_b + sigma_phi * self._rng.standard_normal())
             d_b = d_b + sigma_d * self._rng.standard_normal()
             obs.append(PlaneObservation(phi_b, d_b, extent, sid))

@@ -126,6 +126,12 @@ def test_error_paths_exit_one(tmp_path, capsys):
     scenario.write_text(json.dumps({"plan": "fixture:two_rooms", "seed": 0}))
     assert main(["run", str(scenario), "-o", str(tmp_path / "run")]) == 1
     assert "error:" in capsys.readouterr().err
+    negative_range = tmp_path / "negative_range.scenario.json"
+    doc = json.loads(Path(fixture("two_rooms.scenario.json")).read_text())
+    negative_range.write_text(json.dumps({**doc, "plan": "fixture:two_rooms", "sensor_range": -6.0}))
+    assert main(["run", str(negative_range), "-o", str(tmp_path / "run_neg")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "sensor_range" in err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1

@@ -676,3 +676,33 @@ def test_deterministic_optimization():
     g1.optimize()
     g2.optimize()
     assert g1.to_json() == g2.to_json()
+
+
+def _room_to_walls_per_slot(vals, m):
+    """The room_to_walls kernel computed one plane slot at a time."""
+    k = len(vals) - 1
+    mid = np.zeros((m, 2))
+    jacs = [np.tile(np.eye(2), (m, 1, 1))]
+    for plane in vals[1:]:
+        phi, d = plane.T
+        c, s = np.cos(phi), np.sin(phi)
+        mid += (d / k)[:, None] * np.stack([c, s], axis=-1)
+        jac = np.empty((m, 2, 2))
+        jac[:, 0, 0], jac[:, 0, 1] = (d / k) * -s, c / k
+        jac[:, 1, 0], jac[:, 1, 1] = (d / k) * c, s / k
+        jacs.append(-(k / 2.0) * jac)
+    return vals[0] - mid * (k / 2.0), jacs
+
+
+def test_room_to_walls_kernel_matches_per_slot_reference_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for m in (1, 2, 7, 33):
+        for k in (2, 4):
+            vals = [rng.normal(0, 5, (m, 2))]
+            vals += [np.stack([rng.uniform(-4, 4, m), rng.uniform(0, 12, m)], axis=1) for _ in range(k)]
+            r, jacs = fg._room_to_walls(None, vals, np.zeros((m, 0)))
+            want_r, want_jacs = _room_to_walls_per_slot(vals, m)
+            assert np.array_equal(r, want_r)
+            assert len(jacs) == len(want_jacs)
+            for got, want in zip(jacs, want_jacs):
+                assert got.shape == want.shape and np.array_equal(got, want)

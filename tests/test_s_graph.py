@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import scenario_config, simulate_sgraph
-from planloc.a_graph import wall_surfaces
+from planloc.a_graph import plan_from_dict, wall_surfaces
 from planloc.factor_graph import FactorKind, VarKind
-from planloc.geometry import Pose2, transform_phi_dist, wrap_angle
+from planloc.geometry import PERP, Pose2, transform_phi_dist, wrap_angle
 from planloc.metrics import compute_ape
-from planloc.plans import fixture_plan, generate_random_plan, route_waypoints
+from planloc.plans import (
+    FIXTURE_PLANS,
+    fixture_plan,
+    fixture_scenarios,
+    generate_random_plan,
+    route_waypoints,
+    row_plan,
+)
 from planloc.runner import run_estimator
 from planloc.s_graph import (
     EMPTY_MARGIN,
@@ -33,6 +40,14 @@ def test_sim_config_validation():
         SimConfig(waypoints=((0, 0), (1, 0)), keyframe_spacing=0.0)
     with pytest.raises(SimulationError):
         SimConfig(waypoints=((0, 0), (1, 0)), odom_noise=(-0.1, 0.0))
+    for bad in (0.0, -6.0, math.nan):
+        with pytest.raises(SimulationError, match="sensor_range"):
+            SimConfig(waypoints=((0, 0), (1, 0)), sensor_range=bad)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(SimulationError, match="doorway_gap"):
+            SimConfig(waypoints=((0, 0), (1, 0)), doorway_gap=bad)
+    # a closed doorway is allowed
+    assert SimConfig(waypoints=((0, 0), (1, 0)), doorway_gap=0.0).doorway_gap == 0.0
 
 
 def test_path_through_wall_rejected():
@@ -126,6 +141,274 @@ def test_doorway_gap_lets_observations_through():
     first = next(sim.steps())
     seen = {o.surface_id for o in first.observations}
     assert "b_e:+" in seen  # visible through the doorway gap only
+
+
+# -- reference sensor: one surface at a time, the oracle of the batched one ---
+
+
+def _reference_segments_cross(p, q, a, b) -> bool:
+    r = q - p
+    e = b - a
+    d1 = r[0] * (a[1] - p[1]) - r[1] * (a[0] - p[0])
+    d2 = r[0] * (b[1] - p[1]) - r[1] * (b[0] - p[0])
+    d3 = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
+    d4 = e[0] * (q[1] - a[1]) - e[1] * (q[0] - a[0])
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
+class _ReferenceSensor:
+    """Visibility tested one surface at a time against the faces of every other wall."""
+
+    def __init__(self, sim: PlanSimulator):
+        self.sim = sim
+        segs, owners = [], []
+        for wall in sim.plan.walls:
+            a = np.asarray(wall.start, float)
+            u = wall.direction()
+            nu = PERP @ u
+            for lo, hi in sim._solid[wall.id]:
+                for sign in (1.0, -1.0):
+                    off = sign * (wall.thickness / 2.0) * nu
+                    segs.append((a + lo * u + off, a + hi * u + off))
+                    owners.append(wall.id)
+        self.blockers = np.asarray(segs)
+        self.samples = {}
+        for sid, surface in sim.surfaces.items():
+            wall = sim.plan.wall(surface.wall_id)
+            a = np.asarray(wall.start, float)
+            u = wall.direction()
+            off = (wall.thickness / 2.0) * np.asarray(surface.face_normal)
+            pts = []
+            for lo, hi in sim._solid[wall.id]:
+                n = max(2, int((hi - lo) / 0.35) + 1)
+                for t in np.linspace(lo + 0.02, hi - 0.02, n):
+                    pts.append(a + t * u + off)
+            self.samples[sid] = np.asarray(pts)
+        self.other_blockers = {
+            w.id: self.blockers[np.array([o != w.id for o in owners], dtype=bool)]
+            for w in sim.plan.walls
+        }
+
+    def path_crosses(self, waypoints) -> bool:
+        pts = [np.asarray(w, float) for w in waypoints]
+        return any(
+            _reference_segments_cross(a, b, blk[0], blk[1])
+            for a, b in zip(pts[:-1], pts[1:])
+            for blk in self.blockers
+        )
+
+    def visible_extent(self, surface, pose):
+        p = pose.translation
+        face_n = np.asarray(surface.face_normal)
+        samples = self.samples[surface.id]
+        if len(samples) == 0:
+            return None
+        rel = samples - p
+        in_range = np.einsum("ij,ij->i", rel, rel) <= self.sim.config.sensor_range**2
+        facing = rel @ face_n < 0
+        cand = samples[in_range & facing]
+        if len(cand) == 0:
+            return None
+        blockers = self.other_blockers[surface.wall_id]
+        if len(blockers) > 0:
+            r = cand - p
+            ap = blockers[:, 0, :] - p
+            bp = blockers[:, 1, :] - p
+            d1 = r[:, None, 0] * ap[None, :, 1] - r[:, None, 1] * ap[None, :, 0]
+            d2 = r[:, None, 0] * bp[None, :, 1] - r[:, None, 1] * bp[None, :, 0]
+            e = blockers[:, 1, :] - blockers[:, 0, :]
+            pa = p[None, :] - blockers[:, 0, :]
+            d3 = e[:, 0] * pa[:, 1] - e[:, 1] * pa[:, 0]
+            qa = cand[:, None, :] - blockers[None, :, 0, :]
+            d4 = e[None, :, 0] * qa[:, :, 1] - e[None, :, 1] * qa[:, :, 0]
+            blocked = (d1 * d2 < 0) & (d3[None, :] * d4 < 0)
+            cand = cand[~blocked.any(axis=1)]
+        if len(cand) == 0:
+            return None
+        n_raw = -face_n
+        m_hat = PERP @ n_raw
+        coords = (cand - p) @ m_hat
+        return (float(coords.min()), float(coords.max()))
+
+    def extents(self, pose):
+        out = []
+        for sid in sorted(self.sim.surfaces):
+            extent = self.visible_extent(self.sim.surfaces[sid], pose)
+            if extent is not None:
+                out.append((sid, extent))
+        return out
+
+    def steps(self):
+        """The stream of the per-surface simulator, from a fresh generator of the same seed."""
+        sim = self.sim
+        rng = np.random.default_rng(sim.config.seed)
+        sigma_xy, sigma_theta = sim.config.odom_noise
+        sigma_phi, sigma_d = sim.config.plane_noise
+        out, prev = [], None
+        for k, gt in enumerate(sim._gt_plan):
+            odometry = None
+            if prev is not None:
+                rel = gt.relative_to(prev)
+                noise = rng.standard_normal(3)
+                odometry = Pose2(
+                    rel.x + sigma_xy * noise[0],
+                    rel.y + sigma_xy * noise[1],
+                    rel.theta + sigma_theta * noise[2],
+                )
+            obs = []
+            for sid, extent in self.extents(gt):
+                surface = sim.surfaces[sid]
+                n_raw = -np.asarray(surface.face_normal)
+                d_raw = float(n_raw @ np.asarray(surface.seg_start))
+                phi_raw = math.atan2(n_raw[1], n_raw[0])
+                phi_b = wrap_angle(phi_raw - gt.theta)
+                d_b = d_raw - float(n_raw @ gt.translation)
+                phi_b = wrap_angle(phi_b + sigma_phi * rng.standard_normal())
+                d_b = d_b + sigma_d * rng.standard_normal()
+                obs.append(PlaneObservation(phi_b, d_b, extent, sid))
+            out.append((k, odometry, tuple(obs)))
+            prev = gt
+        return out
+
+
+def _rotated(name: str, angle: float):
+    """A bundled plan and scenario turned about the origin, so no wall is axis-aligned."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def turn(pt):
+        return [c * pt[0] - s * pt[1], s * pt[0] + c * pt[1]]
+
+    doc = FIXTURE_PLANS[name]()
+    doc["walls"] = [{**w, "start": turn(w["start"]), "end": turn(w["end"])} for w in doc["walls"]]
+    doc["doorways"] = [{**d, "position": turn(d["position"])} for d in doc["doorways"]]
+    waypoints = [turn(p) for p in fixture_scenarios()[name]["waypoints"]]
+    return plan_from_dict(doc), scenario_config(name, waypoints=waypoints)
+
+
+def _sensor_cases():
+    for name in sorted(fixture_scenarios()):
+        yield name, fixture_plan(name), scenario_config(name)
+    for n in (8, 12, 16):
+        for seed in (0, 1):
+            plan = generate_random_plan(n, seed)
+            yield f"rows{n}/{seed}", plan, SimConfig(tuple(route_waypoints(plan)), seed=seed)
+    plan = plan_from_dict(row_plan([3.0] * 8, [4.0] * 8, [0.5 + 0.5 * k for k in range(8)]))
+    yield "sym_rows8", plan, SimConfig(tuple(route_waypoints(plan)), seed=1000)
+    # Off-axis walls: a dot product computed in another order than the
+    # per-surface one differs in the last bit here, unlike on axis-aligned walls.
+    for name, angle in (("two_rooms", 0.05), ("five_rooms", -0.04)):
+        yield f"{name}@{angle}", *_rotated(name, angle)
+
+
+def test_sensor_streams_match_per_surface_reference():
+    for name, plan, config in _sensor_cases():
+        sim = PlanSimulator(plan, config)
+        got = [(s.index, s.odometry, s.observations) for s in sim.steps()]
+        assert got == _ReferenceSensor(sim).steps(), name
+
+
+def test_sensor_matches_reference_at_the_range_edge():
+    # Poses from which one sample lies at exactly sensor_range.
+    plan = fixture_plan("two_rooms")
+    samples = _ReferenceSensor(PlanSimulator(plan, scenario_config("two_rooms"))).samples
+    sids = sorted(samples)
+    rng = np.random.default_rng(7)
+    checked = on_edge = 0
+    while checked < 60:
+        sid = sids[rng.integers(len(sids))]
+        q = samples[sid][rng.integers(len(samples[sid]))]
+        # in front of the sample's face
+        angle = math.atan2(*plan.surfaces[sid].face_normal[::-1]) + rng.uniform(-1.2, 1.2)
+        p = q + rng.uniform(0.5, 5.0) * np.array([math.cos(angle), math.sin(angle)])
+        pose = Pose2(p[0], p[1], rng.uniform(-3, 3))
+        rel = (q - pose.translation)[None, :]
+        d2 = float(np.einsum("ij,ij->i", rel, rel)[0])
+        edge = math.sqrt(d2)
+        edge = next((r for r in (edge, *np.nextafter(edge, [0.0, 99.0])) if r**2 == d2), None)
+        if edge is None:
+            continue
+        refs = []
+        for sensor_range in (float(edge), float(np.nextafter(edge, 0.0))):
+            sim = PlanSimulator(plan, scenario_config("two_rooms", sensor_range=sensor_range))
+            ref = _ReferenceSensor(sim)
+            assert [(o.surface_id, o.extent) for o in sim._observe(pose)] == ref.extents(pose)
+            refs.append(ref.extents(pose))
+        checked += 1
+        on_edge += refs[0] != refs[1]  # the sample at the edge is seen
+    assert on_edge >= 10
+
+
+def test_sensor_matches_reference_on_rays_through_face_endpoints():
+    plan = fixture_plan("five_rooms")
+    sim = PlanSimulator(plan, scenario_config("five_rooms", sensor_range=12.0))
+    ref = _ReferenceSensor(sim)
+    rng = np.random.default_rng(3)
+    samples = np.concatenate(list(ref.samples.values()))
+    grazed = 0
+    for _ in range(300):
+        # the robot stands on the line through a sample and a face endpoint
+        q = samples[rng.integers(len(samples))]
+        end = ref.blockers[rng.integers(len(ref.blockers)), rng.integers(2)]
+        p = end + rng.choice([0.25, 0.5, 1.0, 2.0]) * (end - q)
+        pose = Pose2(p[0], p[1], 0.0)
+        got = [(o.surface_id, o.extent) for o in sim._observe(pose)]
+        want = ref.extents(pose)
+        assert got == want
+        grazed += got != []
+    assert grazed > 100
+
+
+def test_sensor_matches_reference_on_off_axis_face_lines():
+    # On the line of a face, whether the robot is in front of each sample is
+    # decided by the rounding of one dot product per sample.
+    plan, config = _rotated("two_rooms", 0.05)
+    sim = PlanSimulator(plan, config)
+    ref = _ReferenceSensor(sim)
+    rng = np.random.default_rng(5)
+    sids = sorted(ref.samples)
+    for _ in range(200):
+        pts = ref.samples[sids[rng.integers(len(sids))]]
+        i, j = rng.choice(len(pts), 2, replace=False)
+        p = pts[i] + rng.uniform(-3.0, 3.0) * (pts[j] - pts[i])
+        pose = Pose2(p[0], p[1], 0.0)
+        assert [(o.surface_id, o.extent) for o in sim._observe(pose)] == ref.extents(pose)
+
+
+def test_path_check_matches_reference():
+    raised = touching = 0
+    for name in ("two_rooms", "five_rooms"):
+        sim = PlanSimulator(fixture_plan(name), scenario_config(name))
+        ref = _ReferenceSensor(sim)
+        ends = ref.blockers.reshape(-1, 2)
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
+        rng = np.random.default_rng(11)
+
+        def steps(start, n):
+            angle = rng.uniform(-math.pi, math.pi, n)
+            step = rng.uniform(0.05, 3.0, n)[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+            return np.cumsum(np.vstack([start, step]), axis=0)
+
+        for i in range(300):
+            kind = i % 3
+            a, b = ref.blockers[rng.integers(len(ref.blockers))]
+            if kind == 0:  # free polylines
+                waypoints = steps(rng.uniform(lo, hi), rng.integers(1, 4))
+            elif kind == 1:  # starts on a face or at a face endpoint
+                waypoints = steps(a + rng.choice([0.0, 0.25, 0.5, 1.0]) * (b - a), 1)
+            else:  # runs along a face, inside it or past its ends
+                t = rng.choice([[0.1, 0.9], [0.0, 1.0], [-0.5, 1.5]])
+                waypoints = a + np.asarray(t)[:, None] * (b - a)
+            sim.config = SimConfig(waypoints=tuple(map(tuple, waypoints)))
+            want = ref.path_crosses(waypoints)
+            if want:
+                with pytest.raises(SimulationError, match="free space"):
+                    sim._check_path_free()
+            else:
+                sim._check_path_free()
+            raised += want
+            touching += kind > 0 and not want
+    assert 100 < raised < 500
+    assert touching > 100
 
 
 def test_association_reuses_plane_and_allocates_new():
