@@ -23,6 +23,7 @@ import numpy as np
 
 from .factor_graph import Factor, FactorGraph, FactorKind, VariableId, VarKind
 from .geometry import PERP, Axis, axis_of_normal
+from .matcher import RoomEntry, room_entries
 
 ROOM_SIDES = ("px", "mx", "py", "my")
 
@@ -312,6 +313,11 @@ class AGraph:
     graph: FactorGraph
     plane_ids: dict[str, VariableId]  # surface id -> plane variable
     room_ids: dict[str, VariableId]
+
+    @cached_property
+    def rooms(self) -> list[RoomEntry]:
+        """The matcher's view of the plan's four-wall rooms; the plan is constant, so read once."""
+        return room_entries(self.graph)
 
     def surface_of_plane(self, vid: VariableId) -> str:
         for sid, pid in self.plane_ids.items():

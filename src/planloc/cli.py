@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .a_graph import build_a_graph, load_plan
-from .matcher import match
+from .matcher import match, room_entries
 from .factor_graph import FactorGraph
 from .plans import generate_random_plan, write_fixtures
 from .runner import _write_trajectory, evaluate_run_dir, load_scenario, run_estimator, run_scenario
@@ -50,7 +50,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_match(args) -> int:
     a_graph = FactorGraph.from_json(Path(args.agraph).read_text())
     s_graph = FactorGraph.from_json(Path(args.sgraph).read_text())
-    result = match(a_graph, s_graph)
+    result = match(room_entries(a_graph), room_entries(s_graph))
     text = result.to_json(indent=2)
     if args.output:
         Path(args.output).write_text(text + "\n")

@@ -222,7 +222,7 @@ class SolveReport:
 
 
 def _eye(m: int, dim: int) -> np.ndarray:
-    return np.tile(np.eye(dim), (m, 1, 1))
+    return np.eye(dim)[None].repeat(m, axis=0)
 
 
 def _stack(m: int, rows) -> np.ndarray:

@@ -134,26 +134,60 @@ def transform_phi_dist(pose: Pose2, phi: float, dist: float) -> tuple[float, flo
     return phi_t, d_t
 
 
-def estimate_transform_closed_form(pairs) -> Pose2:
-    """Least-squares rigid 2D transform (no scale) from (source, target) point pairs.
+def fit_rigid_transforms(src, dst) -> tuple[list[Pose2], np.ndarray]:
+    """Least-squares rigid 2D transforms (no scale) of C stacks of point pairs at once.
 
-    Solves min_T sum ||target_i - T(source_i)||^2. In 2D the optimal angle is
+    ``dst`` is (C, n, 2); ``src`` is (C, n, 2), or (n, 2) when every stack
+    shares its source points. Stack c solves
+    min_T sum_i ||dst[c, i] - T(src[c, i])||^2: in 2D the optimal angle is
     atan2 of the summed cross and dot products of the centered pairs, and the
     translation carries the rotated source centroid onto the target one.
+    Returns the C transforms and the RMS residual of each. The angle, its
+    cosine and its sine are ``math`` calls per stack, since numpy's
+    elementwise forms can differ from them in the last bit; the array steps
+    round as they do for a single stack, so a stack's fit does not depend on
+    the stacks it is batched with.
+    """
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if dst.ndim != 3 or dst.shape[2] != 2 or src.shape not in (dst.shape, dst.shape[1:]):
+        raise GeometryError("pairs must be (source, target) 2D points")
+    if dst.shape[1] < 2:
+        raise GeometryError("need at least 2 point pairs to estimate a rigid transform")
+    spread = np.max(np.abs(src - src[..., :1, :]), axis=(-2, -1))
+    if np.any(spread < 1e-12):
+        raise GeometryError("source points are coincident; transform is underdetermined")
+    cs = src.mean(axis=-2)
+    cd = dst.mean(axis=-2)
+    # h[c, i, j] = sum of a_i * b_j over the centered pairs of stack c
+    h = np.swapaxes(src - cs[..., None, :], -1, -2) @ (dst - cd[:, None, :])
+    thetas = list(map(math.atan2, (h[:, 0, 1] - h[:, 1, 0]).tolist(),
+                      (h[:, 0, 0] + h[:, 1, 1]).tolist()))
+    trans = cd - (_rotations(thetas) @ cs[..., None])[..., 0]
+    poses = [Pose2(x, y, theta) for (x, y), theta in zip(trans.tolist(), thetas)]
+    # the residual is taken under the poses as stored, heading wrapped
+    rot = _rotations([pose.theta for pose in poses])
+    rho = src @ np.swapaxes(rot, -1, -2) + trans[:, None, :] - dst
+    return poses, np.sqrt(np.mean(np.sum(rho**2, axis=-1), axis=-1))
+
+
+def _rotations(thetas: list[float]) -> np.ndarray:
+    """(C, 2, 2) stack of rotation2(theta), one per angle."""
+    rot = np.empty((len(thetas), 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = list(map(math.cos, thetas))
+    rot[:, 1, 0] = list(map(math.sin, thetas))
+    rot[:, 0, 1] = -rot[:, 1, 0]
+    return rot
+
+
+def estimate_transform_closed_form(pairs) -> Pose2:
+    """Least-squares rigid 2D transform from (source, target) point pairs.
+
+    One stack of :func:`fit_rigid_transforms`.
     """
     pairs = list(pairs)
     if len(pairs) < 2:
         raise GeometryError("need at least 2 point pairs to estimate a rigid transform")
     src = np.asarray([p[0] for p in pairs], dtype=float)
     dst = np.asarray([p[1] for p in pairs], dtype=float)
-    if src.shape != dst.shape or src.shape[1] != 2:
-        raise GeometryError("pairs must be (source, target) 2D points")
-    spread = np.max(np.abs(src - src[0]))
-    if spread < 1e-12:
-        raise GeometryError("source points are coincident; transform is underdetermined")
-    cs = src.mean(axis=0)
-    cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)  # h[i, j] = sum of a_i * b_j over the centered pairs
-    theta = math.atan2(h[0, 1] - h[1, 0], h[0, 0] + h[1, 1])
-    trans = cd - rotation2(theta) @ cs
-    return Pose2(trans[0], trans[1], theta)
+    return fit_rigid_transforms(src, dst[None])[0][0]

@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind, plane_to_plane
-from .geometry import GeometryError, Pose2, axis_of_normal, estimate_transform_closed_form
+from .geometry import GeometryError, Pose2, axis_of_normal, fit_rigid_transforms
 
 # Up to this many observed rooms the room-level search keeps every partial
 # assignment; beyond it, only the BEAM_WIDTH best by room-dimension mismatch.
@@ -84,29 +85,43 @@ class RoomEntry:
         return tuple(sorted((_pair_gap(self.planes[0], self.planes[1]),
                              _pair_gap(self.planes[2], self.planes[3]))))
 
+    @cached_property
+    def side_roles(self) -> dict[tuple[str, int], PlaneEntry]:
+        """Side roles of the four planes in the room's own frame; see ``_side_roles``."""
+        return _side_roles(self, None)
+
 
 def _pair_gap(a: PlaneEntry, b: PlaneEntry) -> float:
     n = a.normal
     return abs(float((a.foot - b.foot) @ n))
 
 
-def room_entry(graph: FactorGraph, room: VariableId, planes) -> RoomEntry:
-    """View of one four-wall room, its four planes in factor order, at the graph's values."""
-    plane_entries = []
-    for vid in planes:
-        phi, d = graph.value(vid)
-        plane_entries.append(PlaneEntry(vid, float(phi), float(d)))
-    cx, cy = graph.value(room)
-    return RoomEntry(room, (float(cx), float(cy)), tuple(plane_entries))
+def read_room_entries(graph: FactorGraph, rooms) -> list[RoomEntry]:
+    """Room views of (room, plane, plane, plane, plane) variables at the graph's values.
+
+    Rooms and planes are both 2-vectors, so all values come in one gather.
+    """
+    rooms = list(rooms)
+    values = iter(graph.values([vid for vids in rooms for vid in vids]).tolist())
+    out = []
+    for room, *planes in rooms:
+        cx, cy = next(values)
+        out.append(
+            RoomEntry(room, (cx, cy), tuple(PlaneEntry(vid, *next(values)) for vid in planes))
+        )
+    return out
 
 
 def room_entries(graph: FactorGraph) -> list[RoomEntry]:
     """Four-wall room views (center, plane pairs) read off a graph snapshot."""
-    return [
-        room_entry(graph, factor.variables[0], factor.variables[1:])
-        for _, factor in graph.factors_of(FactorKind.ROOM_TO_WALLS)
-        if factor.variables[0].kind == VarKind.ROOM and len(factor.variables) == 5
-    ]
+    return read_room_entries(
+        graph,
+        (
+            factor.variables
+            for _, factor in graph.factors_of(FactorKind.ROOM_TO_WALLS)
+            if factor.variables[0].kind == VarKind.ROOM and len(factor.variables) == 5
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -116,8 +131,10 @@ class MatchPair:
     level: str  # "room" | "wall_surface"
 
     def key(self):
-        return (self.level, self.a_node.kind.value, self.a_node.index,
-                self.s_node.kind.value, self.s_node.index)
+        # a member's stored _value_ reads like an attribute; Enum.value is a
+        # descriptor call, and keys are built for every wall pair
+        return (self.level, self.a_node.kind._value_, self.a_node.index,
+                self.s_node.kind._value_, self.s_node.index)
 
 
 @dataclass
@@ -125,6 +142,9 @@ class MatchCandidate:
     pairs: tuple[MatchPair, ...]
     affinity: float
     transform_hint: Pose2
+    # RMS room-center residual under transform_hint, kept from the room-level
+    # fit so that scoring does not fit the same room pairs again
+    e_rho: float = 0.0
 
     @property
     def room_pairs(self) -> tuple[MatchPair, ...]:
@@ -134,8 +154,20 @@ class MatchCandidate:
     def wall_pairs(self) -> tuple[MatchPair, ...]:
         return tuple(p for p in self.pairs if p.level == "wall_surface")
 
-    def sort_key(self):
-        return (-self.affinity, tuple(p.key() for p in self.pairs))
+
+def _ranked(cands: list[MatchCandidate]) -> list[MatchCandidate]:
+    """Best affinity first; candidates of exactly equal affinity in pair-key order.
+
+    The same order as sorting on (-affinity, pair keys), without building the
+    keys of candidates that do not tie.
+    """
+    out: list[MatchCandidate] = []
+    for _, tied in groupby(sorted(cands, key=lambda c: -c.affinity), key=lambda c: c.affinity):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda c: tuple(p.key() for p in c.pairs))
+        out += tied
+    return out
 
 
 @dataclass
@@ -174,33 +206,6 @@ def _dims_compatible(a: RoomEntry, s: RoomEntry) -> bool:
     return abs(da[0] - ds[0]) <= DIM_TOL and abs(da[1] - ds[1]) <= DIM_TOL
 
 
-def _center_fit(pts) -> tuple[Pose2, float] | None:
-    """Closed-form alignment of (S-room, A-room) center pairs and its RMS residual.
-
-    None when the alignment is degenerate.
-    """
-    try:
-        hint = estimate_transform_closed_form(pts)
-    except GeometryError:
-        return None
-    s_pts, a_pts = np.array(pts, dtype=float).transpose(1, 0, 2)
-    rho = s_pts @ hint.rotation().T + hint.translation - a_pts
-    return hint, math.sqrt(float(np.mean(np.sum(rho**2, axis=1))))
-
-
-def _room_level_candidate(assignment: list[tuple[RoomEntry, RoomEntry]]) -> MatchCandidate | None:
-    fit = _center_fit([(s.center, a.center) for a, s in assignment])
-    if fit is None:
-        return None
-    hint, e_rho = fit
-    affinity = math.exp(-e_rho / RHO_SCALE)
-    pairs = tuple(
-        MatchPair(a.vid, s.vid, "room")
-        for a, s in sorted(assignment, key=lambda t: t[1].vid.index)
-    )
-    return MatchCandidate(pairs, affinity, hint)
-
-
 def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> list[MatchCandidate]:
     """Room-level candidates: injective S->A assignments passing the geometric gates.
 
@@ -209,47 +214,51 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     the plan rooms chosen so far match the observed ones. Up to
     ``EXHAUSTIVE_MAX_ROOMS`` observed rooms every partial assignment is kept,
     so the result is the full enumeration; beyond it each level keeps the
-    ``BEAM_WIDTH`` partials of least summed dimension mismatch. Candidates
-    below the room-level affinity floor are dropped; output is sorted best
-    first.
+    ``BEAM_WIDTH`` partials of least summed dimension mismatch. Each level
+    grows all partials at once, and one batched fit aligns all full
+    assignments. Candidates below the room-level affinity floor are dropped;
+    output is sorted best first.
     """
     if len(s_rooms) < 2 or not a_rooms:
         return []
     s_rooms = sorted(s_rooms, key=lambda r: r.vid.index)
     bounded = len(s_rooms) > EXHAUSTIVE_MAX_ROOMS
-    a_dist = [[math.dist(a.center, b.center) for b in a_rooms] for a in a_rooms]
-    # partials[j][k] is the index into a_rooms of the plan room given to s_rooms[k]
-    partials: list[tuple[int, ...]] = [()]
+    plan_index = np.arange(len(a_rooms))
+    a_dims = np.array([a.dims for a in a_rooms])
+    a_dist = np.array([[math.dist(a.center, b.center) for b in a_rooms] for a in a_rooms])
+    # partials[j, k] is the index into a_rooms of the plan room given to
+    # s_rooms[k]; np.nonzero walks the (partial, plan room) masks in the
+    # order of a loop over partials, then plan rooms
+    partials = np.zeros((1, 0), dtype=np.intp)
+    mismatch = np.zeros(1)  # summed dimension mismatch of each partial
     for level, s in enumerate(s_rooms):
-        s_dist = [math.dist(ps.center, s.center) for ps in s_rooms[:level]]
-        compat = [i for i, a in enumerate(a_rooms) if _dims_compatible(a, s)]
-        grown = [
-            partial + (i,)
-            for partial in partials
-            for i in compat
-            if i not in partial
-            and all(
-                abs(a_dist[pi][i] - ds) <= DIST_TOL
-                for pi, ds in zip(partial, s_dist)
-            )
-        ]
+        grow = np.tile(np.all(np.abs(a_dims - s.dims) <= DIM_TOL, axis=1), (len(partials), 1))
+        for k, ps in enumerate(s_rooms[:level]):
+            grow &= plan_index != partials[:, k, None]
+            grow &= np.abs(a_dist[partials[:, k]] - math.dist(ps.center, s.center)) <= DIST_TOL
+        rows, cols = np.nonzero(grow)
+        partials = np.column_stack([partials[rows], cols])
         if bounded:
-            grown.sort(
-                key=lambda p: sum(
-                    math.dist(a_rooms[i].dims, s_rooms[k].dims) for k, i in enumerate(p)
-                )
-            )
-            grown = grown[:BEAM_WIDTH]
-        partials = grown
-
+            step = np.array([math.dist(a.dims, s.dims) for a in a_rooms])
+            mismatch = mismatch[rows] + step[cols]
+            keep = np.argsort(mismatch, kind="stable")[:BEAM_WIDTH]
+            partials, mismatch = partials[keep], mismatch[keep]
+    if not len(partials):
+        return []
+    a_centers = np.array([a.center for a in a_rooms])
+    try:
+        hints, e_rhos = fit_rigid_transforms([s.center for s in s_rooms], a_centers[partials])
+    except GeometryError:  # the observed centers coincide: no assignment aligns
+        return []
     candidates = []
-    for partial in partials:
-        assignment = [(a_rooms[i], s) for i, s in zip(partial, s_rooms)]
-        cand = _room_level_candidate(assignment)
-        if cand is not None and cand.affinity >= ROOM_AFFINITY_MIN:
-            candidates.append(cand)
-    candidates.sort(key=MatchCandidate.sort_key)
-    return candidates
+    for partial, hint, e_rho in zip(partials.tolist(), hints, e_rhos.tolist()):
+        affinity = math.exp(-e_rho / RHO_SCALE)
+        if affinity >= ROOM_AFFINITY_MIN:
+            pairs = tuple(
+                MatchPair(a_rooms[i].vid, s.vid, "room") for i, s in zip(partial, s_rooms)
+            )
+            candidates.append(MatchCandidate(pairs, affinity, hint, e_rho))
+    return _ranked(candidates)
 
 
 def _side_roles(
@@ -259,26 +268,20 @@ def _side_roles(
 
     Roles are evaluated in the plan frame: the optional transform maps the
     room's geometry there first, which keeps the pairing meaningful under an
-    arbitrary map-to-plan rotation.
+    arbitrary map-to-plan rotation. The axis is that of the turned normal,
+    and the side is the sign of the turned foot-minus-center offset along it.
     """
     if len(room.planes) != 4:
         raise RoomStructureError(f"room {room.vid} has {len(room.planes)} planes, need 4")
-    if to_plan is None:
-        rot = np.eye(2)
-        center = np.asarray(room.center)
-    else:
-        rot = to_plan.rotation()
-        center = to_plan.transform_point(room.center)
+    c, s = (1.0, 0.0) if to_plan is None else (math.cos(to_plan.theta), math.sin(to_plan.theta))
+    cx, cy = room.center
     roles: dict[tuple[str, int], PlaneEntry] = {}
     for plane in room.planes:
-        n = rot @ plane.normal
-        foot = rot @ plane.foot + (
-            np.zeros(2) if to_plan is None else to_plan.translation
-        )
-        axis = axis_of_normal(n[0], n[1])
-        comp = 0 if axis.value == "x" else 1
-        side = 1 if foot[comp] - center[comp] >= 0 else -1
-        role = (axis.value, side)
+        nx, ny = math.cos(plane.phi), math.sin(plane.phi)
+        ox, oy = plane.d * nx - cx, plane.d * ny - cy
+        axis = axis_of_normal(c * nx - s * ny, s * nx + c * ny).value
+        offset = c * ox - s * oy if axis == "x" else s * ox + c * oy
+        role = (axis, 1 if offset >= 0 else -1)
         if role in roles:
             raise WallPairingError(
                 f"room {room.vid}: two planes land on the same side role {role}"
@@ -298,9 +301,9 @@ def propose_wall_pairs(
     """Match a room pair's four wall surfaces by side role; exactly 4 or raise."""
     a_room = a_rooms_by_vid[room_pair.a_node]
     s_room = s_rooms_by_vid[room_pair.s_node]
-    a_roles = _side_roles(a_room, None)
-    s_roles = _side_roles(s_room, hint)
-    if set(a_roles) != set(s_roles):
+    a_roles = a_room.side_roles
+    s_roles = s_room.side_roles if hint is None else _side_roles(s_room, hint)
+    if a_roles.keys() != s_roles.keys():
         raise WallPairingError(
             f"rooms {a_room.vid} / {s_room.vid}: side roles do not line up"
         )
@@ -339,7 +342,7 @@ def combine_bottom_up(
         pairs = cand.room_pairs + tuple(
             unique[k] for k in sorted(unique)
         )
-        out.append(MatchCandidate(pairs, cand.affinity, cand.transform_hint))
+        out.append(MatchCandidate(pairs, cand.affinity, cand.transform_hint, cand.e_rho))
     return out
 
 
@@ -347,40 +350,40 @@ def score_candidate(
     cand: MatchCandidate,
     a_rooms_by_vid: dict[VariableId, RoomEntry],
     s_rooms_by_vid: dict[VariableId, RoomEntry],
-) -> MatchCandidate | None:
-    """Global affinity of an all-level candidate under its re-estimated alignment.
+) -> MatchCandidate:
+    """Global affinity of an all-level candidate under its room-level alignment.
 
-    Returns None when the alignment is degenerate (candidate unusable).
+    The candidate carries the closed-form fit of its room pairs (hint and
+    center residual), so scoring adds the wall-pair residual under it.
     """
     room_pairs = cand.room_pairs
     if len(room_pairs) < 2:
         raise MatchError("scoring needs at least 2 room pairs")
-    fit = _center_fit(
-        [(s_rooms_by_vid[p.s_node].center, a_rooms_by_vid[p.a_node].center) for p in room_pairs]
-    )
-    if fit is None:
-        return None
-    hint, e_rho = fit
+    hint = cand.transform_hint
 
     # every wall pair's residual under the hint, as the merge's
     # plane-to-plane factor will weigh it
-    a_planes = {pl.vid: pl for room in a_rooms_by_vid.values() for pl in room.planes}
-    s_planes = {pl.vid: pl for room in s_rooms_by_vid.values() for pl in room.planes}
-    pairs = [(a_planes[p.a_node], s_planes[p.s_node]) for p in cand.wall_pairs]
-    planes = np.array([(a.phi, a.d, s.phi, s.d) for a, s in pairs]).reshape(-1, 4)
+    a_planes = {pl.vid: pl for p in room_pairs for pl in a_rooms_by_vid[p.a_node].planes}
+    s_planes = {pl.vid: pl for p in room_pairs for pl in s_rooms_by_vid[p.s_node].planes}
+    planes = np.array(
+        [
+            (a.phi, a.d, s.phi, s.d)
+            for a, s in ((a_planes[p.a_node], s_planes[p.s_node]) for p in cand.wall_pairs)
+        ]
+    ).reshape(-1, 4)
     m = len(planes)
     e_pi = 0.0
     if m:
         t_vals = np.full((m, 3), hint.as_array())
         r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
         e_pi = math.sqrt(float(np.mean(r**2)))
-    affinity = math.exp(-(e_rho / RHO_SCALE + e_pi / PI_SCALE))
-    return MatchCandidate(cand.pairs, affinity, hint)
+    affinity = math.exp(-(cand.e_rho / RHO_SCALE + e_pi / PI_SCALE))
+    return MatchCandidate(cand.pairs, affinity, hint, cand.e_rho)
 
 
 def cluster_and_decide(scored: list[MatchCandidate]) -> MatchResult:
     """1-D affinity clustering: unique winner, symmetric cluster, or no match."""
-    ranked = sorted(scored, key=MatchCandidate.sort_key)
+    ranked = _ranked(scored)
     if not ranked or ranked[0].affinity < ACCEPT_AFFINITY:
         return MatchResult(MatchStatus.NO_MATCH, None, [])
     top = ranked[0].affinity
@@ -390,12 +393,12 @@ def cluster_and_decide(scored: list[MatchCandidate]) -> MatchResult:
     return MatchResult(MatchStatus.AMBIGUOUS, cluster[0], cluster)
 
 
-def match(a_graph: FactorGraph, s_graph: FactorGraph) -> MatchResult:
-    """Full pipeline: propose -> expand -> combine -> score -> cluster."""
-    return match_entries(room_entries(a_graph), room_entries(s_graph))
+def match(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> MatchResult:
+    """Full pipeline: propose -> expand -> combine -> score -> cluster.
 
-
-def match_entries(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> MatchResult:
+    Takes room entries, so that a caller reads the constant plan side once
+    (``AGraph.rooms``) and the robot side once per snapshot (``room_entries``).
+    """
     if len(s_rooms) < 2:
         return MatchResult(MatchStatus.NO_MATCH, None, [])
     a_by_vid = {r.vid: r for r in a_rooms}
@@ -413,9 +416,4 @@ def match_entries(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> MatchRe
             continue
         expanded.append((cand, wall_pairs))
     combined = combine_bottom_up(expanded)
-    scored = []
-    for cand in combined:
-        rescored = score_candidate(cand, a_by_vid, s_by_vid)
-        if rescored is not None:
-            scored.append(rescored)
-    return cluster_and_decide(scored)
+    return cluster_and_decide([score_candidate(c, a_by_vid, s_by_vid) for c in combined])

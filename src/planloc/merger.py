@@ -28,8 +28,7 @@ from .matcher import (
     WallPairingError,
     _dims_compatible,
     propose_wall_pairs,
-    room_entries,
-    room_entry,
+    read_room_entries,
 )
 from .s_graph import SGraph
 
@@ -85,7 +84,7 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
     # closed-form hint right before optimization.
     transform = graph.add_variable(VarKind.TRANSFORM, Pose2.identity().as_array())
 
-    plan_rooms = {r.vid: r for r in room_entries(a.graph)}
+    plan_rooms = {r.vid: r for r in a.rooms}
     state = MergedState(graph, transform, a_var_map, {}, {}, plan_rooms)
     _add_match_factors(state, m.best.room_pairs, m.best.wall_pairs)
 
@@ -140,9 +139,11 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
     matched_a_rooms = set(state.room_pairs)
     a_rooms = state.plan_rooms
     s_rooms = {
-        vid: room_entry(graph, vid, rec.planes)
-        for vid, rec in s.rooms.items()
-        if vid not in matched_s_rooms
+        r.vid: r
+        for r in read_room_entries(
+            graph,
+            ((vid, *rec.planes) for vid, rec in s.rooms.items() if vid not in matched_s_rooms),
+        )
     }
 
     added = 0

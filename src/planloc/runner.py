@@ -34,7 +34,7 @@ import numpy as np
 from .a_graph import AGraph, FloorPlan, build_a_graph, load_plan, plan_from_dict
 from .factor_graph import FactorGraph
 from .geometry import Pose2, transform_phi_dist
-from .matcher import MatchResult, MatchStatus, match
+from .matcher import MatchResult, MatchStatus, match, room_entries
 from .merger import MergedState, extend_matches, localized_trajectory, merge
 from .metrics import EstimatedSurface, compute_ape, compute_map_rmse
 from .plans import fixture_dir, fixture_plan
@@ -112,7 +112,7 @@ def run_pipeline(plan: FloorPlan, config: SimConfig) -> RunResult:
     for step in sim.steps():
         sgraph.add_step(step)
         if merged is None:
-            result = match(agraph.graph, sgraph.graph)
+            result = match(agraph.rooms, room_entries(sgraph.graph))
             history.append({"step": step.index, "status": result.status.value})
             decisive = result
             if result.status == MatchStatus.MATCHED:

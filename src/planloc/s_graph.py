@@ -83,8 +83,12 @@ class SimConfig:
             raise SimulationError("need at least 2 waypoints")
         if self.keyframe_spacing <= 0:
             raise SimulationError("keyframe_spacing must be positive")
-        if min(*self.odom_noise, *self.plane_noise) < 0:
-            raise SimulationError("noise sigmas must be >= 0")
+        for name in ("odom_noise", "plane_noise"):
+            sigmas = getattr(self, name)
+            if len(sigmas) != 2 or not all(
+                isinstance(v, (int, float)) and math.isfinite(v) and v >= 0 for v in sigmas
+            ):
+                raise SimulationError(f"{name} must be two finite sigmas >= 0, got {list(sigmas)}")
         if not self.sensor_range > 0:
             raise SimulationError("sensor_range must be positive")
         if not self.doorway_gap >= 0:

@@ -132,6 +132,12 @@ def test_error_paths_exit_one(tmp_path, capsys):
     assert main(["run", str(negative_range), "-o", str(tmp_path / "run_neg")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "sensor_range" in err
+    for field, bad in (("odom_noise", [0.01]), ("plane_noise", [0.02, 0.05, 0.1])):
+        bad_noise = tmp_path / f"bad_{field}.scenario.json"
+        bad_noise.write_text(json.dumps({**doc, "plan": "fixture:two_rooms", field: bad}))
+        assert main(["run", str(bad_noise), "-o", str(tmp_path / f"run_{field}")]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1

@@ -11,6 +11,7 @@ from planloc.geometry import (
     Pose2,
     axis_of_normal,
     estimate_transform_closed_form,
+    fit_rigid_transforms,
     transform_phi_dist,
     wrap_angle,
     wrap_angles,
@@ -208,3 +209,39 @@ def test_estimate_transform_matches_svd_reference():
         got, ref = estimate_transform_closed_form(pairs), _svd_transform(pairs)
         assert abs(got.x - ref.x) <= 1e-12 and abs(got.y - ref.y) <= 1e-12
         assert abs(wrap_angle(got.theta - ref.theta)) <= 1e-12
+
+
+def test_batched_fit_equals_single_stack_fits_bit_for_bit():
+    rng = np.random.default_rng(31)
+    stacks = 0
+    for trial in range(200):
+        c, n = int(rng.integers(1, 13)), int(rng.integers(2, 10))
+        shared = trial % 2 == 0  # one source for every stack, as the matcher fits
+        src = rng.uniform(-10, 10, (n, 2) if shared else (c, n, 2))
+        sigma = rng.choice([0.0, 0.01, 1.0])
+        dst = np.empty((c, n, 2))
+        for k in range(c):
+            true = Pose2(*rng.uniform(-10, 10, 2), rng.uniform(-math.pi, math.pi))
+            for i, p in enumerate(src if shared else src[k]):
+                dst[k, i] = true.transform_point(p) + rng.normal(0, sigma, 2)
+        poses, rms = fit_rigid_transforms(src, dst)
+        assert len(poses) == c and rms.shape == (c,)
+        for k in range(c):
+            one = src if shared else src[k]
+            (pose,), (one_rms,) = fit_rigid_transforms(one, dst[k][None])
+            assert poses[k] == pose == estimate_transform_closed_form(list(zip(one, dst[k])))
+            assert rms[k] == one_rms
+        stacks += c
+    assert stacks >= 1000, stacks
+
+
+def test_batched_fit_rejects_coincident_sources():
+    rng = np.random.default_rng(2)
+    src = rng.uniform(-5, 5, (4, 3, 2))
+    src[2] = src[2, 0]
+    with pytest.raises(GeometryError, match="coincident"):
+        fit_rigid_transforms(src, rng.uniform(-5, 5, (4, 3, 2)))
+    with pytest.raises(GeometryError, match="coincident"):
+        fit_rigid_transforms(np.ones((3, 2)), rng.uniform(-5, 5, (4, 3, 2)))
+    with pytest.raises(GeometryError, match="at least 2"):
+        fit_rigid_transforms(np.ones((1, 2)), np.ones((4, 1, 2)))

@@ -7,7 +7,7 @@ from conftest import scenario_config
 from planloc.a_graph import build_a_graph
 from planloc.factor_graph import FactorKind, VarKind
 from planloc.geometry import Pose2, wrap_angle
-from planloc.matcher import MatchResult, MatchStatus, match
+from planloc.matcher import MatchResult, MatchStatus, match, room_entries
 from planloc.merger import MergeError, extend_matches, localized_trajectory, merge
 from planloc.plans import fixture_plan
 from planloc.runner import run_pipeline
@@ -110,7 +110,7 @@ def test_merge_does_not_corrupt_odometry_chain():
         for step in sim.steps():
             sg.add_step(step)
             if merged is None:
-                result = match(ag.graph, sg.graph)
+                result = match(ag.rooms, room_entries(sg.graph))
                 if result.status == MatchStatus.MATCHED:
                     before.append(
                         np.mean(
@@ -155,7 +155,7 @@ def test_extend_matches_adds_late_rooms():
     for step in sim.steps():
         sg.add_step(step)
         if merged is None:
-            result = match(ag.graph, sg.graph)
+            result = match(ag.rooms, room_entries(sg.graph))
             if result.status == MatchStatus.MATCHED:
                 merged = merge(ag, sg, result)
                 early_rooms = len(merged.room_pairs)

@@ -40,6 +40,13 @@ def test_sim_config_validation():
         SimConfig(waypoints=((0, 0), (1, 0)), keyframe_spacing=0.0)
     with pytest.raises(SimulationError):
         SimConfig(waypoints=((0, 0), (1, 0)), odom_noise=(-0.1, 0.0))
+    for name in ("odom_noise", "plane_noise"):
+        for bad in ((0.01,), (0.01, 0.02, 0.03), (), (0.01, math.nan), (math.inf, 0.0),
+                    (0.01, -0.02), (0.01, "0.02")):
+            with pytest.raises(SimulationError, match=name):
+                SimConfig(waypoints=((0, 0), (1, 0)), **{name: bad})
+    # zero noise is allowed
+    assert SimConfig(waypoints=((0, 0), (1, 0)), odom_noise=(0, 0.0)).odom_noise == (0, 0.0)
     for bad in (0.0, -6.0, math.nan):
         with pytest.raises(SimulationError, match="sensor_range"):
             SimConfig(waypoints=((0, 0), (1, 0)), sensor_range=bad)
