@@ -351,24 +351,29 @@ def _room_to_room(kinds, vals, meas):
     return r, [-_eye(m, 2), rot, jt]
 
 
-def plane_to_plane(kinds, vals, meas):
-    """Plan plane (slot 0) against a map plane (slot 1) moved by an optional transform.
+def plane_to_plane_residual(vals):
+    """Residual of ``plane_to_plane``, and the (sign, cos, sin, d d_p / d phi_p) its Jacobians use.
 
     Also the matcher's wall-pair residual, so that matching scores a pair
     exactly as the merged graph will weigh it.
     """
     phi_b, d_b = vals[0].T
     phi_m, d_m = vals[1].T
-    m = len(meas)
-    has_t = len(vals) == 3
-    tx, ty, tth = vals[2].T if has_t else np.zeros((3, m))
+    tx, ty, tth = vals[2].T if len(vals) == 3 else np.zeros((3, len(phi_b)))
     phi_p = phi_m + tth
     cp, sp = np.cos(phi_p), np.sin(phi_p)
-    dperp = -sp * tx + cp * ty  # d d_p / d phi_p
+    dperp = -sp * tx + cp * ty
     phi_p, d_p, sign = _align_polarity(phi_p, d_m + cp * tx + sp * ty, phi_b)
     r = np.stack([wrap_angles(phi_p - phi_b), d_p - d_b], axis=-1)
+    return r, (sign, cp, sp, dperp)
+
+
+def plane_to_plane(kinds, vals, meas):
+    """Plan plane (slot 0) against a map plane (slot 1) moved by an optional transform."""
+    m = len(meas)
+    r, (sign, cp, sp, dperp) = plane_to_plane_residual(vals)
     jacs = [-_eye(m, 2), _stack(m, [[1.0, 0.0], [sign * dperp, sign]])]
-    if has_t:
+    if len(vals) == 3:
         jacs.append(_stack(m, [[0.0, 0.0, 1.0], [sign * cp, sign * sp, sign * dperp]]))
     return r, jacs
 
@@ -496,10 +501,10 @@ class _Group:
     slots: list[np.ndarray]  # per variable slot, (m, dim) positions in the flat state
     measurements: np.ndarray  # (m, p)
     information: np.ndarray  # (m, k, k)
-    b_take: np.ndarray  # entries of the (m, D) gradient blocks that land on free columns
-    h_take: np.ndarray  # entries of the (m, D, D) Hessian blocks that land on free columns
-    # Summed chi2, once evaluated, of a group with no free column: LM steps
-    # never move its variables.
+    # A solve's groups only (see _Structure.window): the entries of the (m, D) gradient and
+    # (m, D, D) Hessian blocks on free columns, and the chi2 of a group with none.
+    b_take: np.ndarray | None = None
+    h_take: np.ndarray | None = None
     fixed_chi2: float | None = None
 
 
@@ -513,6 +518,7 @@ class _Structure:
     Built by appending: variables in insertion order, then factors in id order.
     A graph that only grows extends its structure the same way, so an
     extended structure equals one rebuilt from scratch, entry for entry.
+    A solve works on a ``window`` of it, which adds the scatter targets.
     """
 
     def __init__(self):
@@ -522,8 +528,8 @@ class _Structure:
         self.angles = _empty_index()  # flat-state entries of the free angle slots
         self.groups: list[_Group] = []
         self._group_of: dict[tuple, int] = {}  # (kind, signature) -> index in groups
-        # Scatter targets, groups concatenated in group order: the free column
-        # of each b_take entry, and row * n + column of each h_take entry.
+        # A window's scatter targets, groups concatenated in group order: the free
+        # column of each b_take entry, and row * n + column of each h_take entry.
         self.b_dst = _empty_index()
         self.h_dst = _empty_index()
 
@@ -544,39 +550,17 @@ class _Structure:
         self.column = np.concatenate(column)
         self.free = np.concatenate(free)
         self.angles = np.concatenate(angles)
-        old_n, self.n = self.n, n
+        self.n = n
 
         members: dict[tuple, list[Factor]] = {}
         for f in factors:
             members.setdefault((f.kind, tuple(_kinds(f))), []).append(f)
-        old_sizes = [(g.b_take.size, g.h_take.size) for g in self.groups]
-        added = {}  # group index -> scatter targets of its new factors
         for key, new in members.items():
             k = self._group_of.get(key)
             if k is None:
                 k = self._group_of[key] = len(self.groups)
                 self.groups.append(self._new_group(*key))
-            added[k] = self._append(self.groups[k], new, offset)
-
-        # Each group's scatter targets stay contiguous and in factor order, so
-        # bincount sums H and b in the order a rebuild would.
-        h_dst = self.h_dst
-        if old_n != n and h_dst.size:
-            row, col = np.divmod(h_dst, old_n)
-            h_dst = row * n + col
-        b_parts, h_parts = [_empty_index()], [_empty_index()]
-        b_at = h_at = 0
-        for k in range(len(self.groups)):
-            nb, nh = old_sizes[k] if k < len(old_sizes) else (0, 0)
-            b_parts.append(self.b_dst[b_at : b_at + nb])
-            h_parts.append(h_dst[h_at : h_at + nh])
-            b_at += nb
-            h_at += nh
-            if k in added:
-                b_parts.append(added[k][0])
-                h_parts.append(added[k][1])
-        self.b_dst = np.concatenate(b_parts)
-        self.h_dst = np.concatenate(h_parts)
+            self._append(self.groups[k], new, offset)
 
     @staticmethod
     def _new_group(kind: FactorKind, signature: tuple[VarKind, ...]) -> _Group:
@@ -588,19 +572,15 @@ class _Structure:
             [np.zeros((0, VAR_DIM[v]), dtype=np.intp) for v in signature],
             np.zeros((0, p)),
             np.zeros((0, k, k)),
-            _empty_index(),
-            _empty_index(),
         )
 
-    def _append(self, group: _Group, factors: list[Factor], offset):
-        """Stack factors onto a group; returns their b and h scatter targets."""
+    @staticmethod
+    def _append(group: _Group, factors: list[Factor], offset) -> None:
+        """Stack factors onto a group."""
         slots = [
             np.array([offset[f.variables[s]] for f in factors])[:, None] + np.arange(VAR_DIM[vkind])
             for s, vkind in enumerate(group.signature)
         ]
-        b_take, h_take, b_dst, h_dst = _scatter_targets(
-            self.column, self.n, slots, len(group.measurements)
-        )
         group.slots = [np.concatenate(parts) for parts in zip(group.slots, slots)]
         group.measurements = np.concatenate(
             [group.measurements, np.array([f.measurement for f in factors]).reshape(len(factors), -1)]
@@ -608,10 +588,6 @@ class _Structure:
         group.information = np.concatenate(
             [group.information, np.array([f.information for f in factors])]
         )
-        group.fixed_chi2 = None
-        group.b_take = np.concatenate([group.b_take, b_take])
-        group.h_take = np.concatenate([group.h_take, h_take])
-        return b_dst, h_dst
 
     def window(self, inside: np.ndarray) -> "_Structure":
         """The structure of a solve restricted to a window, selected by index masks.
@@ -619,6 +595,8 @@ class _Structure:
         ``inside`` marks the flat-state entries of the window's variables. Only
         their free columns are solved, in this structure's column order, and
         each group keeps, in order, its factors with a slot on a window entry.
+        A window of every entry is the whole-graph solve: every group, every
+        factor and every free column, in order.
         """
         out = _Structure()
         out.free = self.free[inside[self.free]]
@@ -653,22 +631,21 @@ class _Structure:
         return out
 
 
-def _scatter_targets(column: np.ndarray, n: int, slots: list[np.ndarray], first_row: int = 0):
+def _scatter_targets(column: np.ndarray, n: int, slots: list[np.ndarray]):
     """Where the gradient and Hessian blocks of stacked factors land among n free columns.
 
     ``slots`` are the factors' flat-state positions per variable slot and
     ``column`` maps flat-state entries to free columns (-1 when fixed). Returns
-    the entries of the (m, D) and (m, D, D) blocks that land on free columns,
-    counted from row ``first_row`` of the group, and their targets: the free
-    column of each b entry and row * n + column of each h entry.
+    the entries of the (m, D) and (m, D, D) blocks that land on free columns
+    and their targets: the free column of each b entry and row * n + column
+    of each h entry.
     """
     col = np.concatenate([column[slot] for slot in slots], axis=1)
     on_free = col >= 0
     pair = on_free[:, :, None] & on_free[:, None, :]
-    width = col.shape[1]
     return (
-        np.flatnonzero(on_free) + first_row * width,
-        np.flatnonzero(pair) + first_row * width * width,
+        np.flatnonzero(on_free),
+        np.flatnonzero(pair),
         col[on_free],
         (col[:, :, None] * n + col[:, None, :])[pair],
     )
@@ -862,8 +839,12 @@ class FactorGraph:
         return self._cache
 
     def _scored(self) -> _Structure:
-        """The structure that cost and linearization cover: a running window's, else the graph's."""
+        """The structure that cost covers: a running solve's window, else the graph's."""
         return self._structure() if self._window is None else self._window
+
+    def _whole(self) -> _Structure:
+        """The window of every variable: the structure of a whole-graph solve."""
+        return self._structure().window(np.ones(self._state.size, dtype=bool))
 
     def _evaluate(self) -> tuple[list, float]:
         """Run every group's kernel once per state: (whitened residuals, Jacobians) and cost."""
@@ -880,7 +861,7 @@ class FactorGraph:
                     group.signature, vals, group.measurements
                 )
                 wr, chi2 = _whitened(group.information, r)
-                if group.b_take.size == 0:
+                if group.b_take is not None and group.b_take.size == 0:
                     group.fixed_chi2 = chi2
                 cost += chi2
                 parts.append((wr, jacs))
@@ -890,8 +871,11 @@ class FactorGraph:
     # -- optimization ------------------------------------------------------
 
     def _linearize(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """Gauss-Newton system H, b over the free columns, and the cost, at the current values."""
-        structure = self._scored()
+        """Gauss-Newton system H, b over the free columns, and the cost, at the current values.
+
+        Outside a solve, over the whole graph's window, which the graph's evaluation fits.
+        """
+        structure = self._whole() if self._window is None else self._window
         parts, cost = self._evaluate()
         n = structure.n
         b_parts = [np.zeros(0)]
@@ -929,22 +913,31 @@ class FactorGraph:
                 "graph has no prior factor and no fixed variable; anchor it first"
             )
 
-        if window is None:
-            return self._solve(max_iterations)
-        inside = np.zeros(self._state.size, dtype=bool)
-        for vid in window:
-            inside[self._slice(vid)] = True
-        self._window = self._structure().window(inside)
-        self._evaluated = None
+        # The whole graph's window holds the graph's groups and factors in
+        # order, so an evaluation of either one serves the other.
+        whole = window is None
+        if whole:
+            self._window = self._whole()
+        else:
+            inside = np.zeros(self._state.size, dtype=bool)
+            for vid in window:
+                inside[self._slice(vid)] = True
+            self._window = self._structure().window(inside)
+            self._evaluated = None
         try:
             return self._solve(max_iterations)
         finally:
             self._window = None
-            self._evaluated = None
+            if not whole:
+                self._evaluated = None
 
     def _solve(self, max_iterations: int) -> SolveReport:
-        """The LM loop over the free columns of the structure that cost and linearization cover."""
-        structure = self._scored()
+        """The LM loop over the free columns of the running solve's window.
+
+        A trial step that raises the cost is undone and retried with more damping, unless
+        the rise is within REL_TOL of the cost: the cost is then at rounding level.
+        """
+        structure = self._window
         n = structure.n
         initial_cost = self.total_cost()
         trace = [initial_cost]
@@ -964,7 +957,7 @@ class FactorGraph:
                 message = "gradient below tolerance"
                 iterations -= 1
                 break
-            stepped = False
+            stepped = flat = False
             # Damp H in place: the next iteration builds a new H anyway.
             undamped = h.diagonal().copy()
             while lam < 1e12:
@@ -984,7 +977,14 @@ class FactorGraph:
                     stepped = True
                     break
                 self._state, self._evaluated = backup
+                flat = new_cost - cost <= REL_TOL * cost
+                if flat:
+                    break
                 lam *= LAMBDA_UP
+            if flat:
+                converged = True
+                message = "trial step cost within tolerance of the current cost"
+                break
             if not stepped:
                 converged = False
                 message = "step search failed: lambda escalation exhausted"

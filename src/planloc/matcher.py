@@ -21,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind, plane_to_plane
+from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind, plane_to_plane_residual
 from .geometry import GeometryError, Pose2, axis_of_normal, fit_rigid_transforms
 
 # Up to this many observed rooms the room-level search keeps every partial
@@ -201,9 +201,9 @@ class MatchResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
 
 
-def _dims_compatible(a: RoomEntry, s: RoomEntry) -> bool:
-    da, ds = a.dims, s.dims
-    return abs(da[0] - ds[0]) <= DIM_TOL and abs(da[1] - ds[1]) <= DIM_TOL
+def _dims_compatible(a_dims: np.ndarray, s: RoomEntry) -> np.ndarray:
+    """Which plan rooms, given by their (n, 2) dims, pass the per-axis dimension gate for s."""
+    return np.all(np.abs(a_dims - s.dims) <= DIM_TOL, axis=1)
 
 
 def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> list[MatchCandidate]:
@@ -232,7 +232,7 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     partials = np.zeros((1, 0), dtype=np.intp)
     mismatch = np.zeros(1)  # summed dimension mismatch of each partial
     for level, s in enumerate(s_rooms):
-        grow = np.tile(np.all(np.abs(a_dims - s.dims) <= DIM_TOL, axis=1), (len(partials), 1))
+        grow = np.tile(_dims_compatible(a_dims, s), (len(partials), 1))
         for k, ps in enumerate(s_rooms[:level]):
             grow &= plan_index != partials[:, k, None]
             grow &= np.abs(a_dist[partials[:, k]] - math.dist(ps.center, s.center)) <= DIST_TOL
@@ -375,7 +375,7 @@ def score_candidate(
     e_pi = 0.0
     if m:
         t_vals = np.full((m, 3), hint.as_array())
-        r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
+        r, _ = plane_to_plane_residual([planes[:, :2], planes[:, 2:], t_vals])
         e_pi = math.sqrt(float(np.mean(r**2)))
     affinity = math.exp(-(cand.e_rho / RHO_SCALE + e_pi / PI_SCALE))
     return MatchCandidate(cand.pairs, affinity, hint, cand.e_rho)

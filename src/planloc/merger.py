@@ -136,7 +136,6 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
     t = state.transform_estimate()
 
     matched_s_rooms = set(state.room_pairs.values())
-    matched_a_rooms = set(state.room_pairs)
     a_rooms = state.plan_rooms
     s_rooms = {
         r.vid: r
@@ -146,34 +145,41 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
         )
     }
 
+    if not s_rooms:
+        return 0
+    # The plan rooms as arrays, so that each robot room meets all of them in one pass.
+    a_vids = list(a_rooms)
+    a_index = np.array([vid.index for vid in a_vids])
+    a_centers = np.array([a_rooms[vid].center for vid in a_vids]).reshape(-1, 2)
+    a_dims = np.array([a_rooms[vid].dims for vid in a_vids]).reshape(-1, 2)
+    open_a = np.array([state.a_var_map[vid] not in state.room_pairs for vid in a_vids], dtype=bool)
+
     added = 0
     for s_vid in sorted(s_rooms, key=lambda v: v.index):
         s_room = s_rooms[s_vid]
-        mapped = t.transform_point(s_room.center)
-        best: tuple[float, VariableId] | None = None
-        for a_vid, a_room in a_rooms.items():
-            if state.a_var_map[a_vid] in matched_a_rooms:
-                continue
-            if not _dims_compatible(a_room, s_room):
-                continue
-            dist = float(np.linalg.norm(mapped - np.asarray(a_room.center)))
-            if dist > DIST_TOL:
-                continue
-            if best is None or (dist, a_vid.index) < (best[0], best[1].index):
-                best = (dist, a_vid)
-        if best is None:
+        dist = _distances(t.transform_point(s_room.center), a_centers)
+        ok = open_a & ~(dist > DIST_TOL) & _dims_compatible(a_dims, s_room)
+        if not ok.any():
             continue
-        a_vid = best[1]
+        # nearest first, ties to the lowest plan room index
+        k = np.flatnonzero(ok)[np.lexsort((a_index[ok], dist[ok]))[0]]
+        a_vid = a_vids[k]
         room_pair = MatchPair(a_vid, s_vid, "room")
         try:
             wall_pairs = propose_wall_pairs(room_pair, a_rooms, s_rooms, t)
         except WallPairingError:
             continue
         _add_match_factors(state, [room_pair], wall_pairs)
-        matched_s_rooms.add(s_vid)
-        matched_a_rooms.add(state.a_var_map[a_vid])
+        open_a[k] = False
         added += 1
     return added
+
+
+def _distances(point: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(point - c)`` for each row c, bit for bit: a stacked 1x2 by 2x1
+    product runs norm's dot routine, where a row sum may round differently."""
+    diff = point - centers
+    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
 
 
 def localized_trajectory(state: MergedState, s: SGraph) -> list[Pose2]:

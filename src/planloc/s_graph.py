@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,8 @@ PERP_DOT_MAX = 0.3
 GAMMA_MIN_OBSERVERS = 3
 # Information of each room-to-floor factor [1/m^2].
 FLOOR_INFORMATION = 1e-2
-# LM iterations of the re-solve after each update.
-UPDATE_ITERATIONS = 15
+# LM iterations of the re-solve after each update: one step, as an incremental smoother takes.
+UPDATE_ITERATIONS = 1
 # Keyframes whose neighbourhood the re-solve after each update moves; the
 # rest of the graph is held at its values (fixed-lag smoothing).
 WINDOW_KEYFRAMES = 10
@@ -445,6 +446,29 @@ class GammaRecord:
     factor_id: int
 
 
+class PlaneTable(NamedTuple):
+    """The robot planes, one row each: (phi, d), normal, foot, in-plane direction, extent."""
+
+    vids: list[VariableId]
+    phi: np.ndarray
+    d: np.ndarray
+    n: np.ndarray
+    foot: np.ndarray
+    m_hat: np.ndarray
+    extent: np.ndarray
+
+
+class PlanePairs(NamedTuple):
+    """Plane pairs, rows i < j of a PlaneTable: slab interval along n_i, band along m_i."""
+
+    i: np.ndarray
+    j: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    band_lo: np.ndarray
+    band_hi: np.ndarray
+
+
 class SGraph:
     """Incrementally estimated robot graph: keyframes, planes, rooms, floor."""
 
@@ -595,34 +619,17 @@ class SGraph:
 
     # -- room detection ------------------------------------------------------
 
-    def _plane_geometry(self):
-        out = []
+    def _plane_table(self) -> PlaneTable:
+        """The planes in index order, read in one gather."""
         vids = sorted(self.planes, key=lambda v: v.index)
-        for vid, (phi, d) in zip(vids, self.graph.values(vids).tolist()):
-            n = np.array([math.cos(phi), math.sin(phi)])
-            rec = self.planes[vid]
-            out.append(
-                {
-                    "vid": vid,
-                    "phi": phi,
-                    "d": d,
-                    "n": n,
-                    "foot": d * n,
-                    "m_hat": PERP @ n,
-                    "extent": rec.extent,
-                    "observers": rec.observers,
-                }
-            )
-        return out
+        phi, d = self.graph.values(vids).reshape(-1, 2).T
+        # math.cos and math.sin, as every other reader of a plane's normal uses.
+        n = np.array([(math.cos(a), math.sin(a)) for a in phi.tolist()]).reshape(-1, 2)
+        extent = np.array([self.planes[vid].extent for vid in vids]).reshape(-1, 2)
+        return PlaneTable(vids, phi, d, n, d[:, None] * n, np.stack([-n[:, 1], n[:, 0]], 1), extent)
 
     @staticmethod
-    def _extent_along(entry, direction: np.ndarray) -> tuple[float, float]:
-        """An extent interval re-expressed along an arbitrary in-plane direction."""
-        sign = 1.0 if float(entry["m_hat"] @ direction) >= 0 else -1.0
-        lo, hi = entry["extent"]
-        return (lo, hi) if sign > 0 else (-hi, -lo)
-
-    def _qualifying_pairs(self, geo):
+    def _qualifying_pairs(planes: PlaneTable) -> PlanePairs:
         """Opposed plane pairs that bound an empty slab, found in one pass over all pairs.
 
         A pair (i < j, in plane order) qualifies when its normals are opposed,
@@ -630,22 +637,16 @@ class SGraph:
         PAIR_OVERLAP_MIN along the wall, and no third plane of the same
         orientation subdivides the slab over that band.
         """
-        if len(geo) < 2:
-            return []
-        phi = np.array([g["phi"] for g in geo])
-        d = np.array([g["d"] for g in geo])
-        n = np.array([g["n"] for g in geo])
-        extent = np.array([g["extent"] for g in geo])
+        phi, d, n, extent = planes.phi, planes.d, planes.n, planes.extent
         # [a, b] entries: n_a . n_b, foot_a . n_b, and extent a along m_hat b
         # (flipped where the two in-plane directions disagree).
         nn = _pairwise_dot(n, n)
-        fn = _pairwise_dot(np.array([g["foot"] for g in geo]), n)
-        m_hat = np.array([g["m_hat"] for g in geo])
-        flip = _pairwise_dot(m_hat, m_hat) < 0
+        fn = _pairwise_dot(planes.foot, n)
+        flip = _pairwise_dot(planes.m_hat, planes.m_hat) < 0
         lo_along = np.where(flip, -extent[:, None, 1], extent[:, None, 0])
         hi_along = np.where(flip, -extent[:, None, 0], extent[:, None, 1])
 
-        i, j = np.triu_indices(len(geo), 1)
+        i, j = np.triu_indices(len(phi), 1)
         keep = np.abs(wrap_angles(phi[i] - phi[j])) > math.pi - OPPOSED_TOL
         i, j = i[keep], j[keep]
         gap = d[i] - d[j] * nn[i, j]
@@ -660,7 +661,7 @@ class SGraph:
 
         # [pair, k]: a third plane k of the same orientation, strictly inside
         # the slab and overlapping its band by more than 0.3 m, occupies it.
-        k = np.arange(len(geo))
+        k = np.arange(len(phi))
         u_k = fn[:, i].T
         occupied = (
             (k != i[:, None])
@@ -674,55 +675,55 @@ class SGraph:
                 > 0.3
             )
         ).any(axis=1)
+        free = ~occupied
+        return PlanePairs(i[free], j[free], lo[free], hi[free], band_lo[free], band_hi[free])
 
-        rows = zip(*(x[~occupied].tolist() for x in (i, j, lo, hi, band_lo, band_hi)))
-        return [
-            {
-                "planes": (geo[a], geo[b]),
-                "n_hat": geo[a]["n"],
-                "interval": (lo_ab, hi_ab),
-                "band": (band_lo_ab, band_hi_ab),
-            }
-            for a, b, lo_ab, hi_ab, band_lo_ab, band_hi_ab in rows
-        ]
+    @staticmethod
+    def _quads(planes: PlaneTable, pairs: PlanePairs) -> list[tuple[VariableId, ...]]:
+        """Four-wall rooms: two pairs with near-perpendicular normals, each spanning the other.
+
+        A pair's normal is its first plane's. Each quad lists the planes of the
+        pair whose (axis, lowest plane index) is smaller, then the other
+        pair's, each pair in index order; quads come sorted by their plane
+        indices.
+        """
+        i, j, lo, hi = pairs.i, pairs.j, pairs.lo, pairs.hi
+        n, extent = planes.n[i], planes.extent
+        # [g, b]: m_hat of plane g against the normal of pair b, as a stacked
+        # dot that keeps the bits of the 1-D one.
+        m_n = _pairwise_dot(planes.m_hat, n)
+
+        def spans(g):
+            """[a, b]: plane g[a] spans pair b's slab by PAIR_OVERLAP_MIN, along b's normal."""
+            flip = m_n[g] < 0
+            e_lo = np.where(flip, -extent[g, 1][:, None], extent[g, 0][:, None])
+            e_hi = np.where(flip, -extent[g, 0][:, None], extent[g, 1][:, None])
+            return ~(np.minimum(e_hi, hi) - np.maximum(e_lo, lo) < PAIR_OVERLAP_MIN)
+
+        cross = spans(i) & spans(j)
+        mask = np.triu(~(np.abs(_pairwise_dot(n, n)) > PERP_DOT_MAX), 1) & cross & cross.T
+        # Axis X (|nx| >= |ny|) orders before Y, then the lower first plane.
+        key = list(zip((np.abs(n[:, 0]) < np.abs(n[:, 1])).tolist(), i.tolist()))
+        quads, vids = [], planes.vids
+        for a, b in zip(*(x.tolist() for x in np.nonzero(mask))):
+            if key[a] > key[b]:
+                a, b = b, a
+            quads.append((vids[i[a]], vids[j[a]], vids[i[b]], vids[j[b]]))
+        return sorted(quads, key=lambda q: tuple(sorted(v.index for v in q)))
 
     def detect_rooms(self) -> list[VariableId]:
         """Create four-wall rooms and two-wall rooms from the current planes.
 
         Idempotent: re-running without new planes or pose changes adds nothing.
         """
-        geo = self._plane_geometry()
-        pairs = self._qualifying_pairs(geo)
+        planes = self._plane_table()
+        pairs = self._qualifying_pairs(planes)
         # Distinct rooms may legitimately share faces (a long wall bounding
         # several rooms), but sharing 3 of 4 planes means a near-duplicate.
         existing_sets = [set(rec.planes) for rec in self.rooms.values()]
         created: list[VariableId] = []
 
-        quads = []
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                pa, pb = pairs[a], pairs[b]
-                if abs(float(pa["n_hat"] @ pb["n_hat"])) > PERP_DOT_MAX:
-                    continue
-                if not self._cross_overlap(pa, pb) or not self._cross_overlap(pb, pa):
-                    continue
-                first, second = pa, pb
-                ax_a = axis_of_normal(*pa["n_hat"])
-                ax_b = axis_of_normal(*pb["n_hat"])
-                if (ax_a.value, min(g["vid"].index for g in pa["planes"])) > (
-                    ax_b.value,
-                    min(g["vid"].index for g in pb["planes"]),
-                ):
-                    first, second = pb, pa
-                plane_vids = tuple(
-                    g["vid"]
-                    for g in (
-                        *sorted(first["planes"], key=lambda g: g["vid"].index),
-                        *sorted(second["planes"], key=lambda g: g["vid"].index),
-                    )
-                )
-                quads.append(plane_vids)
-        for plane_vids in sorted(quads, key=lambda q: tuple(sorted(v.index for v in q))):
+        for plane_vids in self._quads(planes, pairs):
             vid_set = set(plane_vids)
             if any(len(vid_set & es) >= 3 for es in existing_sets):
                 continue
@@ -738,14 +739,16 @@ class SGraph:
                 if set(grec.planes) <= vid_set:
                     self._remove_gamma(gvid)
 
-        for pair in pairs:
-            gi, gj = pair["planes"]
-            vids = (gi["vid"], gj["vid"])
+        # Each pair occurs once, so gammas added below never meet this set again.
+        gamma_sets = {frozenset(rec.planes) for rec in self.gammas.values()}
+        for a, b in zip(pairs.i.tolist(), pairs.j.tolist()):
+            vids = (planes.vids[a], planes.vids[b])
             if any(set(vids) <= es for es in existing_sets):
                 continue
-            if frozenset(vids) in {frozenset(r.planes) for r in self.gammas.values()}:
+            if frozenset(vids) in gamma_sets:
                 continue
-            if len(gi["observers"] & gj["observers"]) < GAMMA_MIN_OBSERVERS:
+            gi, gj = (self.planes[vid] for vid in vids)
+            if len(gi.observers & gj.observers) < GAMMA_MIN_OBSERVERS:
                 continue
             center = self._center_of(vids)
             gamma = self.graph.add_variable(VarKind.TWO_WALL_ROOM, center)
@@ -753,15 +756,6 @@ class SGraph:
             self.gammas[gamma] = GammaRecord(gamma, vids, fid)
             created.append(gamma)
         return created
-
-    def _cross_overlap(self, pa, pb) -> bool:
-        """Each plane of pair `pa` must span pair `pb`'s slab interval."""
-        lo_b, hi_b = pb["interval"]
-        for g in pa["planes"]:
-            e = self._extent_along(g, pb["n_hat"])
-            if min(e[1], hi_b) - max(e[0], lo_b) < PAIR_OVERLAP_MIN:
-                return False
-        return True
 
     def _center_of(self, plane_vids) -> np.ndarray:
         center = np.zeros(2)

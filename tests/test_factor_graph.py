@@ -468,6 +468,40 @@ def test_optimize_scores_each_trial_step_once(monkeypatch):
     assert windowed_rejected > 0
 
 
+def test_solve_at_its_optimum_ends_without_lambda_escalation(monkeypatch):
+    """A re-solve after a 1e-15 nudge stops after one trial step.
+
+    A rise at rounding level is undone and ends the solve as converged, where
+    escalating lambda would retry it with ever more damping.
+    """
+    calls = 0
+    total_cost = FactorGraph.total_cost
+
+    def counted_cost(graph):
+        nonlocal calls
+        calls += 1
+        return total_cost(graph)
+
+    graphs = [_random_kind_graph(seed) for seed in range(10)] + [_merged_run_graph()]
+    monkeypatch.setattr(FactorGraph, "total_cost", counted_cost)
+    flat = 0
+    for g in graphs:
+        assert g.optimize().converged
+        doc = g.to_json()
+        for vid in g.variables():
+            if g.is_fixed(vid):
+                continue
+            nudged = FactorGraph.from_json(doc)
+            nudged.set_value(vid, nudged.value(vid) + 1e-15)
+            calls = 0
+            report = nudged.optimize()
+            assert calls <= 3  # before the loop, one trial step, after the loop
+            assert report.converged
+            assert report.final_cost <= report.initial_cost
+            flat += report.message.startswith("trial step cost within tolerance")
+    assert flat > 20
+
+
 def _merged_run_graph() -> FactorGraph:
     """The final graph of a run that merged: fixed plan copies, a transform, alignment factors."""
     plan, config, _ = load_scenario(fixture_dir() / "two_rooms.scenario.json")

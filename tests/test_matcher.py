@@ -336,6 +336,42 @@ def test_score_matches_scalar_reference():
             assert cand.affinity == pytest.approx(want, rel=1e-12)
 
 
+def test_scorer_residual_is_the_kernel_residual():
+    """score_candidate weighs wall pairs by the plane_to_plane factor's residual, bit for bit."""
+    scored = 0
+    for trial in range(10):
+        rng = np.random.default_rng(3000 + trial)
+        pose = Pose2(*rng.uniform(-2, 2, 2), rng.uniform(-math.pi, math.pi))
+        _, a_rooms, s_rooms = synthetic_views("five_rooms", pose)
+        # noisy observed planes, every other one stored with the opposite polarity
+        noisy = []
+        for r in s_rooms:
+            planes = []
+            for p in r.planes:
+                phi, d = p.phi + rng.normal(0, 0.01), p.d + rng.normal(0, 0.02)
+                if p.vid.index % 2:
+                    phi, d = wrap_angle(phi + math.pi), -d
+                planes.append(PlaneEntry(p.vid, phi, d))
+            noisy.append(RoomEntry(r.vid, r.center, tuple(planes)))
+        a_by, s_by = {r.vid: r for r in a_rooms}, {r.vid: r for r in noisy}
+        a_planes = {pl.vid: pl for r in a_rooms for pl in r.planes}
+        s_planes = {pl.vid: pl for r in noisy for pl in r.planes}
+        for cand in match(a_rooms, noisy).cluster:
+            planes = np.array([
+                (a_planes[p.a_node].phi, a_planes[p.a_node].d, s_planes[p.s_node].phi,
+                 s_planes[p.s_node].d)
+                for p in cand.wall_pairs
+            ])
+            m = len(planes)
+            t_vals = np.full((m, 3), cand.transform_hint.as_array())
+            r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
+            e_pi = math.sqrt(float(np.mean(r**2)))
+            want = math.exp(-(cand.e_rho / RHO_SCALE + e_pi / PI_SCALE))
+            assert score_candidate(cand, a_by, s_by).affinity == want
+            scored += 1
+    assert scored >= 10
+
+
 def test_wrong_assignment_scores_low():
     _, a_rooms, s_rooms = synthetic_views("five_rooms", Pose2.identity())
     a_by = {r.vid: r for r in a_rooms}

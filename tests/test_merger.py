@@ -4,14 +4,27 @@ import numpy as np
 import pytest
 
 from conftest import scenario_config
-from planloc.a_graph import build_a_graph
+from planloc.a_graph import build_a_graph, plan_from_dict
 from planloc.factor_graph import FactorKind, VarKind
 from planloc.geometry import Pose2, wrap_angle
-from planloc.matcher import MatchResult, MatchStatus, match, room_entries
-from planloc.merger import MergeError, extend_matches, localized_trajectory, merge
-from planloc.plans import fixture_plan
+import planloc.merger
+import planloc.runner
+from planloc.matcher import (
+    DIM_TOL,
+    DIST_TOL,
+    MatchPair,
+    MatchResult,
+    MatchStatus,
+    WallPairingError,
+    match,
+    propose_wall_pairs,
+    read_room_entries,
+    room_entries,
+)
+from planloc.merger import MergeError, _distances, extend_matches, localized_trajectory, merge
+from planloc.plans import fixture_plan, generate_random_plan, route_waypoints, row_plan
 from planloc.runner import run_pipeline
-from planloc.s_graph import PlanSimulator, SGraph
+from planloc.s_graph import PlanSimulator, SGraph, SimConfig
 
 
 def run_zero_noise(map_offset):
@@ -178,3 +191,75 @@ def test_localized_trajectory_identity_transform():
     for est, kf in zip(traj, result.sgraph.keyframe_poses()):
         assert est.almost_equal(kf, tol=1e-9)
 
+
+def _reference_extend(state, s) -> list:
+    """The (plan room, robot room) pairs extend_matches adds, by a loop over room pairs."""
+    t = state.transform_estimate()
+    matched_a = set(state.room_pairs)
+    s_rooms = {
+        r.vid: r
+        for r in read_room_entries(
+            state.graph,
+            ((vid, *rec.planes) for vid, rec in s.rooms.items()
+             if vid not in set(state.room_pairs.values())),
+        )
+    }
+    out = []
+    for s_vid in sorted(s_rooms, key=lambda v: v.index):
+        mapped = t.transform_point(s_rooms[s_vid].center)
+        best = None
+        for a_vid, a_room in state.plan_rooms.items():
+            if state.a_var_map[a_vid] in matched_a:
+                continue
+            da, ds = a_room.dims, s_rooms[s_vid].dims
+            if not (abs(da[0] - ds[0]) <= DIM_TOL and abs(da[1] - ds[1]) <= DIM_TOL):
+                continue
+            dist = float(np.linalg.norm(mapped - np.asarray(a_room.center)))
+            if dist > planloc.merger.DIST_TOL:
+                continue
+            if best is None or (dist, a_vid.index) < (best[0], best[1].index):
+                best = (dist, a_vid)
+        if best is None:
+            continue
+        try:
+            propose_wall_pairs(MatchPair(best[1], s_vid, "room"), state.plan_rooms, s_rooms, t)
+        except WallPairingError:
+            continue
+        matched_a.add(state.a_var_map[best[1]])
+        out.append((state.a_var_map[best[1]], s_vid))
+    return out
+
+
+@pytest.mark.parametrize("tol", [DIST_TOL, 10 * DIST_TOL])
+def test_extend_matches_matches_loop_reference(monkeypatch, tol):
+    """At the matcher's gate, and at a wide one that lets several plan rooms compete."""
+    monkeypatch.setattr(planloc.merger, "DIST_TOL", tol)
+    added = tested = 0
+
+    def extend(state, s, _extend=extend_matches):
+        nonlocal added, tested
+        want = _reference_extend(state, s)
+        before = set(state.room_pairs)
+        tested += len(s.rooms) - len(before)
+        assert _extend(state, s) == len(want)
+        assert [(a, b) for a, b in state.room_pairs.items() if a not in before] == want
+        added += len(want)
+        return len(want)
+
+    monkeypatch.setattr(planloc.runner, "extend_matches", extend)
+    # eight equal rooms: every plan room passes the dimension gate
+    rows8 = plan_from_dict(row_plan([3.0] * 8, [4.0] * 8, [0.5 + 0.5 * k for k in range(8)]))
+    plans = [(generate_random_plan(n, seed), seed) for n, seed in ((8, 1), (12, 0), (16, 0))]
+    for plan, seed in plans + [(rows8, 1004)]:
+        run_pipeline(plan, SimConfig(tuple(route_waypoints(plan)), seed=seed))
+    # robot rooms tested against the plan on a later update, and pairs added
+    assert tested > 400 and added > 20
+
+
+def test_center_distances_keep_norm_bits():
+    rng = np.random.default_rng(5)
+    for scale in (1e-9, 1e-3, 0.5, 3.0, 1e3):
+        point = rng.normal(0, scale, 2)
+        centers = rng.normal(0, scale, (200, 2))
+        want = [float(np.linalg.norm(point - c)) for c in centers]
+        assert _distances(point, centers).tolist() == want

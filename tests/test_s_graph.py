@@ -6,7 +6,7 @@ import pytest
 from conftest import scenario_config, simulate_sgraph
 from planloc.a_graph import plan_from_dict, wall_surfaces
 from planloc.factor_graph import FactorKind, VarKind
-from planloc.geometry import PERP, Pose2, transform_phi_dist, wrap_angle
+from planloc.geometry import PERP, Pose2, axis_of_normal, transform_phi_dist, wrap_angle
 from planloc.metrics import compute_ape
 from planloc.plans import (
     FIXTURE_PLANS,
@@ -16,15 +16,18 @@ from planloc.plans import (
     route_waypoints,
     row_plan,
 )
-from planloc.runner import run_estimator
+from planloc.runner import run_estimator, run_pipeline
 from planloc.s_graph import (
     EMPTY_MARGIN,
     OPPOSED_TOL,
     PAIR_OVERLAP_MIN,
+    PERP_DOT_MAX,
     ROOM_GAP_MAX,
     ROOM_GAP_MIN,
+    UPDATE_ITERATIONS,
     WINDOW_KEYFRAMES,
     PlaneObservation,
+    PlanePairs,
     PlaneRecord,
     PlanSimulator,
     SGraph,
@@ -520,6 +523,22 @@ def test_detect_rooms_idempotent():
     assert len(sg.graph.factors()) == n_factors
 
 
+def _geo(planes):
+    """A PlaneTable as the per-plane dicts the loop references read."""
+    return [
+        {
+            "vid": vid,
+            "phi": float(planes.phi[k]),
+            "d": float(planes.d[k]),
+            "n": planes.n[k],
+            "foot": planes.foot[k],
+            "m_hat": PERP @ planes.n[k],
+            "extent": tuple(planes.extent[k].tolist()),
+        }
+        for k, vid in enumerate(planes.vids)
+    ]
+
+
 def _extent_along(entry, direction):
     sign = 1.0 if float(entry["m_hat"] @ direction) >= 0 else -1.0
     lo, hi = entry["extent"]
@@ -588,7 +607,7 @@ def _random_plane_set(rng) -> SGraph:
         add(phi, d, (lo, lo + length))
     # Third planes parallel to a pair's first plane, at or one ulp off the
     # EMPTY_MARGIN edge of the pair's slab.
-    geo = sg._plane_geometry()
+    geo = _geo(sg._plane_table())
     for _ in range(rng.integers(0, 4)):
         gi, gj = (geo[k] for k in rng.choice(len(geo), 2, replace=False))
         u = sorted(float(g["foot"] @ gi["n"]) for g in (gi, gj))
@@ -602,18 +621,100 @@ def test_pair_search_matches_loop_reference():
     found = occupied = 0
     for seed in range(200):
         sg = _random_plane_set(np.random.default_rng(seed))
-        geo = sg._plane_geometry()
+        planes = sg._plane_table()
+        geo = _geo(planes)
         want, blocked = _reference_pairs(geo)
-        got = sg._qualifying_pairs(geo)
-        assert [p["planes"] for p in got] == [p["planes"] for p in want]
-        for p, q in zip(got, want):
-            assert p["interval"] == q["interval"]
-            assert p["band"] == q["band"]
-            assert p["n_hat"] is p["planes"][0]["n"]
+        got = sg._qualifying_pairs(planes)
+        assert list(zip(got.i.tolist(), got.j.tolist())) == [
+            (geo.index(p["planes"][0]), geo.index(p["planes"][1])) for p in want
+        ]
+        assert list(zip(got.lo.tolist(), got.hi.tolist())) == [p["interval"] for p in want]
+        assert list(zip(got.band_lo.tolist(), got.band_hi.tolist())) == [p["band"] for p in want]
         found += len(want)
         occupied += blocked
     # the inputs reach every branch of the search
     assert found > 100 and occupied > 20
+
+
+def _reference_quads(planes, plane_pairs):
+    """The four-wall room search as a loop over pairs of pairs, each a dict with a normal."""
+    geo = _geo(planes)
+    pairs = [
+        {"planes": (geo[a], geo[b]), "n_hat": geo[a]["n"], "interval": (lo, hi)}
+        for a, b, lo, hi in zip(*(x.tolist() for x in plane_pairs[:4]))
+    ]
+
+    def spans(pa, pb):
+        lo_b, hi_b = pb["interval"]
+        for g in pa["planes"]:
+            e = _extent_along(g, pb["n_hat"])
+            if min(e[1], hi_b) - max(e[0], lo_b) < PAIR_OVERLAP_MIN:
+                return False
+        return True
+
+    quads = []
+    for a in range(len(pairs)):
+        for b in range(a + 1, len(pairs)):
+            pa, pb = pairs[a], pairs[b]
+            if abs(float(pa["n_hat"] @ pb["n_hat"])) > PERP_DOT_MAX:
+                continue
+            if not spans(pa, pb) or not spans(pb, pa):
+                continue
+            first, second = pa, pb
+            key_a = (axis_of_normal(*pa["n_hat"]).value, min(g["vid"].index for g in pa["planes"]))
+            key_b = (axis_of_normal(*pb["n_hat"]).value, min(g["vid"].index for g in pb["planes"]))
+            if key_a > key_b:
+                first, second = pb, pa
+            quads.append(tuple(
+                g["vid"]
+                for g in (
+                    *sorted(first["planes"], key=lambda g: g["vid"].index),
+                    *sorted(second["planes"], key=lambda g: g["vid"].index),
+                )
+            ))
+    return sorted(quads, key=lambda q: tuple(sorted(v.index for v in q)))
+
+
+def test_quad_search_matches_loop_reference(monkeypatch):
+    """On the plane tables of every update of the sensor cases, off-axis ones included."""
+    checked = found = 0
+
+    def detect_rooms(sg, _detect_rooms=SGraph.detect_rooms):
+        nonlocal checked, found
+        planes = sg._plane_table()
+        pairs = sg._qualifying_pairs(planes)
+        want = _reference_quads(planes, pairs)
+        assert sg._quads(planes, pairs) == want
+        checked += 1
+        found += len(want)
+        return _detect_rooms(sg)
+
+    monkeypatch.setattr(SGraph, "detect_rooms", detect_rooms)
+    for name, plan, config in _sensor_cases():
+        run_estimator(plan, config)
+    assert checked > 800 and found > 3000
+
+
+def test_quad_search_matches_loop_reference_on_random_pairs():
+    """Pairs drawn at random, so that quads of one plane's several pairs test their order."""
+    found = 0
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        sg = SGraph(Pose2.identity())
+        for _ in range(rng.integers(3, 10)):
+            phi = wrap_angle(rng.integers(4) * math.pi / 2 + rng.normal(0, 0.4))
+            lo = rng.uniform(-3, 1)
+            vid = sg.graph.add_variable(VarKind.PLANE, [phi, rng.uniform(-5, 5)])
+            sg.planes[vid] = PlaneRecord(vid, (lo, lo + rng.uniform(0.2, 4)))
+        planes = sg._plane_table()
+        i, j = np.triu_indices(len(planes.vids), 1)
+        keep = np.sort(rng.choice(len(i), rng.integers(1, len(i) + 1), replace=False))
+        lo = rng.uniform(-3, 1, len(keep))
+        pairs = PlanePairs(i[keep], j[keep], lo, lo + rng.uniform(0.5, 4, len(keep)), lo, lo)
+        want = _reference_quads(planes, pairs)
+        assert sg._quads(planes, pairs) == want
+        found += len(want)
+    assert found > 400
 
 
 def test_two_wall_room_in_partial_corridor():
@@ -705,3 +806,30 @@ def test_update_solves_a_window_that_does_not_grow(monkeypatch):
         assert max(checked) < WINDOW_COLUMNS_BOUND
         # The final batch solve still moves the whole graph.
         assert sg.last_report.free_columns > 300
+
+
+def test_update_takes_one_lm_step_and_full_solves_converge(monkeypatch):
+    """Each update's re-solve takes one LM step; the merge and the final solve converge."""
+    reports, windowed = [], 0
+
+    def add_step(sg, step, _add_step=SGraph.add_step):
+        nonlocal windowed
+        reports.append(_add_step(sg, step))
+        windowed += len(sg.keyframes) > WINDOW_KEYFRAMES
+        return reports[-1]
+
+    monkeypatch.setattr(SGraph, "add_step", add_step)
+    plan = generate_random_plan(12, 0)
+    result = run_pipeline(plan, SimConfig(tuple(route_waypoints(plan)), seed=0))
+    monkeypatch.undo()
+    assert windowed > 50
+    for report in reports:
+        assert report.iterations <= UPDATE_ITERATIONS == 1
+        trace = report.cost_trace
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        # one accepted step, unless the step search found the cost already flat
+        assert len(trace) == 2 or (len(trace) == 1 and report.converged)
+    assert sum(len(report.cost_trace) == 2 for report in reports) > 0.9 * len(reports)
+    assert result.merged is not None and result.merged.report.converged
+    assert result.merged.report.iterations > 1
+    assert result.sgraph.last_report.converged
