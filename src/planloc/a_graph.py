@@ -6,9 +6,12 @@ room pairs. Each wall slab contributes two parallel wall surfaces; surfaces
 are identified as ``"<wall_id>:+"`` / ``"<wall_id>:-"`` for the face on the
 left / right of the wall direction.
 
-The resulting A-Graph is a factor graph over wall-surface planes, wall
-centers, room centers and doorway positions in the plan frame "B". A valid
-plan always produces a graph whose total cost is zero at the initial values.
+The resulting A-Graph is a factor graph over the wall-surface planes and
+room centers of the plan frame "B": each room is tied to its four surfaces,
+and a prior on the first room anchors the graph. Walls and doorways stay in
+the plan (the simulator cuts the doorway openings) but are not graph nodes.
+A valid plan always produces a graph whose total cost is zero at the initial
+values.
 """
 
 from __future__ import annotations
@@ -307,7 +310,7 @@ def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> floa
 
 @dataclass
 class AGraph:
-    """Optimizable graph of a floor plan: wall surfaces, walls, rooms, doorways."""
+    """Optimizable graph of a floor plan: wall-surface planes and room centers."""
 
     plan: FloorPlan
     graph: FactorGraph
@@ -347,21 +350,6 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
                 VarKind.PLANE, [math.atan2(surf.normal[1], surf.normal[0]), surf.dist]
             )
 
-    for wall in plan.walls:
-        plus = surfaces[f"{wall.id}:+"]
-        minus = surfaces[f"{wall.id}:-"]
-        # The WALL_CENTER kernel puts the center midway between the two faces,
-        # level with the start point: the start point itself, as the
-        # zero-cost check below confirms.
-        wid = graph.add_variable(VarKind.WALL, wall.start)
-        graph.add_factor(
-            Factor(
-                FactorKind.WALL_CENTER,
-                (wid, plane_ids[plus.id], plane_ids[minus.id]),
-                np.asarray(wall.start, float),
-            )
-        )
-
     room_ids: dict[str, VariableId] = {}
     for room in plan.rooms:
         x0, x1, y0, y1 = plan.room_rect(room.id)
@@ -384,19 +372,6 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
     if plan.rooms:
         first = room_ids[plan.rooms[0].id]
         graph.add_factor(Factor(FactorKind.PRIOR, (first,), graph.value(first)))
-
-    for doorway in plan.doorways:
-        pos = np.asarray(doorway.position, float)
-        did = graph.add_variable(VarKind.DOORWAY, pos)
-        r1, r2 = doorway.rooms
-        offsets = (pos - graph.value(room_ids[r1]), pos - graph.value(room_ids[r2]))
-        graph.add_factor(
-            Factor(
-                FactorKind.DOORWAY_TO_ROOMS,
-                (did, room_ids[r1], room_ids[r2]),
-                offsets,
-            )
-        )
 
     cost = graph.total_cost()
     if cost > 1e-12:

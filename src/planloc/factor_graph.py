@@ -14,13 +14,14 @@ kind           dim   meaning
 =============  ====  =======================================
 keyframe       3     robot pose (x, y, theta)
 plane          2     wall surface (phi, d); d may be signed
-wall           2     wall center point
 room           2     four-wall room center
 two_wall_room  2     two-wall room center
-doorway        2     doorway position
-floor          2     floor center
 transform      3     map->plan alignment (x, y, theta)
 =============  ====  =======================================
+
+A plan value enters a graph it is not a variable of as a measurement: the
+merge factors ``room_to_room`` and ``plane_to_plane`` measure a plan room
+center and a plan plane (phi, d).
 """
 
 from __future__ import annotations
@@ -62,11 +63,8 @@ class GaugeFreedomError(GraphError):
 class VarKind(Enum):
     KEYFRAME = "keyframe"
     PLANE = "plane"
-    WALL = "wall"
     ROOM = "room"
     TWO_WALL_ROOM = "two_wall_room"
-    DOORWAY = "doorway"
-    FLOOR = "floor"
     TRANSFORM = "transform"
 
     # Members are singletons, so identity hashing is exact; Enum's default
@@ -77,11 +75,8 @@ class VarKind(Enum):
 VAR_DIM = {
     VarKind.KEYFRAME: 3,
     VarKind.PLANE: 2,
-    VarKind.WALL: 2,
     VarKind.ROOM: 2,
     VarKind.TWO_WALL_ROOM: 2,
-    VarKind.DOORWAY: 2,
-    VarKind.FLOOR: 2,
     VarKind.TRANSFORM: 3,
 }
 
@@ -91,8 +86,6 @@ ANGLE_SLOTS = {
     VarKind.TRANSFORM: (2,),
     VarKind.PLANE: (0,),
 }
-
-POINT_KINDS = (VarKind.ROOM, VarKind.TWO_WALL_ROOM, VarKind.FLOOR, VarKind.WALL, VarKind.DOORWAY)
 
 
 class VariableId(NamedTuple):
@@ -107,8 +100,6 @@ class FactorKind(Enum):
     ODOMETRY = "odometry"
     POSE_PLANE = "pose_plane"
     ROOM_TO_WALLS = "room_to_walls"
-    WALL_CENTER = "wall_center"
-    DOORWAY_TO_ROOMS = "doorway_to_rooms"
     ROOM_TO_ROOM = "room_to_room"
     PLANE_TO_PLANE = "plane_to_plane"
     PRIOR = "prior"
@@ -119,8 +110,6 @@ DEFAULT_INFORMATION = {
     FactorKind.ODOMETRY: (100.0, 100.0, 400.0),
     FactorKind.POSE_PLANE: (400.0, 2500.0),
     FactorKind.ROOM_TO_WALLS: (25.0, 25.0),
-    FactorKind.WALL_CENTER: (25.0, 25.0),
-    FactorKind.DOORWAY_TO_ROOMS: (25.0, 25.0),
     FactorKind.ROOM_TO_ROOM: (100.0, 100.0),
     FactorKind.PLANE_TO_PLANE: (100.0, 100.0),
 }
@@ -142,7 +131,7 @@ def _as_info(kind: FactorKind, information, dim: int) -> np.ndarray:
 
 
 # Factors of one kind mostly share a few information matrices (the estimator's
-# configured weights, the plan's copies), so each distinct matrix is checked
+# configured weights, the kind defaults), so each distinct matrix is checked
 # once. A raise is not cached: an invalid matrix is checked, and fails, again.
 @functools.lru_cache(maxsize=256)
 def _check_information(shape: tuple[int, int], data: bytes) -> None:
@@ -295,71 +284,30 @@ def _room_to_walls(kinds, vals, meas):
     return vals[0] - mid * (k / 2.0), [_eye(m, 2), *(-(k / 2.0) * jac)]
 
 
-def _wall_center(kinds, vals, meas):
-    """Wall center from two surface planes and the wall start point.
-
-    The center is the midpoint of the two perpendicular feet, corrected along
-    the wall direction by the projection of the start point.
-    """
-    wall, p1, p2 = vals
-    s = meas
-    m = len(meas)
-    phi1, d1 = p1.T
-    phi2, d2 = p2.T
-    c1, s1 = np.cos(phi1), np.sin(phi1)
-    c2, s2 = np.cos(phi2), np.sin(phi2)
-    n1 = np.stack([c1, s1], axis=-1)
-    w = 0.5 * (d1[:, None] * n1 + d2[:, None] * np.stack([c2, s2], axis=-1))
-    nw = np.linalg.norm(w, axis=-1)
-    degenerate = nw < 1e-9
-    nw = np.where(degenerate, 1.0, nw)
-    what = np.where(degenerate[:, None], n1, w / nw[:, None])
-    s_what = np.einsum("mi,mi->m", s, what)
-    omega = w + s - s_what[:, None] * what
-
-    # d omega / d what, and d what / d w
-    eye = np.eye(2)
-    dm = what[:, :, None] * s[:, None, :] + s_what[:, None, None] * eye
-    proj = (eye - what[:, :, None] * what[:, None, :]) / nw[:, None, None]
-    df_dw = np.where(degenerate[:, None, None], eye, eye - dm @ proj)
-    j1 = df_dw @ _stack(m, [[0.5 * d1 * -s1, 0.5 * c1], [0.5 * d1 * c1, 0.5 * s1]])
-    j2 = df_dw @ _stack(m, [[0.5 * d2 * -s2, 0.5 * c2], [0.5 * d2 * c2, 0.5 * s2]])
-    # In the degenerate branch what = n1 depends on phi1 directly.
-    perp_n1 = np.stack([-s1, c1], axis=-1)
-    j1[degenerate, :, 0] -= np.einsum("mij,mj->mi", dm[degenerate], perp_n1[degenerate])
-    return wall - omega, [_eye(m, 2), -j1, -j2]
-
-
-def _doorway_to_rooms(kinds, vals, meas):
-    m = len(meas)
-    r = (vals[1] + meas[:, :2]) - (vals[2] + meas[:, 2:])
-    return r, [np.zeros((m, 2, 2)), _eye(m, 2), -_eye(m, 2)]
-
-
 def _room_to_room(kinds, vals, meas):
-    target, source = vals[0], vals[1]
+    """A map room (slot 0) moved by the transform (slot 1), against a plan room center."""
+    source = vals[0]
     m = len(meas)
-    if len(vals) == 2:
-        return source - target - meas, [-_eye(m, 2), _eye(m, 2)]
-    tx, ty, tth = vals[2].T
+    tx, ty, tth = vals[1].T
     c, s = np.cos(tth), np.sin(tth)
     rx = c * source[:, 0] - s * source[:, 1]
     ry = s * source[:, 0] + c * source[:, 1]
-    r = np.stack([rx + tx, ry + ty], axis=-1) - target - meas
+    r = np.stack([rx + tx, ry + ty], axis=-1) - meas
     rot = _stack(m, [[c, -s], [s, c]])
     jt = _stack(m, [[1.0, 0.0, -ry], [0.0, 1.0, rx]])
-    return r, [-_eye(m, 2), rot, jt]
+    return r, [rot, jt]
 
 
 def plane_to_plane_residual(vals):
     """Residual of ``plane_to_plane``, and the (sign, cos, sin, d d_p / d phi_p) its Jacobians use.
 
-    Also the matcher's wall-pair residual, so that matching scores a pair
+    ``vals`` stacks the plan planes (m, 2), the map planes (m, 2) and the
+    transforms (m, 3). Also the matcher's wall-pair residual, so that matching scores a pair
     exactly as the merged graph will weigh it.
     """
     phi_b, d_b = vals[0].T
     phi_m, d_m = vals[1].T
-    tx, ty, tth = vals[2].T if len(vals) == 3 else np.zeros((3, len(phi_b)))
+    tx, ty, tth = vals[2].T
     phi_p = phi_m + tth
     cp, sp = np.cos(phi_p), np.sin(phi_p)
     dperp = -sp * tx + cp * ty
@@ -369,13 +317,13 @@ def plane_to_plane_residual(vals):
 
 
 def plane_to_plane(kinds, vals, meas):
-    """Plan plane (slot 0) against a map plane (slot 1) moved by an optional transform."""
+    """A map plane (slot 0) moved by the transform (slot 1), against a plan plane (phi, d)."""
     m = len(meas)
-    r, (sign, cp, sp, dperp) = plane_to_plane_residual(vals)
-    jacs = [-_eye(m, 2), _stack(m, [[1.0, 0.0], [sign * dperp, sign]])]
-    if len(vals) == 3:
-        jacs.append(_stack(m, [[0.0, 0.0, 1.0], [sign * cp, sign * sp, sign * dperp]]))
-    return r, jacs
+    r, (sign, cp, sp, dperp) = plane_to_plane_residual([meas, *vals])
+    return r, [
+        _stack(m, [[1.0, 0.0], [sign * dperp, sign]]),
+        _stack(m, [[0.0, 0.0, 1.0], [sign * cp, sign * sp, sign * dperp]]),
+    ]
 
 
 def _prior(kinds, vals, meas):
@@ -439,47 +387,21 @@ _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
         _room_to_walls,
         zero_default=True,
     ),
-    FactorKind.WALL_CENTER: _FactorSpec(
-        lambda k: k == [VarKind.WALL, VarKind.PLANE, VarKind.PLANE],
-        "a wall and two planes",
-        lambda k: 2,
-        lambda k: (2,),
-        "start",
-        _wall_center,
-    ),
-    FactorKind.DOORWAY_TO_ROOMS: _FactorSpec(
-        lambda k: k == [VarKind.DOORWAY, VarKind.ROOM, VarKind.ROOM],
-        "a doorway and two rooms",
-        lambda k: 2,
-        lambda k: (2, 2),
-        "offsets",
-        _doorway_to_rooms,
-    ),
     FactorKind.ROOM_TO_ROOM: _FactorSpec(
-        lambda k: (
-            len(k) in (2, 3)
-            and all(v in POINT_KINDS for v in k[:2])
-            and (len(k) == 2 or k[2] == VarKind.TRANSFORM)
-        ),
-        "two point variables plus an optional transform",
+        lambda k: k == [VarKind.ROOM, VarKind.TRANSFORM],
+        "a room and a transform",
         lambda k: 2,
         lambda k: (2,),
-        "offset",
+        "center",
         _room_to_room,
-        zero_default=True,
     ),
     FactorKind.PLANE_TO_PLANE: _FactorSpec(
-        lambda k: (
-            len(k) in (2, 3)
-            and k[:2] == [VarKind.PLANE, VarKind.PLANE]
-            and (len(k) == 2 or k[2] == VarKind.TRANSFORM)
-        ),
-        "two planes plus an optional transform",
+        lambda k: k == [VarKind.PLANE, VarKind.TRANSFORM],
+        "a plane and a transform",
         lambda k: 2,
-        lambda k: (0,),
-        None,
+        lambda k: (2,),
+        "plane",
         plane_to_plane,
-        zero_default=True,
     ),
     FactorKind.PRIOR: _FactorSpec(
         lambda k: len(k) == 1,
@@ -502,10 +424,9 @@ class _Group:
     measurements: np.ndarray  # (m, p)
     information: np.ndarray  # (m, k, k)
     # A solve's groups only (see _Structure.window): the entries of the (m, D) gradient and
-    # (m, D, D) Hessian blocks on free columns, and the chi2 of a group with none.
+    # (m, D, D) Hessian blocks on free columns.
     b_take: np.ndarray | None = None
     h_take: np.ndarray | None = None
-    fixed_chi2: float | None = None
 
 
 def _empty_index() -> np.ndarray:
@@ -657,6 +578,17 @@ def _whitened(information: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float
     return wr, float(np.einsum("mk,mk->", r, wr))
 
 
+def _objects(doc: dict, key: str) -> list[dict]:
+    """The list ``doc[key]`` of a graph document, checked to hold only JSON objects."""
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise GraphError(f"graph JSON field {key!r} must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise GraphError(f"graph JSON {key}[{i}] must be an object, got {entry!r}")
+    return entries
+
+
 class FactorGraph:
     """Typed variables plus residual factors, solvable by Levenberg-Marquardt.
 
@@ -671,8 +603,8 @@ class FactorGraph:
         self._counters: dict[VarKind, int] = {}
         self._factors: dict[int, Factor] = {}
         self._next_factor_id = 0
-        # Built on first evaluation and extended by later additions; fix,
-        # removals and new values of fixed variables drop it.
+        # Built on first evaluation and extended by later additions; removals
+        # drop it.
         self._cache: _Structure | None = None
         self._new_variables: list[VariableId] = []
         self._new_factors: list[int] = []
@@ -731,17 +663,6 @@ class FactorGraph:
             raise GraphError(f"value shape mismatch for {vid}")
         self._state[where] = value
         self._evaluated = None
-        if vid in self._fixed:
-            self._drop_structure()  # it holds the chi2 of groups of fixed variables
-
-    def fix(self, vid: VariableId, fixed: bool = True) -> None:
-        if vid not in self._offset:
-            raise GraphError(f"unknown variable {vid}")
-        if fixed:
-            self._fixed.add(vid)
-        else:
-            self._fixed.discard(vid)
-        self._drop_structure()
 
     def is_fixed(self, vid: VariableId) -> bool:
         return vid in self._fixed
@@ -852,17 +773,11 @@ class FactorGraph:
             cost = 0.0
             parts = []
             for group in self._scored().groups:
-                if group.fixed_chi2 is not None:
-                    cost += group.fixed_chi2
-                    parts.append(None)
-                    continue
                 vals = [self._state[idx] for idx in group.slots]
                 r, jacs = _FACTOR_SPECS[group.kind].kernel(
                     group.signature, vals, group.measurements
                 )
                 wr, chi2 = _whitened(group.information, r)
-                if group.b_take is not None and group.b_take.size == 0:
-                    group.fixed_chi2 = chi2
                 cost += chi2
                 parts.append((wr, jacs))
             self._evaluated = (parts, cost)
@@ -1083,11 +998,15 @@ class FactorGraph:
         """Rebuild a graph with its stored ids; removals may have left gaps in them.
 
         Each counter ends past the largest stored id of its kind, so ids the
-        rebuilt graph hands out later never collide with stored ones.
+        rebuilt graph hands out later never collide with stored ones. A
+        document that is not a graph, such as one naming a kind this version
+        does not have, raises GraphError.
         """
+        if not isinstance(doc, dict):
+            raise GraphError("graph JSON must be an object")
         graph = cls()
         try:
-            for var in doc["variables"]:
+            for var in _objects(doc, "variables"):
                 kind, index = VarKind(var["kind"]), int(var["index"])
                 if index < 0 or VariableId(kind, index) in graph._offset:
                     raise GraphError(f"duplicate or negative variable index: {var}")
@@ -1095,7 +1014,7 @@ class FactorGraph:
                 graph._counters[kind] = index
                 graph.add_variable(kind, var["value"], fixed=bool(var.get("fixed")))
                 graph._counters[kind] = top
-            for fac in sorted(doc["factors"], key=lambda f: f["id"]):
+            for fac in sorted(_objects(doc, "factors"), key=lambda f: f["id"]):
                 kind, fid = FactorKind(fac["kind"]), int(fac["id"])
                 if fid < 0 or fid in graph._factors:
                     raise GraphError(f"duplicate or negative factor id {fid}")
@@ -1106,8 +1025,12 @@ class FactorGraph:
                 information = np.asarray(fac["information"])
                 graph.add_factor(Factor(kind, variables, measurement, information))
                 graph._next_factor_id = fid + 1
+        except GraphError:
+            raise
         except KeyError as exc:
             raise GraphError(f"graph JSON is missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:  # e.g. an unknown kind or a non-numeric index
+            raise GraphError(f"malformed graph JSON: {exc}") from None
         return graph
 
     @classmethod

@@ -1,10 +1,12 @@
 """Merge a matched plan graph and robot graph into one globally anchored graph.
 
-Merging consumes the live robot graph: plan variables are copied in (fixed,
-since the plan is authoritative), a map-to-plan transform variable is added,
-and every matched room / wall-surface pair contributes an alignment factor
-through that transform. After optimization the transform carries the global
-localization, and the robot's whole state is expressible in the plan frame.
+Merging consumes the live robot graph. The plan is prior knowledge, so it
+enters as measurements, not variables: a map-to-plan transform variable is
+added, and every matched room / wall-surface pair contributes one factor that
+moves the robot node through that transform and measures the plan room's
+center or the plan surface's (phi, d). After optimization the transform
+carries the global localization, and the robot's whole state is expressible
+in the plan frame.
 
 After the first merge, rooms and surfaces observed later can be matched
 directly under the established transform and receive the same factors.
@@ -43,9 +45,9 @@ class MergedState:
 
     graph: FactorGraph
     transform: VariableId
-    a_var_map: dict[VariableId, VariableId]  # plan-graph id -> merged-graph id
-    room_pairs: dict[VariableId, VariableId]  # merged plan room -> robot room
-    plane_pairs: dict[VariableId, VariableId]  # merged plan plane -> robot plane
+    a_var_map: dict[VariableId, VariableId]  # the identity over the plan graph's ids
+    room_pairs: dict[VariableId, VariableId]  # plan room -> robot room
+    plane_pairs: dict[VariableId, VariableId]  # plan plane -> robot plane
     plan_rooms: dict[VariableId, RoomEntry]  # plan-graph room -> its entry; the plan is constant
     merge_factor_ids: list[int] = field(default_factory=list)
     report: SolveReport | None = None
@@ -55,7 +57,7 @@ class MergedState:
 
 
 def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
-    """Union both graphs, add alignment factors for the match, and optimize.
+    """Add the transform and one alignment factor per matched pair to the robot graph, and optimize.
 
     Refuses anything but a uniquely matched result: an ambiguous match must
     not silently pick one branch.
@@ -67,25 +69,12 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
         )
     graph = s.graph
 
-    a_var_map: dict[VariableId, VariableId] = {}
-    for vid in a.graph.variables():
-        a_var_map[vid] = graph.add_variable(vid.kind, a.graph.value(vid), fixed=True)
-    for _, factor in sorted(a.graph.factors().items()):
-        graph.add_factor(
-            Factor(
-                factor.kind,
-                tuple(a_var_map[v] for v in factor.variables),
-                factor.measurement,
-                factor.information,
-            )
-        )
-
     # The alignment starts at identity when created, then takes the match's
     # closed-form hint right before optimization.
     transform = graph.add_variable(VarKind.TRANSFORM, Pose2.identity().as_array())
 
-    plan_rooms = {r.vid: r for r in a.rooms}
-    state = MergedState(graph, transform, a_var_map, {}, {}, plan_rooms)
+    a_var_map = {vid: vid for vid in a.graph.variables()}
+    state = MergedState(graph, transform, a_var_map, {}, {}, {r.vid: r for r in a.rooms})
     _add_match_factors(state, m.best.room_pairs, m.best.wall_pairs)
 
     graph.set_value(transform, m.best.transform_hint.as_array())
@@ -95,30 +84,33 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
 
 
 def _add_match_factors(state: MergedState, room_pairs, wall_pairs) -> None:
+    """One factor per new pair, tying the robot node through the transform to the plan value."""
     graph = state.graph
+    plan_planes = {p.vid: p for room in state.plan_rooms.values() for p in room.planes}
     for pair in room_pairs:
-        a_vid = state.a_var_map[pair.a_node]
-        if a_vid in state.room_pairs:
+        if pair.a_node in state.room_pairs:
             continue
-        state.room_pairs[a_vid] = pair.s_node
+        state.room_pairs[pair.a_node] = pair.s_node
         state.merge_factor_ids.append(
             graph.add_factor(
                 Factor(
                     FactorKind.ROOM_TO_ROOM,
-                    (a_vid, pair.s_node, state.transform),
+                    (pair.s_node, state.transform),
+                    state.plan_rooms[pair.a_node].center,
                 )
             )
         )
     for pair in wall_pairs:
-        a_vid = state.a_var_map[pair.a_node]
-        if a_vid in state.plane_pairs:
+        if pair.a_node in state.plane_pairs:
             continue
-        state.plane_pairs[a_vid] = pair.s_node
+        state.plane_pairs[pair.a_node] = pair.s_node
+        plane = plan_planes[pair.a_node]
         state.merge_factor_ids.append(
             graph.add_factor(
                 Factor(
                     FactorKind.PLANE_TO_PLANE,
-                    (a_vid, pair.s_node, state.transform),
+                    (pair.s_node, state.transform),
+                    (plane.phi, plane.d),
                 )
             )
         )
@@ -152,7 +144,7 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
     a_index = np.array([vid.index for vid in a_vids])
     a_centers = np.array([a_rooms[vid].center for vid in a_vids]).reshape(-1, 2)
     a_dims = np.array([a_rooms[vid].dims for vid in a_vids]).reshape(-1, 2)
-    open_a = np.array([state.a_var_map[vid] not in state.room_pairs for vid in a_vids], dtype=bool)
+    open_a = np.array([vid not in state.room_pairs for vid in a_vids], dtype=bool)
 
     added = 0
     for s_vid in sorted(s_rooms, key=lambda v: v.index):

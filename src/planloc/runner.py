@@ -172,11 +172,7 @@ def estimated_surfaces(
 ) -> list[EstimatedSurface]:
     """Robot planes re-expressed in the plan frame, with merge associations."""
     t = merged.transform_estimate()
-    inv_map = {v: k for k, v in merged.a_var_map.items()}
-    assoc = {
-        s_vid: agraph.surface_of_plane(inv_map[a_merged])
-        for a_merged, s_vid in merged.plane_pairs.items()
-    }
+    assoc = {s_vid: agraph.surface_of_plane(a_vid) for a_vid, s_vid in merged.plane_pairs.items()}
     out = []
     for vid, rec in sgraph.planes.items():
         phi_b, d_b = transform_phi_dist(t, *merged.graph.value(vid))

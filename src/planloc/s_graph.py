@@ -4,7 +4,7 @@ The simulator drives a robot along a waypoint polyline through a floor plan,
 emitting noisy odometry and noisy plane observations of the wall surfaces
 that are in range, facing the robot, and not occluded (doorways punch
 openings into their walls). The estimator ingests those measurements into a
-factor graph over keyframes, wall-surface planes, rooms and a floor node,
+factor graph over keyframes, wall-surface planes, rooms and two-wall rooms,
 re-optimizing the neighbourhood of the latest keyframes after every update.
 
 Observed planes keep the orientation seen by the sensor (normal pointing
@@ -55,8 +55,6 @@ EMPTY_MARGIN = 0.1
 PERP_DOT_MAX = 0.3
 # A lone pair becomes a two-wall room once this many keyframes saw both planes.
 GAMMA_MIN_OBSERVERS = 3
-# Information of each room-to-floor factor [1/m^2].
-FLOOR_INFORMATION = 1e-2
 # LM iterations of the re-solve after each update: one step, as an incremental smoother takes.
 UPDATE_ITERATIONS = 1
 # Keyframes whose neighbourhood the re-solve after each update moves; the
@@ -470,7 +468,7 @@ class PlanePairs(NamedTuple):
 
 
 class SGraph:
-    """Incrementally estimated robot graph: keyframes, planes, rooms, floor."""
+    """Incrementally estimated robot graph: keyframes, planes, rooms, two-wall rooms."""
 
     def __init__(self, initial_pose: Pose2, config: SGraphConfig | None = None):
         self.config = config or SGraphConfig()
@@ -479,8 +477,6 @@ class SGraph:
         self.planes: dict[VariableId, PlaneRecord] = {}
         self.rooms: dict[VariableId, RoomRecord] = {}
         self.gammas: dict[VariableId, GammaRecord] = {}
-        self.floor: VariableId | None = None
-        self._floor_factors: dict[VariableId, int] = {}
         self.gt_plan: list[Pose2] = []
         self.gt_map: list[Pose2] = []
         self._initial_pose = initial_pose
@@ -502,7 +498,6 @@ class SGraph:
                 )
             )
         self.detect_rooms()
-        self._update_floor()
         self.last_report = self.graph.optimize(UPDATE_ITERATIONS, window=self._window())
         return self.last_report
 
@@ -510,8 +505,8 @@ class SGraph:
         """The variables the re-solve after an update moves; None solves them all.
 
         Once there are more than WINDOW_KEYFRAMES keyframes: the last
-        WINDOW_KEYFRAMES of them, every free variable added since the oldest
-        of those, the planes they observe, the rooms and two-wall rooms on
+        WINDOW_KEYFRAMES of them, every variable added since the oldest of
+        those, the planes they observe, the rooms and two-wall rooms on
         one of those planes, and the map-to-plan transform after a merge.
         """
         first = len(self.keyframes) - WINDOW_KEYFRAMES
@@ -519,7 +514,7 @@ class SGraph:
             return None
         variables = self.graph.variables()
         recent = variables[variables.index(self.keyframes[first]) :]
-        window = {vid for vid in recent if not self.graph.is_fixed(vid)}
+        window = set(recent)
         window.update(vid for vid in variables if vid.kind == VarKind.TRANSFORM)
         steps = range(first, len(self.keyframes))
         window.update(
@@ -766,26 +761,7 @@ class SGraph:
     def _remove_gamma(self, gvid: VariableId):
         rec = self.gammas.pop(gvid)
         self.graph.remove_factor(rec.factor_id)
-        fid = self._floor_factors.pop(gvid, None)
-        if fid is not None:
-            self.graph.remove_factor(fid)
         self.graph.remove_variable(gvid)
-
-    def _update_floor(self):
-        room_vids = list(self.rooms) + list(self.gammas)
-        if not room_vids:
-            return
-        info = np.eye(2) * FLOOR_INFORMATION
-        if self.floor is None:
-            centroid = np.mean([self.graph.value(v) for v in room_vids], axis=0)
-            self.floor = self.graph.add_variable(VarKind.FLOOR, centroid)
-        for vid in room_vids:
-            if vid in self._floor_factors:
-                continue
-            offset = self.graph.value(self.floor) - self.graph.value(vid)
-            self._floor_factors[vid] = self.graph.add_factor(
-                Factor(FactorKind.ROOM_TO_ROOM, (vid, self.floor), offset, info)
-            )
 
     # -- access -------------------------------------------------------------
 

@@ -33,9 +33,8 @@ def five_rooms_run():
 
 def _correspondence_ok(agraph, sgraph, merged) -> bool:
     """Provenance oracle: each merged room pair links the true plan room."""
-    inv = {v: k for k, v in merged.a_var_map.items()}
-    for a_merged, s_vid in merged.room_pairs.items():
-        room_id = agraph.room_of_variable(inv[a_merged])
+    for a_vid, s_vid in merged.room_pairs.items():
+        room_id = agraph.room_of_variable(a_vid)
         plan_room = next(r for r in agraph.plan.rooms if r.id == room_id)
         want = set(plan_room.surfaces.values())
         got = {sgraph.truth_of_plane(p) for p in sgraph.rooms[s_vid].planes}

@@ -1,6 +1,5 @@
 import copy
 import json
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from planloc.a_graph import (
     shared_wall,
     wall_surfaces,
 )
-from planloc.factor_graph import Factor, FactorGraph, FactorKind, VarKind
+from planloc.factor_graph import FactorKind, VarKind
 from planloc.geometry import Axis
 from planloc.plans import (
     FIXTURE_PLANS,
@@ -133,67 +132,17 @@ def test_extract_wall_surfaces_translation_covariance():
     assert _foot(m1)[0] - _foot(m0)[0] == pytest.approx(10.0)
 
 
-def _kernel_wall_center(p1, p2, s) -> np.ndarray:
-    """The wall center that zeroes the WALL_CENTER kernel for planes p1, p2 and start s."""
-    g = FactorGraph()
-    w = g.add_variable(VarKind.WALL, [0.0, 0.0])
-    factor = Factor(
-        FactorKind.WALL_CENTER,
-        (w, g.add_variable(VarKind.PLANE, p1), g.add_variable(VarKind.PLANE, p2)),
-        s,
-    )
-    center = -g.evaluate_residual(factor)  # the residual is wall - center
-    g.set_value(w, center)
-    assert g.evaluate_residual(factor) == pytest.approx([0.0, 0.0], abs=1e-12)
-    return center
-
-
-@pytest.mark.parametrize(
-    "p1,p2,s,expected",
-    [
-        ((0.0, 2.0), (0.0, 3.0), (0, 5), (2.5, 5.0)),
-        ((-math.pi / 2, 0.1), (math.pi / 2, 0.1), (0, 0), (0.0, 0.0)),
-        ((0.0, 2.0), (0.0, 3.0), (7, -1), (2.5, -1.0)),
-    ],
-)
-def test_compute_wall_center_cases(p1, p2, s, expected):
-    assert _kernel_wall_center(p1, p2, s) == pytest.approx(expected, abs=1e-12)
-
-
-def test_compute_wall_center_translation_equivariance():
-    rng = np.random.default_rng(11)
-
-    def canonical(d):  # the plane x = d with its normal pointing away from the origin
-        return (0.0, d) if d >= 0 else (math.pi, -d)
-
-    for _ in range(50):
-        d1, d2 = rng.uniform(0.5, 6, 2)
-        s = rng.uniform(-5, 5, 2)
-        t = rng.uniform(-8, 8, 2)
-        base = _kernel_wall_center(canonical(d1), canonical(d2), s)
-        # shift the whole construction by t (canonicalization may flip normals)
-        shifted = _kernel_wall_center(canonical(d1 + t[0]), canonical(d2 + t[0]), s + t)
-        assert shifted == pytest.approx(base + t, abs=1e-9)
-
-
 def test_build_a_graph_single_room_structure():
     plan = fixture_plan("single_room")
     ag = build_a_graph(plan)
     g = ag.graph
     assert len(g.variables_of(VarKind.PLANE)) == 8
-    assert len(g.variables_of(VarKind.WALL)) == 4
     assert len(g.variables_of(VarKind.ROOM)) == 1
-    assert len(g.variables_of(VarKind.DOORWAY)) == 0
+    assert len(g.variables()) == 9
     assert g.total_cost() <= 1e-12
-    assert len(g.factors_of(FactorKind.WALL_CENTER)) == 4
     assert len(g.factors_of(FactorKind.ROOM_TO_WALLS)) == 1
-
-
-def test_build_a_graph_doorway_residual_zero():
-    plan = fixture_plan("two_rooms")
-    ag = build_a_graph(plan)
-    [(fid, factor)] = ag.graph.factors_of(FactorKind.DOORWAY_TO_ROOMS)
-    assert ag.graph.evaluate_residual(factor) == pytest.approx([0, 0], abs=1e-12)
+    assert len(g.factors_of(FactorKind.PRIOR)) == 1
+    assert len(g.factors()) == 2
 
 
 def test_build_a_graph_optimize_is_noop():
@@ -204,17 +153,6 @@ def test_build_a_graph_optimize_is_noop():
         assert report.converged
         for v, val in before.items():
             assert ag.graph.value(v) == pytest.approx(val, abs=1e-9)
-
-
-def test_every_plane_in_exactly_one_wall_center_factor():
-    ag = build_a_graph(fixture_plan("five_rooms"))
-    count: dict = {}
-    for _, factor in ag.graph.factors_of(FactorKind.WALL_CENTER):
-        for vid in factor.variables[1:]:
-            count[vid] = count.get(vid, 0) + 1
-    planes = ag.graph.variables_of(VarKind.PLANE)
-    assert len(planes) == 2 * len(ag.plan.walls)
-    assert all(count.get(p, 0) == 1 for p in planes)
 
 
 def test_all_fixture_and_random_plans_zero_cost():

@@ -142,6 +142,20 @@ def test_error_paths_exit_one(tmp_path, capsys):
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1
     assert "error:" in capsys.readouterr().err
+    # documents that are not graphs, and kinds this version does not have
+    wall = {"kind": "wall", "index": 0, "value": [0, 0], "fixed": False}
+    for bad in (
+        [],
+        {"variables": [1], "factors": []},
+        {"variables": [], "factors": ["x"]},
+        {"variables": {}, "factors": []},
+        {"variables": [wall], "factors": []},
+        {"variables": [{**wall, "kind": "floor"}], "factors": []},
+        {"variables": [{**wall, "kind": "room", "index": "x"}], "factors": []},
+    ):
+        graph.write_text(json.dumps(bad))
+        assert main(["match", str(graph), str(graph)]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 def test_write_fixtures_cli(tmp_path):

@@ -14,7 +14,7 @@ from planloc.factor_graph import (
     VariableId,
     VarKind,
 )
-from planloc.geometry import Pose2, wrap_angle
+from planloc.geometry import Pose2, transform_phi_dist, wrap_angle
 from planloc.plans import fixture_dir
 from planloc.runner import load_scenario, run_pipeline
 from planloc.s_graph import SimConfig, SimulationError
@@ -60,7 +60,7 @@ def test_factor_arity_checked():
         (FactorKind.POSE_PLANE, (k, p), (1.0,)),
         (FactorKind.POSE_PLANE, (k, p), None),
         (FactorKind.ODOMETRY, (k, k), Pose2(1, 0, 0)),
-        (FactorKind.DOORWAY_TO_ROOMS, (g.add_variable(VarKind.DOORWAY, [0, 0]), r, r), [1, 2]),
+        (FactorKind.PLANE_TO_PLANE, (p, g.add_variable(VarKind.TRANSFORM, [0, 0, 0])), None),
         (FactorKind.PRIOR, (r,), [0, 0, 0]),
         (FactorKind.ROOM_TO_WALLS, (r, p, p, p, p), [0.0]),
     ):
@@ -80,27 +80,10 @@ def test_odometry_residual_zero_for_consistent_measurement():
 
 def test_room_to_room_residual_zero_at_identity():
     g = FactorGraph()
-    ra = g.add_variable(VarKind.ROOM, [4, 4])
-    rb = g.add_variable(VarKind.ROOM, [4, 4])
+    room = g.add_variable(VarKind.ROOM, [4, 4])
     t = g.add_variable(VarKind.TRANSFORM, [0, 0, 0])
-    f = Factor(FactorKind.ROOM_TO_ROOM, (ra, rb, t))
+    f = Factor(FactorKind.ROOM_TO_ROOM, (room, t), [4, 4])
     assert g.evaluate_residual(f) == pytest.approx([0, 0], abs=1e-15)
-
-
-def test_wall_center_residual_matches_midpoint_oracle():
-    # planes x=2 and x=3 with start point (0, 5): the center is the midpoint
-    # of the plane feet along x, and the start point's perpendicular coordinate
-    g = FactorGraph()
-    w = g.add_variable(VarKind.WALL, [2.5, 5.0])
-    p1 = g.add_variable(VarKind.PLANE, [0.0, 2.0])
-    p2 = g.add_variable(VarKind.PLANE, [0.0, 3.0])
-    f = Factor(FactorKind.WALL_CENTER, (w, p1, p2), np.array([0.0, 5.0]))
-    g.add_factor(f)
-    assert g.evaluate_residual(f) == pytest.approx([0, 0], abs=1e-12)
-    # oracle: midpoint of offsets for the axis coordinate, s for the other
-    oracle = np.array([(2.0 + 3.0) / 2.0, 5.0])
-    g.set_value(w, oracle)
-    assert g.evaluate_residual(f) == pytest.approx([0, 0], abs=1e-12)
 
 
 def test_prior_only_graph_converges_immediately():
@@ -182,8 +165,11 @@ def test_optimize_requires_anchor():
     g.add_factor(Factor(FactorKind.ODOMETRY, (k0, k1), [1.0, 0.0, 0.0]))
     with pytest.raises(GaugeFreedomError):
         g.optimize()
-    g.fix(k0)
-    assert g.optimize().converged
+    anchored = FactorGraph()
+    k0 = anchored.add_variable(VarKind.KEYFRAME, [0, 0, 0], fixed=True)
+    k1 = anchored.add_variable(VarKind.KEYFRAME, [1, 0, 0])
+    anchored.add_factor(Factor(FactorKind.ODOMETRY, (k0, k1), [1.0, 0.0, 0.0]))
+    assert anchored.optimize().converged
 
 
 def test_optimize_requires_factors():
@@ -214,47 +200,43 @@ def test_total_cost_matches_chi2_sum():
 
 
 def _random_kind_graph(seed: int) -> FactorGraph:
-    """One factor of every kind at a random, flip-safe linearization point."""
+    """One factor of every kind and variable-kind signature at a random, flip-safe point.
+
+    Each measurement is what its factor predicts at the starting values, plus
+    noise. The room starts about 2 m from where its walls put it, and the plan
+    room is about as far off, so the optimum keeps a residual and a solve meets
+    steps it must reject.
+    """
     rng = np.random.default_rng(seed)
     g = FactorGraph()
-    kf = g.add_variable(VarKind.KEYFRAME, rng.uniform(-2, 2, 3))
-    kf2 = g.add_variable(VarKind.KEYFRAME, rng.uniform(-2, 2, 3))
+    kfs = [g.add_variable(VarKind.KEYFRAME, rng.uniform(-2, 2, 3)) for _ in range(2)]
     phis = rng.uniform(-math.pi, math.pi, 4)
-    planes = [
-        g.add_variable(VarKind.PLANE, [phis[i], rng.uniform(1.0, 5.0)]) for i in range(2)
-    ]
-    planes += [
-        g.add_variable(VarKind.PLANE, [phis[2] / 2, rng.uniform(1.0, 5.0)]),
-        g.add_variable(VarKind.PLANE, [phis[3] / 2, rng.uniform(1.0, 5.0)]),
-    ]
-    room = g.add_variable(VarKind.ROOM, rng.uniform(-3, 3, 2))
-    room2 = g.add_variable(VarKind.ROOM, rng.uniform(-3, 3, 2))
-    wall = g.add_variable(VarKind.WALL, rng.uniform(-3, 3, 2))
-    doorway = g.add_variable(VarKind.DOORWAY, rng.uniform(-3, 3, 2))
-    gamma = g.add_variable(VarKind.TWO_WALL_ROOM, rng.uniform(-3, 3, 2))
+    planes = [g.add_variable(VarKind.PLANE, [phi, rng.uniform(1.0, 5.0)]) for phi in phis]
     t = g.add_variable(VarKind.TRANSFORM, [*rng.uniform(-1, 1, 2), rng.uniform(-0.4, 0.4)])
 
-    kf_pose = Pose2.from_array(g.value(kf))
-    phi0, d0 = g.value(planes[0])
-    meas_phi = wrap_angle(phi0 - kf_pose.theta + rng.normal(0, 0.02))
-    meas_d = d0 - (kf_pose.x * math.cos(phi0) + kf_pose.y * math.sin(phi0)) + rng.normal(0, 0.05)
-    g.add_factor(Factor(FactorKind.ODOMETRY, (kf, kf2), rng.uniform(-1, 1, 3)))
-    g.add_factor(Factor(FactorKind.POSE_PLANE, (kf, planes[0]), (meas_phi, meas_d)))
+    def center(vids):  # where room_to_walls puts the center of these planes
+        return sum(d * np.array([math.cos(phi), math.sin(phi)]) for phi, d in g.values(vids)) / 2
+
+    def noisy(value, sigma):
+        return np.asarray(value) + rng.normal(0, sigma, len(value))
+
+    room = g.add_variable(VarKind.ROOM, noisy(center(planes), 2.0))
+    gamma = g.add_variable(VarKind.TWO_WALL_ROOM, noisy(center(planes[:2]), 0.1))
+    poses = [Pose2.from_array(g.value(kf)) for kf in kfs]
+    t_pose = Pose2.from_array(g.value(t))
+    odometry = poses[1].relative_to(poses[0]).as_array()
+    g.add_factor(Factor(FactorKind.ODOMETRY, tuple(kfs), noisy(odometry, 0.3)))
+    for kf, pose, vid in zip(kfs, poses, (planes[0], planes[3])):
+        seen = transform_phi_dist(pose.inverse(), *g.value(vid))
+        g.add_factor(Factor(FactorKind.POSE_PLANE, (kf, vid), noisy(seen, 0.1)))
     g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (room, *planes)))
-    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, planes[0], planes[1])))
-    g.add_factor(Factor(FactorKind.WALL_CENTER, (wall, planes[0], planes[1]), rng.uniform(-4, 4, 2)))
-    g.add_factor(
-        Factor(
-            FactorKind.DOORWAY_TO_ROOMS,
-            (doorway, room, room2),
-            (rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)),
-        )
-    )
-    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, room2, t)))
-    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, room2), rng.uniform(-1, 1, 2)))
-    g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[0], planes[1], t)))
-    g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[2], planes[3])))
-    g.add_factor(Factor(FactorKind.PRIOR, (kf,), g.value(kf)))
+    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, *planes[:2])))
+    plan_room = t_pose.transform_point(g.value(room))
+    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, t), noisy(plan_room, 2.0)))
+    plan_plane = transform_phi_dist(t_pose, *g.value(planes[1]))
+    g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[1], t), noisy(plan_plane, 0.1)))
+    g.add_factor(Factor(FactorKind.PRIOR, (gamma,), noisy(g.value(gamma), 0.1)))
+    g.add_factor(Factor(FactorKind.PRIOR, (kfs[0],), g.value(kfs[0])))
     g.add_factor(Factor(FactorKind.PRIOR, (t,), g.value(t)))
     return g
 
@@ -262,6 +244,7 @@ def _random_kind_graph(seed: int) -> FactorGraph:
 def test_jacobians_all_kinds_50_random_points():
     for seed in range(50):
         g = _random_kind_graph(seed)
+        assert {f.kind for f in g.factors().values()} == set(FactorKind)
         assert g.check_jacobians() == []
 
 
@@ -310,13 +293,15 @@ def test_linearize_matches_dense_reference():
     for seed in range(20):
         g = _random_kind_graph(seed)
         planes = g.variables_of(VarKind.PLANE)
-        transform = g.variables_of(VarKind.TRANSFORM)[0]
+        keyframe = g.variables_of(VarKind.KEYFRAME)[1]
         # Factors that list one variable twice: their blocks must add up.
-        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[1], planes[1])))
-        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[2], planes[2], transform)))
-        for i, vid in enumerate(g.variables()):
-            if (i + seed) % 4 == 0:
-                g.fix(vid)
+        g.add_factor(Factor(FactorKind.ODOMETRY, (keyframe, keyframe), [0.1, -0.2, 0.3]))
+        room = g.variables_of(VarKind.ROOM)[0]
+        g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (room, planes[2], planes[2], *planes[2:])))
+        doc = g.to_json_dict()
+        for i, var in enumerate(doc["variables"]):
+            var["fixed"] = (i + seed) % 4 == 0
+        g = FactorGraph.from_json_dict(doc)
         h, b, cost = g._linearize()
         ref_h, ref_b, ref_cost = _dense_reference(g)
         assert cost == pytest.approx(ref_cost, rel=1e-12)
@@ -364,18 +349,17 @@ def _append_keyframe(g: FactorGraph, rng, planes: list[VariableId]) -> None:
 def test_structure_cache_follows_graph_edits():
     g = _random_kind_graph(3)
     planes = g.variables_of(VarKind.PLANE)
-    rooms = g.variables_of(VarKind.ROOM)
+    room = g.variables_of(VarKind.ROOM)[0]
+    t = g.variables_of(VarKind.TRANSFORM)[0]
     g.optimize()
-    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (rooms[0], rooms[1]), [0.4, -0.3]))
+    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, t), [0.4, -0.3]))
     _assert_solves_like_rebuilt(g)
-    wall = g.add_variable(VarKind.WALL, [0.0, 1.0])
-    fid = g.add_factor(Factor(FactorKind.WALL_CENTER, (wall, planes[2], planes[3]), [1.0, 0.0]))
+    gamma = g.add_variable(VarKind.TWO_WALL_ROOM, [0.0, 1.0])
+    fid = g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, planes[2], planes[3])))
     _assert_solves_like_rebuilt(g)
     g.remove_factor(fid)
     _assert_solves_like_rebuilt(g)
-    g.remove_variable(wall)
-    _assert_solves_like_rebuilt(g)
-    g.fix(planes[1])
+    g.remove_variable(gamma)
     _assert_solves_like_rebuilt(g)
 
     # Online updates extend the structure in place instead of rebuilding it.
@@ -389,27 +373,19 @@ def test_structure_cache_follows_graph_edits():
             _assert_linearizes_like_rebuilt(g)
     assert g._structure() is structure
 
-    # A merge: fixed plan copies with a factor among themselves, a free
-    # transform, and alignment factors through it.
-    plan_planes = [
-        g.add_variable(VarKind.PLANE, g.value(vid) + rng.normal(0, 0.05, 2), fixed=True)
-        for vid in planes[:4]
-    ]
-    plan_room = g.add_variable(VarKind.ROOM, g.value(rooms[0]), fixed=True)
-    t = g.add_variable(VarKind.TRANSFORM, [0.0, 0.0, 0.0])
-    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (plan_room, *plan_planes)))
-    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (plan_room, rooms[0], t)))
-    for plan_plane, vid in zip(plan_planes, planes):
-        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (plan_plane, vid, t)))
-    g.add_factor(Factor(FactorKind.PRIOR, (plan_planes[0],), [0.1, 2.0]))  # all fixed
+    # A merge: alignment factors through the transform that carry plan values,
+    # and a fixed variable whose group has no free column.
+    for vid in planes[:4]:
+        plan_plane = g.value(vid) + rng.normal(0, 0.05, 2)
+        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (vid, t), plan_plane))
+    g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, t), g.value(room)))
+    anchor = g.add_variable(VarKind.ROOM, [1.0, 2.0], fixed=True)
+    g.add_factor(Factor(FactorKind.PRIOR, (anchor,), [1.1, 2.0]))
     _assert_linearizes_like_rebuilt(g)
     g.set_value(t, [0.02, -0.01, 0.005])
     _assert_linearizes_like_rebuilt(g)
-    assert g._structure() is structure
-    g.set_value(plan_planes[0], g.value(plan_planes[0]) + 0.01)
-    _assert_linearizes_like_rebuilt(g)
-    structure = g._structure()
-    g.add_factor(Factor(FactorKind.PRIOR, (plan_planes[1],), [0.2, 1.0]))
+    # The structure holds no values, so a new value of a fixed variable keeps it.
+    g.set_value(anchor, [1.2, 2.1])
     _assert_linearizes_like_rebuilt(g)
     g.optimize()
     _assert_linearizes_like_rebuilt(g)
@@ -418,9 +394,6 @@ def test_structure_cache_follows_graph_edits():
         g.optimize(15)
         _assert_linearizes_like_rebuilt(g)
     assert g._structure() is structure
-    g.fix(t)
-    assert g._structure() is not structure
-    _assert_linearizes_like_rebuilt(g)
 
 
 def test_optimize_scores_each_trial_step_once(monkeypatch):
@@ -503,7 +476,7 @@ def test_solve_at_its_optimum_ends_without_lambda_escalation(monkeypatch):
 
 
 def _merged_run_graph() -> FactorGraph:
-    """The final graph of a run that merged: fixed plan copies, a transform, alignment factors."""
+    """The final graph of a run that merged: a transform and alignment factors through it."""
     plan, config, _ = load_scenario(fixture_dir() / "two_rooms.scenario.json")
     result = run_pipeline(plan, config)
     assert result.merged is not None
@@ -629,9 +602,9 @@ def test_angular_residuals_wrapped():
     f = Factor(FactorKind.ODOMETRY, (k0, k1), [1.0, 0.0, 0.0])
     r = g.evaluate_residual(f)
     assert -math.pi < r[2] <= math.pi
-    pb = g.add_variable(VarKind.PLANE, [3.1, 2.0])
     pm = g.add_variable(VarKind.PLANE, [-3.1, 2.0])
-    f2 = Factor(FactorKind.PLANE_TO_PLANE, (pb, pm))
+    t = g.add_variable(VarKind.TRANSFORM, [0, 0, 0])
+    f2 = Factor(FactorKind.PLANE_TO_PLANE, (pm, t), [3.1, 2.0])
     r2 = g.evaluate_residual(f2)
     assert -math.pi < r2[0] <= math.pi
     assert abs(r2[0]) < 0.2  # wrapped difference, not ~2*pi
@@ -676,6 +649,11 @@ def test_deserialization_rejects_duplicate_and_dangling_ids():
         {**doc, "factors": [prior, {**pose_plane, "measurement": {"plane": [0, 1, 2]}}]},
         {**doc, "factors": [prior, {**pose_plane, "measurement": None}]},
         {**doc, "factors": [{k: v for k, v in prior.items() if k != "information"}]},
+        {**doc, "factors": [{**prior, "kind": "wall_center"}]},
+        {**doc, "variables": [*doc["variables"], {**doc["variables"][0], "kind": "doorway"}]},
+        {**doc, "variables": [None]},
+        {**doc, "factors": [[]]},
+        [],
     ):
         with pytest.raises(GraphError):
             FactorGraph.from_json_dict(bad)

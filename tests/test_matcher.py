@@ -364,7 +364,7 @@ def test_scorer_residual_is_the_kernel_residual():
             ])
             m = len(planes)
             t_vals = np.full((m, 3), cand.transform_hint.as_array())
-            r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
+            r, _ = plane_to_plane(None, [planes[:, 2:], t_vals], planes[:, :2])
             e_pi = math.sqrt(float(np.mean(r**2)))
             want = math.exp(-(cand.e_rho / RHO_SCALE + e_pi / PI_SCALE))
             assert score_candidate(cand, a_by, s_by).affinity == want
@@ -606,7 +606,7 @@ def reference_match(a_rooms, s_rooms):
         ).reshape(-1, 4)
         m = len(planes)
         t_vals = np.full((m, 3), hint.as_array())
-        r, _ = plane_to_plane(None, [planes[:, :2], planes[:, 2:], t_vals], np.zeros((m, 0)))
+        r, _ = plane_to_plane(None, [planes[:, 2:], t_vals], planes[:, :2])
         e_pi = math.sqrt(float(np.mean(r**2)))
         affinity = math.exp(-(e_rho / RHO_SCALE + e_pi / PI_SCALE))
         scored.append(MatchCandidate(cand.pairs, affinity, hint))

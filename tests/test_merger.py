@@ -92,17 +92,21 @@ def test_merged_graph_contains_both_sides_and_transform(five_rooms_run):
     ag, merged = five_rooms_run.agraph, five_rooms_run.merged
     g = merged.graph
     assert len(g.variables_of(VarKind.TRANSFORM)) == 1
-    # every plan variable exists in the merged graph, fixed
-    for vid in ag.graph.variables():
-        assert merged.a_var_map[vid] in set(g.variables())
-        assert g.is_fixed(merged.a_var_map[vid])
-    # plan walls and doorways ride along
-    assert len(g.variables_of(VarKind.WALL)) == len(ag.plan.walls)
-    assert len(g.variables_of(VarKind.DOORWAY)) == len(ag.plan.doorways)
-    # merge factors present for every pair
-    assert len(merged.merge_factor_ids) == len(merged.room_pairs) + len(
-        merged.plane_pairs
-    )
+    # the plan enters as measurements: no plan variable is in the merged graph
+    robot = set(five_rooms_run.sgraph.keyframes) | set(five_rooms_run.sgraph.planes)
+    robot |= set(five_rooms_run.sgraph.rooms) | set(five_rooms_run.sgraph.gammas)
+    assert set(g.variables()) == robot | {merged.transform}
+    # one merge factor per pair, robot node and transform, measuring the plan value
+    assert len(merged.merge_factor_ids) == len(merged.room_pairs) + len(merged.plane_pairs)
+    pairs = {**merged.room_pairs, **merged.plane_pairs}
+    plan_of = {s_vid: a_vid for a_vid, s_vid in pairs.items()}
+    for fid in merged.merge_factor_ids:
+        factor = g.factor(fid)
+        s_vid, transform = factor.variables
+        assert transform == merged.transform
+        kind = FactorKind.ROOM_TO_ROOM if s_vid.kind == VarKind.ROOM else FactorKind.PLANE_TO_PLANE
+        assert factor.kind == kind
+        assert np.array_equal(factor.measurement, ag.graph.value(plan_of[s_vid]))
 
 
 def test_post_merge_ape(five_rooms_run):
@@ -209,7 +213,7 @@ def _reference_extend(state, s) -> list:
         mapped = t.transform_point(s_rooms[s_vid].center)
         best = None
         for a_vid, a_room in state.plan_rooms.items():
-            if state.a_var_map[a_vid] in matched_a:
+            if a_vid in matched_a:
                 continue
             da, ds = a_room.dims, s_rooms[s_vid].dims
             if not (abs(da[0] - ds[0]) <= DIM_TOL and abs(da[1] - ds[1]) <= DIM_TOL):
@@ -225,8 +229,8 @@ def _reference_extend(state, s) -> list:
             propose_wall_pairs(MatchPair(best[1], s_vid, "room"), state.plan_rooms, s_rooms, t)
         except WallPairingError:
             continue
-        matched_a.add(state.a_var_map[best[1]])
-        out.append((state.a_var_map[best[1]], s_vid))
+        matched_a.add(best[1])
+        out.append((best[1], s_vid))
     return out
 
 

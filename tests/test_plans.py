@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import _correspondence_ok, scenario_config
 from planloc.a_graph import build_a_graph, load_plan
 from planloc.plans import (
     FIXTURE_PLANS,
@@ -13,7 +14,8 @@ from planloc.plans import (
     route_waypoints,
     write_fixtures,
 )
-from planloc.runner import load_scenario
+from planloc.matcher import MatchStatus
+from planloc.runner import load_scenario, run_pipeline
 from planloc.s_graph import PlanSimulator
 
 
@@ -39,6 +41,28 @@ def test_fixture_scenario_paths_resolve_and_run():
         plan, config, _ = load_scenario(fixture_dir() / f"{name}.scenario.json")
         # waypoints lie in free space: the simulator validates on construction
         PlanSimulator(plan, config)
+
+
+FIXTURE_OUTCOMES = {
+    "corridor": MatchStatus.MATCHED,
+    "five_rooms": MatchStatus.MATCHED,
+    "grid_2x2_variant": MatchStatus.MATCHED,
+    "two_rooms": MatchStatus.MATCHED,
+    "grid_2x2": MatchStatus.AMBIGUOUS,
+    "single_room": MatchStatus.NO_MATCH,
+}
+
+
+def test_fixture_outcome_matrix():
+    """Each bundled scenario at its own seed: its status, right room pairs, APE within 0.10 m."""
+    assert set(FIXTURE_OUTCOMES) == set(fixture_scenarios())
+    for name, status in FIXTURE_OUTCOMES.items():
+        result = run_pipeline(fixture_plan(name), scenario_config(name))
+        assert result.status == status, name
+        if status == MatchStatus.MATCHED:
+            assert result.merged.room_pairs, name
+            assert _correspondence_ok(result.agraph, result.sgraph, result.merged), name
+            assert result.report["ape"]["rmse"] <= 0.10, name
 
 
 def test_write_fixtures_roundtrip(tmp_path):

@@ -748,16 +748,6 @@ def test_gamma_superseded_by_full_room():
         assert truths != {"c_n:-", "c_s:+"}
 
 
-def test_floor_connected_to_all_rooms():
-    plan, sim, sg = simulate_sgraph("five_rooms")
-    assert sg.floor is not None
-    linked = set()
-    for _, factor in sg.graph.factors_of(FactorKind.ROOM_TO_ROOM):
-        if len(factor.variables) == 2 and factor.variables[1] == sg.floor:
-            linked.add(factor.variables[0])
-    assert linked == set(sg.rooms) | set(sg.gammas)
-
-
 def test_noisy_traversal_ape_bounded():
     worst = 0.0
     for seed in range(5):
