@@ -200,7 +200,7 @@ def test_total_cost_matches_chi2_sum():
 
 
 def _random_kind_graph(seed: int) -> FactorGraph:
-    """One factor of every kind and variable-kind signature at a random, flip-safe point.
+    """A factor of every kind and variable-kind signature at a random, flip-safe point.
 
     Each measurement is what its factor predicts at the starting values, plus
     noise. The room starts about 2 m from where its walls put it, and the plan
