@@ -166,49 +166,62 @@ def _parse_point(obj, where: str) -> tuple[float, float]:
     return (float(obj[0]), float(obj[1]))
 
 
+def _wall_of(w: dict, where: str) -> PlanWall:
+    return PlanWall(
+        id=str(w["id"]),
+        start=_parse_point(w["start"], where),
+        end=_parse_point(w["end"], where),
+        thickness=float(w["thickness"]),
+    )
+
+
+def _room_of(r: dict, where: str) -> PlanRoom:
+    surfaces = {side: str(r["surfaces"][side]) for side in ROOM_SIDES}
+    return PlanRoom(id=str(r["id"]), surfaces=surfaces)
+
+
+def _doorway_of(d: dict, where: str) -> PlanDoorway:
+    room_ids = [str(x) for x in d["rooms"]]
+    if len(room_ids) != 2:
+        raise PlanError(f"{where}: doorway must reference exactly 2 rooms")
+    position = _parse_point(d["position"], where)
+    return PlanDoorway(id=str(d["id"]), position=position, rooms=(room_ids[0], room_ids[1]))
+
+
+def _parsed(doc: dict, key: str, parse) -> list:
+    """Each object of the list ``doc[key]`` (empty when absent) through ``parse``.
+
+    A field that is not a list of objects, or an entry ``parse`` cannot read,
+    raises PlanError naming the entry.
+    """
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise PlanError(f"plan field {key!r} must be a list, got {entries!r}")
+    out = []
+    for i, entry in enumerate(entries):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise PlanError(f"{where}: expected an object, got {entry!r}")
+        try:
+            out.append(parse(entry, where))
+        except PlanError:
+            raise
+        except KeyError as exc:
+            raise PlanError(f"{where}: missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:  # e.g. a null number or a non-object field
+            raise PlanError(f"{where}: malformed entry: {exc}") from None
+    return out
+
+
 def plan_from_dict(doc: dict) -> FloorPlan:
     """Build and validate a FloorPlan from parsed JSON."""
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
-    walls = []
-    for i, w in enumerate(doc.get("walls", [])):
-        where = f"walls[{i}]"
-        try:
-            walls.append(
-                PlanWall(
-                    id=str(w["id"]),
-                    start=_parse_point(w["start"], where),
-                    end=_parse_point(w["end"], where),
-                    thickness=float(w["thickness"]),
-                )
-            )
-        except KeyError as exc:
-            raise PlanError(f"{where}: missing field {exc.args[0]!r}") from None
-    rooms = []
-    for i, r in enumerate(doc.get("rooms", [])):
-        where = f"rooms[{i}]"
-        try:
-            surfaces = {side: str(r["surfaces"][side]) for side in ROOM_SIDES}
-            rooms.append(PlanRoom(id=str(r["id"]), surfaces=surfaces))
-        except KeyError as exc:
-            raise PlanError(f"{where}: missing field {exc.args[0]!r}") from None
-    doorways = []
-    for i, d in enumerate(doc.get("doorways", [])):
-        where = f"doorways[{i}]"
-        try:
-            room_ids = [str(x) for x in d["rooms"]]
-            if len(room_ids) != 2:
-                raise PlanError(f"{where}: doorway must reference exactly 2 rooms")
-            doorways.append(
-                PlanDoorway(
-                    id=str(d["id"]),
-                    position=_parse_point(d["position"], where),
-                    rooms=(room_ids[0], room_ids[1]),
-                )
-            )
-        except KeyError as exc:
-            raise PlanError(f"{where}: missing field {exc.args[0]!r}") from None
-    plan = FloorPlan(tuple(walls), tuple(rooms), tuple(doorways))
+    plan = FloorPlan(
+        tuple(_parsed(doc, "walls", _wall_of)),
+        tuple(_parsed(doc, "rooms", _room_of)),
+        tuple(_parsed(doc, "doorways", _doorway_of)),
+    )
     validate_plan(plan)
     return plan
 

@@ -9,15 +9,17 @@ per factor kind.
 
 Variable parameterizations:
 
-=============  ====  =======================================
-kind           dim   meaning
-=============  ====  =======================================
-keyframe       3     robot pose (x, y, theta)
-plane          2     wall surface (phi, d); d may be signed
-room           2     four-wall room center
-two_wall_room  2     two-wall room center
-transform      3     map->plan alignment (x, y, theta)
-=============  ====  =======================================
+=========  ===  =======================================
+kind       dim  meaning
+=========  ===  =======================================
+keyframe   3    robot pose (x, y, theta)
+plane      2    wall surface (phi, d); d may be signed
+room       2    four-wall room center
+transform  3    map->plan alignment (x, y, theta)
+=========  ===  =======================================
+
+Each factor kind is one row of data (``_FACTOR_SPECS``): its variable kinds,
+its default information, the JSON key of its measurement and its kernel.
 
 A plan value enters a graph it is not a variable of as a measurement: the
 merge factors ``room_to_room`` and ``plane_to_plane`` measure a plan room
@@ -64,7 +66,6 @@ class VarKind(Enum):
     KEYFRAME = "keyframe"
     PLANE = "plane"
     ROOM = "room"
-    TWO_WALL_ROOM = "two_wall_room"
     TRANSFORM = "transform"
 
     # Members are singletons, so identity hashing is exact; Enum's default
@@ -76,7 +77,6 @@ VAR_DIM = {
     VarKind.KEYFRAME: 3,
     VarKind.PLANE: 2,
     VarKind.ROOM: 2,
-    VarKind.TWO_WALL_ROOM: 2,
     VarKind.TRANSFORM: 3,
 }
 
@@ -105,24 +105,14 @@ class FactorKind(Enum):
     PRIOR = "prior"
 
 
-# Diagonal information defaults, overridable per factor.
-DEFAULT_INFORMATION = {
-    FactorKind.ODOMETRY: (100.0, 100.0, 400.0),
-    FactorKind.POSE_PLANE: (400.0, 2500.0),
-    FactorKind.ROOM_TO_WALLS: (25.0, 25.0),
-    FactorKind.ROOM_TO_ROOM: (100.0, 100.0),
-    FactorKind.PLANE_TO_PLANE: (100.0, 100.0),
-}
-
 PRIOR_INFORMATION_SCALE = 1e6
 
 
-def _as_info(kind: FactorKind, information, dim: int) -> np.ndarray:
+def _as_info(kind: FactorKind, information, weights: tuple[float, ...]) -> np.ndarray:
+    """The factor's information matrix, by default diagonal with the kind's weights."""
     if information is None:
-        diag = DEFAULT_INFORMATION.get(kind)
-        if diag is None:
-            diag = (PRIOR_INFORMATION_SCALE,) * dim
-        return np.diag(diag).astype(float)
+        return np.diag(weights).astype(float)
+    dim = len(weights)
     info = np.asarray(information, dtype=float)
     if info.shape != (dim, dim):
         raise GraphError(f"information for {kind.value} must be {dim}x{dim}, got {info.shape}")
@@ -148,8 +138,8 @@ def _check_information(shape: tuple[int, int], data: bytes) -> None:
 class Factor:
     """A residual term: kind, ordered variables, measurement, information.
 
-    The measurement is stored as a float array of the shape the kind's spec
-    declares for these variables (see ``_FACTOR_SPECS``).
+    The measurement is stored as a float array with one entry per residual
+    row, or none when the kind takes no measurement (see ``_FACTOR_SPECS``).
     """
 
     kind: FactorKind
@@ -160,14 +150,16 @@ class Factor:
     def __post_init__(self):
         self.variables = tuple(self.variables)
         spec = _FACTOR_SPECS[self.kind]
-        kinds = _kinds(self)
-        if not spec.arity_check(kinds):
+        kinds = tuple(v.kind for v in self.variables)
+        weights = _weights(spec, kinds)
+        if weights is None:
+            wanted = [k.value if k else "any" for k in spec.signature]
             raise GraphError(
-                f"{self.kind.value} factor requires {spec.arity_doc}, got "
-                f"{[k.value for k in kinds]}"
+                f"{self.kind.value} factor requires variables {wanted}, "
+                f"got {[k.value for k in kinds]}"
             )
-        shape = spec.shape(kinds)
-        if self.measurement is None and spec.zero_default:
+        shape = (len(weights),) if spec.key else (0,)
+        if self.measurement is None and spec.key is None:
             self.measurement = np.zeros(shape)
         try:
             measurement = np.array(self.measurement, dtype=float)
@@ -179,7 +171,7 @@ class Factor:
                 f"got {self.measurement!r}"
             )
         self.measurement = measurement
-        self.information = _as_info(self.kind, self.information, spec.dim(kinds))
+        self.information = _as_info(self.kind, self.information, weights)
 
 
 @dataclass
@@ -333,85 +325,50 @@ def _prior(kinds, vals, meas):
     return r, [_eye(len(meas), r.shape[1])]
 
 
-# Angle rows of each residual, needed when differencing residuals numerically.
-RESIDUAL_ANGLE_ROWS: dict[FactorKind, tuple[int, ...]] = {
-    FactorKind.ODOMETRY: (2,),
-    FactorKind.POSE_PLANE: (0,),
-    FactorKind.PLANE_TO_PLANE: (0,),
-}
-
-
 @dataclass(frozen=True)
 class _FactorSpec:
-    arity_check: Callable[[list[VarKind]], bool]
-    arity_doc: str
-    dim: Callable[[list[VarKind]], int]  # residual dimension
-    shape: Callable[[list[VarKind]], tuple[int, ...]]  # measurement shape; (0,) for none
-    key: str | None  # JSON key of the measurement; None when the kind takes none
+    """A factor kind: the variable kinds it takes, its default diagonal information,
+    the JSON key of its measurement (None: it takes none), its kernel, and the
+    angle rows of its residual, needed when differencing residuals numerically.
+
+    A ``None`` in the signature takes a variable of any kind, and its one
+    weight then stands for each entry of that variable.
+    """
+
+    signature: tuple[VarKind | None, ...]
+    weights: tuple[float, ...]
+    key: str | None
     kernel: Callable[
         [tuple[VarKind, ...], list[np.ndarray], np.ndarray], tuple[np.ndarray, list[np.ndarray]]
     ]
-    zero_default: bool = False  # a missing measurement means zeros
-
-
-def _kinds(factor: Factor) -> list[VarKind]:
-    return [v.kind for v in factor.variables]
+    angle_rows: tuple[int, ...] = ()
 
 
 _FACTOR_SPECS: dict[FactorKind, _FactorSpec] = {
     FactorKind.ODOMETRY: _FactorSpec(
-        lambda k: k == [VarKind.KEYFRAME, VarKind.KEYFRAME],
-        "two keyframes",
-        lambda k: 3,
-        lambda k: (3,),
-        "rel",
-        _odometry,
+        (VarKind.KEYFRAME, VarKind.KEYFRAME), (100.0, 100.0, 400.0), "rel", _odometry, (2,)
     ),
     FactorKind.POSE_PLANE: _FactorSpec(
-        lambda k: k == [VarKind.KEYFRAME, VarKind.PLANE],
-        "a keyframe and a plane",
-        lambda k: 2,
-        lambda k: (2,),
-        "plane",
-        _pose_plane,
+        (VarKind.KEYFRAME, VarKind.PLANE), (400.0, 2500.0), "plane", _pose_plane, (0,)
     ),
     FactorKind.ROOM_TO_WALLS: _FactorSpec(
-        lambda k: (
-            k == [VarKind.ROOM] + [VarKind.PLANE] * 4
-            or k == [VarKind.TWO_WALL_ROOM] + [VarKind.PLANE] * 2
-        ),
-        "a room plus 4 planes, or a two-wall room plus 2 planes",
-        lambda k: 2,
-        lambda k: (0,),
-        None,
-        _room_to_walls,
-        zero_default=True,
+        (VarKind.ROOM, *(VarKind.PLANE,) * 4), (25.0, 25.0), None, _room_to_walls
     ),
     FactorKind.ROOM_TO_ROOM: _FactorSpec(
-        lambda k: k == [VarKind.ROOM, VarKind.TRANSFORM],
-        "a room and a transform",
-        lambda k: 2,
-        lambda k: (2,),
-        "center",
-        _room_to_room,
+        (VarKind.ROOM, VarKind.TRANSFORM), (100.0, 100.0), "center", _room_to_room
     ),
     FactorKind.PLANE_TO_PLANE: _FactorSpec(
-        lambda k: k == [VarKind.PLANE, VarKind.TRANSFORM],
-        "a plane and a transform",
-        lambda k: 2,
-        lambda k: (2,),
-        "plane",
-        plane_to_plane,
+        (VarKind.PLANE, VarKind.TRANSFORM), (100.0, 100.0), "plane", plane_to_plane, (0,)
     ),
-    FactorKind.PRIOR: _FactorSpec(
-        lambda k: len(k) == 1,
-        "one variable",
-        lambda k: VAR_DIM[k[0]],
-        lambda k: (VAR_DIM[k[0]],),
-        "value",
-        _prior,
-    ),
+    FactorKind.PRIOR: _FactorSpec((None,), (PRIOR_INFORMATION_SCALE,), "value", _prior),
 }
+
+
+def _weights(spec: _FactorSpec, kinds: tuple[VarKind, ...]) -> tuple[float, ...] | None:
+    """Default diagonal information of a factor on these variable kinds; None if they do not fit."""
+    if spec.signature == (None,) and len(kinds) == 1:
+        return spec.weights * VAR_DIM[kinds[0]]
+    return spec.weights if kinds == spec.signature else None
 
 
 @dataclass
@@ -475,24 +432,23 @@ class _Structure:
 
         members: dict[tuple, list[Factor]] = {}
         for f in factors:
-            members.setdefault((f.kind, tuple(_kinds(f))), []).append(f)
+            members.setdefault((f.kind, tuple(v.kind for v in f.variables)), []).append(f)
         for key, new in members.items():
             k = self._group_of.get(key)
             if k is None:
                 k = self._group_of[key] = len(self.groups)
-                self.groups.append(self._new_group(*key))
+                self.groups.append(self._new_group(*key, new[0]))
             self._append(self.groups[k], new, offset)
 
     @staticmethod
-    def _new_group(kind: FactorKind, signature: tuple[VarKind, ...]) -> _Group:
-        spec = _FACTOR_SPECS[kind]
-        k, p = spec.dim(list(signature)), int(np.prod(spec.shape(list(signature))))
+    def _new_group(kind: FactorKind, signature: tuple[VarKind, ...], factor: Factor) -> _Group:
+        """An empty group shaped like ``factor``."""
         return _Group(
             kind,
             signature,
             [np.zeros((0, VAR_DIM[v]), dtype=np.intp) for v in signature],
-            np.zeros((0, p)),
-            np.zeros((0, k, k)),
+            np.zeros((0, factor.measurement.size)),
+            np.zeros((0, *factor.information.shape)),
         )
 
     @staticmethod
@@ -603,8 +559,8 @@ class FactorGraph:
         self._counters: dict[VarKind, int] = {}
         self._factors: dict[int, Factor] = {}
         self._next_factor_id = 0
-        # Built on first evaluation and extended by later additions; removals
-        # drop it.
+        # Built on first evaluation and extended by later additions: a graph
+        # only grows.
         self._cache: _Structure | None = None
         self._new_variables: list[VariableId] = []
         self._new_factors: list[int] = []
@@ -673,19 +629,6 @@ class FactorGraph:
     def variables_of(self, kind: VarKind) -> list[VariableId]:
         return [v for v in self._offset if v.kind == kind]
 
-    def remove_variable(self, vid: VariableId) -> None:
-        where = self._slice(vid)
-        if any(vid in f.variables for f in self._factors.values()):
-            raise GraphError(f"variable {vid} still referenced by factors")
-        del self._offset[vid]
-        self._fixed.discard(vid)
-        self._state = np.delete(self._state, where)
-        dim = where.stop - where.start
-        for v, first in self._offset.items():
-            if first > where.start:
-                self._offset[v] = first - dim
-        self._drop_structure()
-
     # -- factors -----------------------------------------------------------
 
     def add_factor(self, factor: Factor) -> int:
@@ -711,12 +654,6 @@ class FactorGraph:
     def factors_of(self, kind: FactorKind) -> list[tuple[int, Factor]]:
         return [(fid, f) for fid, f in sorted(self._factors.items()) if f.kind == kind]
 
-    def remove_factor(self, fid: int) -> None:
-        if fid not in self._factors:
-            raise GraphError(f"unknown factor id {fid}")
-        del self._factors[fid]
-        self._drop_structure()
-
     # -- evaluation --------------------------------------------------------
 
     def _gather(self, factor: Factor) -> list[np.ndarray]:
@@ -726,7 +663,8 @@ class FactorGraph:
         """The factor's kind kernel run on a batch of one."""
         spec = _FACTOR_SPECS[factor.kind]
         vals = [value[None] for value in self._gather(factor)]
-        r, jacs = spec.kernel(tuple(_kinds(factor)), vals, factor.measurement.reshape(1, -1))
+        kinds = tuple(v.kind for v in factor.variables)
+        r, jacs = spec.kernel(kinds, vals, factor.measurement.reshape(1, -1))
         return r[0], [jac[0] for jac in jacs]
 
     def evaluate_residual(self, factor: Factor) -> np.ndarray:
@@ -740,12 +678,6 @@ class FactorGraph:
     def total_cost(self) -> float:
         """Summed chi2 of every factor; inside a windowed optimize, of the window's factors."""
         return self._evaluate()[1]
-
-    def _drop_structure(self) -> None:
-        self._cache = None
-        self._new_variables = []
-        self._new_factors = []
-        self._evaluated = None
 
     def _structure(self) -> _Structure:
         if self._cache is None:
@@ -935,7 +867,7 @@ class FactorGraph:
         for fid in sorted(self._factors):
             factor = self._factors[fid]
             _, jacs = self.residual_and_jacobians(factor)
-            angle_rows = RESIDUAL_ANGLE_ROWS.get(factor.kind, ())
+            angle_rows = _FACTOR_SPECS[factor.kind].angle_rows
             # A variable repeated within one factor contributes the sum of its
             # per-slot blocks to the numeric derivative.
             analytic: dict[VariableId, np.ndarray] = {}
@@ -995,7 +927,7 @@ class FactorGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FactorGraph":
-        """Rebuild a graph with its stored ids; removals may have left gaps in them.
+        """Rebuild a graph with its stored ids, gaps in them included.
 
         Each counter ends past the largest stored id of its kind, so ids the
         rebuilt graph hands out later never collide with stored ones. A

@@ -21,7 +21,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .factor_graph import FactorGraph, FactorKind, VariableId, VarKind, plane_to_plane_residual
+from .factor_graph import FactorGraph, FactorKind, VariableId, plane_to_plane_residual
 from .geometry import GeometryError, Pose2, axis_of_normal, fit_rigid_transforms
 
 # Up to this many observed rooms the room-level search keeps every partial
@@ -115,12 +115,7 @@ def read_room_entries(graph: FactorGraph, rooms) -> list[RoomEntry]:
 def room_entries(graph: FactorGraph) -> list[RoomEntry]:
     """Four-wall room views (center, plane pairs) read off a graph snapshot."""
     return read_room_entries(
-        graph,
-        (
-            factor.variables
-            for _, factor in graph.factors_of(FactorKind.ROOM_TO_WALLS)
-            if factor.variables[0].kind == VarKind.ROOM and len(factor.variables) == 5
-        ),
+        graph, (factor.variables for _, factor in graph.factors_of(FactorKind.ROOM_TO_WALLS))
     )
 
 

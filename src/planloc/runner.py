@@ -64,6 +64,8 @@ def load_scenario(path) -> tuple[FloorPlan, SimConfig, dict]:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: scenario must be a JSON object")
     plan_ref = doc.get("plan")
     if not plan_ref:
         raise ScenarioError(f"{path}: scenario is missing the 'plan' reference")

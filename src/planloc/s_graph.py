@@ -4,8 +4,11 @@ The simulator drives a robot along a waypoint polyline through a floor plan,
 emitting noisy odometry and noisy plane observations of the wall surfaces
 that are in range, facing the robot, and not occluded (doorways punch
 openings into their walls). The estimator ingests those measurements into a
-factor graph over keyframes, wall-surface planes, rooms and two-wall rooms,
+factor graph over keyframes, wall-surface planes and four-wall rooms,
 re-optimizing the neighbourhood of the latest keyframes after every update.
+It also counts two-wall rooms (an opposed plane pair that no four-wall room
+holds) but keeps them out of the graph: a center tied to its two planes by
+its own factor alone would add nothing to their estimate.
 
 Observed planes keep the orientation seen by the sensor (normal pointing
 from the robot into the wall material), so the two faces of one wall never
@@ -98,16 +101,19 @@ class SimConfig:
         if "waypoints" not in doc:
             raise SimulationError("scenario is missing the 'waypoints' field")
         offset = doc.get("map_offset")
-        return SimConfig(
-            waypoints=tuple((float(x), float(y)) for x, y in doc["waypoints"]),
-            keyframe_spacing=float(doc.get("keyframe_spacing", 0.6)),
-            odom_noise=tuple(doc.get("odom_noise", DEFAULT_ODOM_NOISE)),
-            plane_noise=tuple(doc.get("plane_noise", DEFAULT_PLANE_NOISE)),
-            sensor_range=float(doc.get("sensor_range", 6.0)),
-            seed=int(doc.get("seed", 0)),
-            map_offset=None if offset is None else Pose2.from_array(offset),
-            doorway_gap=float(doc.get("doorway_gap", 0.9)),
-        )
+        try:
+            return SimConfig(
+                waypoints=tuple((float(x), float(y)) for x, y in doc["waypoints"]),
+                keyframe_spacing=float(doc.get("keyframe_spacing", 0.6)),
+                odom_noise=tuple(doc.get("odom_noise", DEFAULT_ODOM_NOISE)),
+                plane_noise=tuple(doc.get("plane_noise", DEFAULT_PLANE_NOISE)),
+                sensor_range=float(doc.get("sensor_range", 6.0)),
+                seed=int(doc.get("seed", 0)),
+                map_offset=None if offset is None else Pose2.from_array(offset),
+                doorway_gap=float(doc.get("doorway_gap", 0.9)),
+            )
+        except (TypeError, ValueError) as exc:  # e.g. a null number or a number for a list
+            raise SimulationError(f"malformed scenario field: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -434,14 +440,6 @@ class PlaneRecord:
 class RoomRecord:
     vid: VariableId
     planes: tuple[VariableId, VariableId, VariableId, VariableId]
-    factor_id: int
-
-
-@dataclass
-class GammaRecord:
-    vid: VariableId
-    planes: tuple[VariableId, VariableId]
-    factor_id: int
 
 
 class PlaneTable(NamedTuple):
@@ -468,7 +466,7 @@ class PlanePairs(NamedTuple):
 
 
 class SGraph:
-    """Incrementally estimated robot graph: keyframes, planes, rooms, two-wall rooms."""
+    """Incrementally estimated robot graph: keyframes, planes, rooms; two-wall rooms are counted."""
 
     def __init__(self, initial_pose: Pose2, config: SGraphConfig | None = None):
         self.config = config or SGraphConfig()
@@ -476,7 +474,8 @@ class SGraph:
         self.keyframes: list[VariableId] = []
         self.planes: dict[VariableId, PlaneRecord] = {}
         self.rooms: dict[VariableId, RoomRecord] = {}
-        self.gammas: dict[VariableId, GammaRecord] = {}
+        # Two-wall rooms: opposed plane pairs, in plane index order, that no room holds.
+        self.gammas: set[tuple[VariableId, VariableId]] = set()
         self.gt_plan: list[Pose2] = []
         self.gt_map: list[Pose2] = []
         self._initial_pose = initial_pose
@@ -506,8 +505,8 @@ class SGraph:
 
         Once there are more than WINDOW_KEYFRAMES keyframes: the last
         WINDOW_KEYFRAMES of them, every variable added since the oldest of
-        those, the planes they observe, the rooms and two-wall rooms on
-        one of those planes, and the map-to-plan transform after a merge.
+        those, the planes they observe, the rooms on one of those planes,
+        and the map-to-plan transform after a merge.
         """
         first = len(self.keyframes) - WINDOW_KEYFRAMES
         if first <= 0:
@@ -520,8 +519,7 @@ class SGraph:
         window.update(
             vid for vid, rec in self.planes.items() if not rec.observers.isdisjoint(steps)
         )
-        for records in (self.rooms, self.gammas):
-            window.update(vid for vid, rec in records.items() if not window.isdisjoint(rec.planes))
+        window.update(vid for vid, rec in self.rooms.items() if not window.isdisjoint(rec.planes))
         return window
 
     def _add_keyframe(self, step: SimStep) -> VariableId:
@@ -707,9 +705,11 @@ class SGraph:
         return sorted(quads, key=lambda q: tuple(sorted(v.index for v in q)))
 
     def detect_rooms(self) -> list[VariableId]:
-        """Create four-wall rooms and two-wall rooms from the current planes.
+        """Create four-wall rooms from the current planes, and record two-wall rooms.
 
-        Idempotent: re-running without new planes or pose changes adds nothing.
+        A room supersedes the two-wall rooms among its planes. Returns the new
+        rooms. Idempotent: re-running without new planes or pose changes adds
+        nothing.
         """
         planes = self._plane_table()
         pairs = self._qualifying_pairs(planes)
@@ -724,32 +724,19 @@ class SGraph:
                 continue
             center = self._center_of(plane_vids)
             room = self.graph.add_variable(VarKind.ROOM, center)
-            fid = self.graph.add_factor(
-                Factor(FactorKind.ROOM_TO_WALLS, (room, *plane_vids))
-            )
-            self.rooms[room] = RoomRecord(room, plane_vids, fid)
+            self.graph.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (room, *plane_vids)))
+            self.rooms[room] = RoomRecord(room, plane_vids)
             existing_sets.append(vid_set)
             created.append(room)
-            for gvid, grec in list(self.gammas.items()):
-                if set(grec.planes) <= vid_set:
-                    self._remove_gamma(gvid)
+            self.gammas -= {pair for pair in self.gammas if set(pair) <= vid_set}
 
-        # Each pair occurs once, so gammas added below never meet this set again.
-        gamma_sets = {frozenset(rec.planes) for rec in self.gammas.values()}
         for a, b in zip(pairs.i.tolist(), pairs.j.tolist()):
             vids = (planes.vids[a], planes.vids[b])
-            if any(set(vids) <= es for es in existing_sets):
-                continue
-            if frozenset(vids) in gamma_sets:
+            if vids in self.gammas or any(set(vids) <= es for es in existing_sets):
                 continue
             gi, gj = (self.planes[vid] for vid in vids)
-            if len(gi.observers & gj.observers) < GAMMA_MIN_OBSERVERS:
-                continue
-            center = self._center_of(vids)
-            gamma = self.graph.add_variable(VarKind.TWO_WALL_ROOM, center)
-            fid = self.graph.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, *vids)))
-            self.gammas[gamma] = GammaRecord(gamma, vids, fid)
-            created.append(gamma)
+            if len(gi.observers & gj.observers) >= GAMMA_MIN_OBSERVERS:
+                self.gammas.add(vids)
         return created
 
     def _center_of(self, plane_vids) -> np.ndarray:
@@ -757,11 +744,6 @@ class SGraph:
         for phi, d in self.graph.values(plane_vids).tolist():
             center += 0.5 * d * np.array([math.cos(phi), math.sin(phi)])
         return center
-
-    def _remove_gamma(self, gvid: VariableId):
-        rec = self.gammas.pop(gvid)
-        self.graph.remove_factor(rec.factor_id)
-        self.graph.remove_variable(gvid)
 
     # -- access -------------------------------------------------------------
 

@@ -138,6 +138,30 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert main(["run", str(bad_noise), "-o", str(tmp_path / f"run_{field}")]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and field in err
+    # fields of the wrong type, and a document that is not an object
+    scenario_doc = {**doc, "plan": "fixture:two_rooms"}
+    for i, bad in enumerate((
+        {**scenario_doc, "waypoints": 5},
+        {**scenario_doc, "seed": None},
+        {**scenario_doc, "plane_noise": 5},
+        {**scenario_doc, "keyframe_spacing": None},
+        [scenario_doc],
+    )):
+        scenario.write_text(json.dumps(bad))
+        assert main(["run", str(scenario), "-o", str(tmp_path / f"run_bad_{i}")]) == 1
+        assert "error:" in capsys.readouterr().err
+    plan_doc = json.loads(Path(fixture("two_rooms.plan.json")).read_text())
+    walls, rooms = plan_doc["walls"], plan_doc["rooms"]
+    plan = tmp_path / "bad.plan.json"
+    for bad in (
+        {**plan_doc, "walls": 5},
+        {**plan_doc, "walls": [[1, 2]]},
+        {**plan_doc, "rooms": [{**rooms[0], "surfaces": 5}, *rooms[1:]]},
+        {**plan_doc, "walls": [{**walls[0], "thickness": None}, *walls[1:]]},
+    ):
+        plan.write_text(json.dumps(bad))
+        assert main(["build-agraph", str(plan), "-o", str(tmp_path / "bad_agraph.json")]) == 1
+        assert "error:" in capsys.readouterr().err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1
@@ -152,6 +176,22 @@ def test_error_paths_exit_one(tmp_path, capsys):
         {"variables": [wall], "factors": []},
         {"variables": [{**wall, "kind": "floor"}], "factors": []},
         {"variables": [{**wall, "kind": "room", "index": "x"}], "factors": []},
+        # graph files of versions that solved two-wall rooms
+        {"variables": [{**wall, "kind": "two_wall_room"}], "factors": []},
+        {
+            "variables": [
+                {**wall, "kind": "room"},
+                {**wall, "kind": "plane", "value": [0, 1]},
+                {**wall, "kind": "plane", "index": 1, "value": [3.14, 1]},
+            ],
+            "factors": [{
+                "id": 0,
+                "kind": "room_to_walls",
+                "variables": [["room", 0], ["plane", 0], ["plane", 1]],
+                "measurement": None,
+                "information": [[25, 0], [0, 25]],
+            }],
+        },
     ):
         graph.write_text(json.dumps(bad))
         assert main(["match", str(graph), str(graph)]) == 1

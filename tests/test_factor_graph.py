@@ -53,8 +53,9 @@ def test_factor_arity_checked():
     p = g.add_variable(VarKind.PLANE, [0, 1])
     with pytest.raises(GraphError):
         Factor(FactorKind.ODOMETRY, (k, r), [1.0, 0.0, 0.0])
-    with pytest.raises(GraphError):
-        Factor(FactorKind.ROOM_TO_WALLS, (r, k))
+    for variables in ((r, k), (r, p, p)):  # a room needs four planes
+        with pytest.raises(GraphError, match="room_to_walls factor requires"):
+            Factor(FactorKind.ROOM_TO_WALLS, variables)
     # malformed measurements are refused up front, naming kind and shape
     for kind, variables, measurement in (
         (FactorKind.POSE_PLANE, (k, p), (1.0,)),
@@ -200,12 +201,13 @@ def test_total_cost_matches_chi2_sum():
 
 
 def _random_kind_graph(seed: int) -> FactorGraph:
-    """A factor of every kind and variable-kind signature at a random, flip-safe point.
+    """A factor of every kind at a random, flip-safe point, with priors on three variable kinds.
 
     Each measurement is what its factor predicts at the starting values, plus
     noise. The room starts about 2 m from where its walls put it, and the plan
     room is about as far off, so the optimum keeps a residual and a solve meets
-    steps it must reject.
+    steps it must reject. A twin room on the same walls starts near their
+    center and has a prior.
     """
     rng = np.random.default_rng(seed)
     g = FactorGraph()
@@ -221,7 +223,7 @@ def _random_kind_graph(seed: int) -> FactorGraph:
         return np.asarray(value) + rng.normal(0, sigma, len(value))
 
     room = g.add_variable(VarKind.ROOM, noisy(center(planes), 2.0))
-    gamma = g.add_variable(VarKind.TWO_WALL_ROOM, noisy(center(planes[:2]), 0.1))
+    twin = g.add_variable(VarKind.ROOM, noisy(center(planes), 0.1))
     poses = [Pose2.from_array(g.value(kf)) for kf in kfs]
     t_pose = Pose2.from_array(g.value(t))
     odometry = poses[1].relative_to(poses[0]).as_array()
@@ -230,12 +232,12 @@ def _random_kind_graph(seed: int) -> FactorGraph:
         seen = transform_phi_dist(pose.inverse(), *g.value(vid))
         g.add_factor(Factor(FactorKind.POSE_PLANE, (kf, vid), noisy(seen, 0.1)))
     g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (room, *planes)))
-    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, *planes[:2])))
+    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (twin, *planes)))
     plan_room = t_pose.transform_point(g.value(room))
     g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, t), noisy(plan_room, 2.0)))
     plan_plane = transform_phi_dist(t_pose, *g.value(planes[1]))
     g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[1], t), noisy(plan_plane, 0.1)))
-    g.add_factor(Factor(FactorKind.PRIOR, (gamma,), noisy(g.value(gamma), 0.1)))
+    g.add_factor(Factor(FactorKind.PRIOR, (twin,), noisy(g.value(twin), 0.1)))
     g.add_factor(Factor(FactorKind.PRIOR, (kfs[0],), g.value(kfs[0])))
     g.add_factor(Factor(FactorKind.PRIOR, (t,), g.value(t)))
     return g
@@ -352,19 +354,19 @@ def test_structure_cache_follows_graph_edits():
     room = g.variables_of(VarKind.ROOM)[0]
     t = g.variables_of(VarKind.TRANSFORM)[0]
     g.optimize()
+    structure = g._structure()
     g.add_factor(Factor(FactorKind.ROOM_TO_ROOM, (room, t), [0.4, -0.3]))
     _assert_solves_like_rebuilt(g)
-    gamma = g.add_variable(VarKind.TWO_WALL_ROOM, [0.0, 1.0])
-    fid = g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (gamma, planes[2], planes[3])))
+    # A variable whose factor joins a group, and one whose factor starts a group.
+    extra = g.add_variable(VarKind.ROOM, [0.0, 1.0])
+    g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (extra, *planes[2:], *planes[:2])))
     _assert_solves_like_rebuilt(g)
-    g.remove_factor(fid)
-    _assert_solves_like_rebuilt(g)
-    g.remove_variable(gamma)
+    plane = g.add_variable(VarKind.PLANE, [0.3, 2.0])
+    g.add_factor(Factor(FactorKind.PRIOR, (plane,), [0.3, 2.1]))
     _assert_solves_like_rebuilt(g)
 
     # Online updates extend the structure in place instead of rebuilding it.
     rng = np.random.default_rng(3)
-    structure = g._structure()
     for k in range(20):
         _append_keyframe(g, rng, planes)
         _assert_linearizes_like_rebuilt(g)
@@ -394,6 +396,26 @@ def test_structure_cache_follows_graph_edits():
         g.optimize(15)
         _assert_linearizes_like_rebuilt(g)
     assert g._structure() is structure
+
+
+def test_run_builds_its_structure_once(monkeypatch):
+    """A run's graph only grows: its first solve builds the structure, later ones extend it."""
+    built = []
+    structure = FactorGraph._structure
+
+    def recorded(graph):
+        built.append((graph, structure(graph)))
+        return built[-1][1]
+
+    monkeypatch.setattr(FactorGraph, "_structure", recorded)
+    plan, config, _ = load_scenario(fixture_dir() / "corridor.scenario.json")
+    result = run_pipeline(plan, config)
+    monkeypatch.undo()
+    graph = result.sgraph.graph
+    ours = [s for g, s in built if g is graph]
+    assert len(ours) > len(result.sgraph.keyframes) and result.sgraph.gammas
+    assert all(s is ours[0] for s in ours)
+    assert graph._structure() is ours[0]
 
 
 def test_optimize_scores_each_trial_step_once(monkeypatch):
@@ -618,20 +640,41 @@ def test_serialization_roundtrip():
     assert g2.total_cost() == pytest.approx(g.total_cost(), rel=1e-12)
 
 
-def test_serialization_roundtrip_keeps_ids_left_by_removals():
-    # the corridor run removes two-wall rooms and their factors, leaving gaps
-    plan, config, _ = load_scenario(fixture_dir() / "corridor.scenario.json")
-    graph = run_pipeline(plan, config).sgraph.graph
-    doc = graph.to_json()
-    back = FactorGraph.from_json(doc)
-    assert back.to_json() == doc
-    assert back.total_cost() == graph.total_cost()
+def test_serialization_roundtrip_keeps_id_gaps():
+    # a hand-written document may skip ids and list them out of order
+    doc = {
+        "variables": [
+            {"kind": "keyframe", "index": 0, "value": [0, 0, 0], "fixed": False},
+            {"kind": "room", "index": 3, "value": [1, 2], "fixed": False},
+            {"kind": "room", "index": 1, "value": [2, 1], "fixed": True},
+        ],
+        "factors": [
+            {
+                "id": 4,
+                "kind": "prior",
+                "variables": [["keyframe", 0]],
+                "measurement": {"value": [0, 0, 0.5]},
+                "information": np.eye(3).tolist(),
+            },
+            {
+                "id": 9,
+                "kind": "prior",
+                "variables": [["room", 3]],
+                "measurement": {"value": [1, 1]},
+                "information": np.eye(2).tolist(),
+            },
+        ],
+    }
+    graph = FactorGraph.from_json_dict(doc)
+    assert graph.to_json_dict() == doc
+    back = FactorGraph.from_json(graph.to_json())
+    assert back.to_json() == graph.to_json()
+    assert back.total_cost() == graph.total_cost() == 1.25
     # new ids continue past the largest stored one of each kind
-    top = max(v.index for v in back.variables_of(VarKind.TWO_WALL_ROOM))
-    assert back.add_variable(VarKind.TWO_WALL_ROOM, [0, 0]).index == top + 1
-    last = max(back.factors())
-    kf = back.variables_of(VarKind.KEYFRAME)[0]
-    assert back.add_factor(Factor(FactorKind.PRIOR, (kf,), [0, 0, 0])) == last + 1
+    assert back.add_variable(VarKind.ROOM, [0, 0]).index == 4
+    assert back.add_variable(VarKind.KEYFRAME, [0, 0, 0]).index == 1
+    kf = VariableId(VarKind.KEYFRAME, 0)
+    assert back.add_factor(Factor(FactorKind.PRIOR, (kf,), [0, 0, 0])) == 10
 
 
 def test_deserialization_rejects_duplicate_and_dangling_ids():
@@ -651,6 +694,10 @@ def test_deserialization_rejects_duplicate_and_dangling_ids():
         {**doc, "factors": [{k: v for k, v in prior.items() if k != "information"}]},
         {**doc, "factors": [{**prior, "kind": "wall_center"}]},
         {**doc, "variables": [*doc["variables"], {**doc["variables"][0], "kind": "doorway"}]},
+        # graph files of versions that solved two-wall rooms
+        {**doc, "variables": [*doc["variables"], {**doc["variables"][0], "kind": "two_wall_room"}]},
+        {**doc, "factors": [prior, {**prior, "id": 1, "kind": "room_to_walls", "measurement": None,
+                                    "variables": [["room", 0], ["plane", 0], ["plane", 0]]}]},
         {**doc, "variables": [None]},
         {**doc, "factors": [[]]},
         [],
@@ -669,17 +716,6 @@ def test_serialization_preserves_fixed_flags():
     g.add_factor(Factor(FactorKind.PRIOR, (r,), [1, 2]))
     g2 = FactorGraph.from_json(g.to_json())
     assert g2.is_fixed(VariableId(VarKind.ROOM, 0))
-
-
-def test_remove_variable_guarded_by_references():
-    g = FactorGraph()
-    r = g.add_variable(VarKind.ROOM, [0, 0])
-    fid = g.add_factor(Factor(FactorKind.PRIOR, (r,), [0, 0]))
-    with pytest.raises(GraphError):
-        g.remove_variable(r)
-    g.remove_factor(fid)
-    g.remove_variable(r)
-    assert g.variables() == []
 
 
 def test_deterministic_optimization():

@@ -94,7 +94,7 @@ def test_merged_graph_contains_both_sides_and_transform(five_rooms_run):
     assert len(g.variables_of(VarKind.TRANSFORM)) == 1
     # the plan enters as measurements: no plan variable is in the merged graph
     robot = set(five_rooms_run.sgraph.keyframes) | set(five_rooms_run.sgraph.planes)
-    robot |= set(five_rooms_run.sgraph.rooms) | set(five_rooms_run.sgraph.gammas)
+    robot |= set(five_rooms_run.sgraph.rooms)
     assert set(g.variables()) == robot | {merged.transform}
     # one merge factor per pair, robot node and transform, measuring the plan value
     assert len(merged.merge_factor_ids) == len(merged.room_pairs) + len(merged.plane_pairs)

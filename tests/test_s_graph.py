@@ -731,9 +731,11 @@ def test_two_wall_room_in_partial_corridor():
         sg.add_step(step)
     assert len(sg.rooms) == 0
     assert len(sg.gammas) >= 1
-    for rec in sg.gammas.values():
-        truths = {sg.truth_of_plane(p) for p in rec.planes}
+    for pair in sg.gammas:
+        truths = {sg.truth_of_plane(p) for p in pair}
         assert truths == {"c_n:-", "c_s:+"}
+    # counted, not solved: the graph holds no variable or factor for a two-wall room
+    assert len(sg.graph.variables()) == len(sg.keyframes) + len(sg.planes)
 
 
 def test_gamma_superseded_by_full_room():
@@ -743,8 +745,8 @@ def test_gamma_superseded_by_full_room():
         {sg.truth_of_plane(p) for p in rec.planes} for rec in sg.rooms.values()
     ]
     assert {"c_n:-", "c_s:+", "o_w:-", "o_e:+"} in room_truths
-    for rec in sg.gammas.values():
-        truths = {sg.truth_of_plane(p) for p in rec.planes}
+    for pair in sg.gammas:
+        truths = {sg.truth_of_plane(p) for p in pair}
         assert truths != {"c_n:-", "c_s:+"}
 
 
@@ -785,7 +787,7 @@ def test_update_solves_a_window_that_does_not_grow(monkeypatch):
                 recent = set(range(len(sg.keyframes) - WINDOW_KEYFRAMES, len(sg.keyframes)))
                 for vid, rec in sg.planes.items():
                     assert (vid in window) == bool(rec.observers & recent)
-                for vid, rec in [*sg.rooms.items(), *sg.gammas.items()]:
+                for vid, rec in sg.rooms.items():
                     assert (vid in window) == bool(window & set(rec.planes))
             return report
 
