@@ -67,10 +67,10 @@ def load_scenario(path) -> tuple[FloorPlan, SimConfig, dict]:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
     plan_ref = doc.get("plan")
-    if not plan_ref:
-        raise ScenarioError(f"{path}: scenario is missing the 'plan' reference")
-    if str(plan_ref).startswith("fixture:"):
-        plan = fixture_plan(str(plan_ref).split(":", 1)[1])
+    if not plan_ref or not isinstance(plan_ref, str):
+        raise ScenarioError(f"{path}: scenario is missing the 'plan' reference, a string")
+    if plan_ref.startswith("fixture:"):
+        plan = fixture_plan(plan_ref.split(":", 1)[1])
     else:
         plan_path = Path(plan_ref)
         if not plan_path.is_absolute():

@@ -83,8 +83,10 @@ class SimConfig:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise SimulationError("need at least 2 waypoints")
-        if self.keyframe_spacing <= 0:
-            raise SimulationError("keyframe_spacing must be positive")
+        if not all(math.isfinite(c) for point in self.waypoints for c in point):
+            raise SimulationError("waypoints must be finite")
+        if not 0 < self.keyframe_spacing < math.inf:
+            raise SimulationError("keyframe_spacing must be positive and finite")
         for name in ("odom_noise", "plane_noise"):
             sigmas = getattr(self, name)
             if len(sigmas) != 2 or not all(

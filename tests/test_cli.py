@@ -145,6 +145,10 @@ def test_error_paths_exit_one(tmp_path, capsys):
         {**scenario_doc, "seed": None},
         {**scenario_doc, "plane_noise": 5},
         {**scenario_doc, "keyframe_spacing": None},
+        {**scenario_doc, "keyframe_spacing": float("inf")},
+        {**scenario_doc, "waypoints": [[float("nan"), 1.0], *scenario_doc["waypoints"][1:]]},
+        {**scenario_doc, "plan": 5},
+        {**scenario_doc, "plan": "fixture:no_such_plan"},
         [scenario_doc],
     )):
         scenario.write_text(json.dumps(bad))
