@@ -45,6 +45,7 @@ from .matcher import (
     propose_wall_pairs,
     room_entries,
     score_candidate,
+    wall_residual_rms,
 )
 from .merger import MergedState, MergeError, extend_matches, localized_trajectory, merge
 from .metrics import ApeReport, EstimatedSurface, MapRmseReport, compute_ape, compute_map_rmse

@@ -257,23 +257,23 @@ def _pose_plane(kinds, vals, meas):
 
 
 def _room_to_walls(kinds, vals, meas):
-    # With one opposed pair per axis, the mean of all perpendicular feet is
-    # the pair-wise midpoint sum, i.e. the room center.
+    # A room on four planes, one opposed pair per axis: the mean of the four
+    # perpendicular feet is half the pair-wise midpoint sum, so twice that
+    # mean is the room center.
     m = len(meas)
-    k = len(vals) - 1
-    planes = np.stack(vals[1:])  # (k, m, 2)
+    planes = np.stack(vals[1:])  # (4, m, 2)
     c, s = np.cos(planes[..., 0]), np.sin(planes[..., 0])
-    dk = planes[..., 1] / k
-    feet = dk[..., None] * np.stack([c, s], axis=-1)
+    d4 = planes[..., 1] / 4
+    feet = d4[..., None] * np.stack([c, s], axis=-1)
     mid = np.zeros((m, 2))
     for foot in feet:
         mid += foot
-    jac = np.empty((k, m, 2, 2))
-    jac[..., 0, 0] = dk * -s
-    jac[..., 0, 1] = c / k
-    jac[..., 1, 0] = dk * c
-    jac[..., 1, 1] = s / k
-    return vals[0] - mid * (k / 2.0), [_eye(m, 2), *(-(k / 2.0) * jac)]
+    jac = np.empty((4, m, 2, 2))
+    jac[..., 0, 0] = d4 * -s
+    jac[..., 0, 1] = c / 4
+    jac[..., 1, 0] = d4 * c
+    jac[..., 1, 1] = s / 4
+    return vals[0] - mid * 2.0, [_eye(m, 2), *(-2.0 * jac)]
 
 
 def _room_to_room(kinds, vals, meas):
@@ -766,9 +766,15 @@ class FactorGraph:
         if whole:
             self._window = self._whole()
         else:
+            entries: list[int] = []  # the window's state entries, marked in one assignment
+            try:
+                for vid in window:
+                    first = self._offset[vid]
+                    entries += range(first, first + VAR_DIM[vid.kind])
+            except KeyError:
+                raise GraphError(f"unknown variable {vid}") from None
             inside = np.zeros(self._state.size, dtype=bool)
-            for vid in window:
-                inside[self._slice(vid)] = True
+            inside[entries] = True
             self._window = self._structure().window(inside)
             self._evaluated = None
         try:

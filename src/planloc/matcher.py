@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from .factor_graph import FactorGraph, FactorKind, VariableId, plane_to_plane_residual
-from .geometry import GeometryError, Pose2, axis_of_normal, fit_rigid_transforms
+from .geometry import GeometryError, Pose2, fit_rigid_transforms
 
 # Up to this many observed rooms the room-level search keeps every partial
 # assignment; beyond it, only the BEAM_WIDTH best by room-dimension mismatch.
@@ -62,8 +63,8 @@ class PlaneEntry:
     phi: float
     d: float
 
-    # Computed once per entry: a match reads each entry's geometry for every
-    # candidate that contains it. Callers must not write to the arrays.
+    # Cached once per entry; callers must not write to the arrays. A match
+    # reads the room-level cache, ``RoomEntry.frame``, instead.
     @cached_property
     def normal(self) -> np.ndarray:
         return np.array([math.cos(self.phi), math.sin(self.phi)])
@@ -79,21 +80,44 @@ class RoomEntry:
     center: tuple[float, float]
     planes: tuple[PlaneEntry, PlaneEntry, PlaneEntry, PlaneEntry]
 
+    # Computed once per entry: a match reads each entry's geometry for every
+    # candidate that contains it.
     @cached_property
-    def dims(self) -> tuple[float, float]:
-        """Sorted (small, large) gap of the two opposed plane pairs."""
-        return tuple(sorted((_pair_gap(self.planes[0], self.planes[1]),
-                             _pair_gap(self.planes[2], self.planes[3]))))
+    def frame(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(nx, ny, ox, oy) of each plane: its unit normal and its foot minus the room center."""
+        if len(self.planes) != 4:
+            raise RoomStructureError(f"room {self.vid} has {len(self.planes)} planes, need 4")
+        cx, cy = self.center
+        out = []
+        for plane in self.planes:
+            nx, ny = math.cos(plane.phi), math.sin(plane.phi)
+            out.append((nx, ny, plane.d * nx - cx, plane.d * ny - cy))
+        return tuple(out)
 
     @cached_property
-    def side_roles(self) -> dict[tuple[str, int], PlaneEntry]:
-        """Side roles of the four planes in the room's own frame; see ``_side_roles``."""
+    def dims(self) -> tuple[float, float]:
+        """Sorted (small, large) gap of the two opposed plane pairs; see ``_room_dims``."""
+        return tuple(_room_dims([self])[0].tolist())
+
+    @cached_property
+    def side_roles(self) -> tuple[PlaneEntry, ...]:
+        """The four planes in side-role order in the room's own frame; see ``_side_roles``."""
         return _side_roles(self, None)
 
 
-def _pair_gap(a: PlaneEntry, b: PlaneEntry) -> float:
-    n = a.normal
-    return abs(float((a.foot - b.foot) @ n))
+def _room_dims(rooms) -> np.ndarray:
+    """(R, 2) sorted (small, large) dims of each room, in one pass.
+
+    Planes 0, 1 and planes 2, 3 are the opposed pairs, and a pair's gap is
+    |(foot_a - foot_b) . n_a| with n_a the first plane's normal. The dot is a
+    stacked 1x2 by 2x1 product, which runs the dot routine of a 1-D ``@``, so a
+    room's dims do not depend on the rooms it is batched with.
+    """
+    n = np.array([[plane[:2] for plane in r.frame] for r in rooms]).reshape(-1, 4, 2)
+    foot = np.array([[plane.d for plane in r.planes] for r in rooms]).reshape(-1, 4, 1) * n
+    diff = foot[:, 0::2] - foot[:, 1::2]
+    gap = (diff[..., None, :] @ n[:, 0::2, :, None])[..., 0, 0]
+    return np.sort(np.abs(gap), axis=1)
 
 
 def read_room_entries(graph: FactorGraph, rooms) -> list[RoomEntry]:
@@ -119,8 +143,7 @@ def room_entries(graph: FactorGraph) -> list[RoomEntry]:
     )
 
 
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     a_node: VariableId
     s_node: VariableId
     level: str  # "room" | "wall_surface"
@@ -196,9 +219,10 @@ class MatchResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
 
 
-def _dims_compatible(a_dims: np.ndarray, s: RoomEntry) -> np.ndarray:
-    """Which plan rooms, given by their (n, 2) dims, pass the per-axis dimension gate for s."""
-    return np.all(np.abs(a_dims - s.dims) <= DIM_TOL, axis=1)
+def _dims_gate(a_dims: np.ndarray, s_dims: np.ndarray) -> np.ndarray:
+    """(S, A) mask: which plan rooms, by their (A, 2) dims, pass the per-axis
+    dimension gate for each robot room, by its row of the (S, 2) dims."""
+    return np.all(np.abs(a_dims - s_dims[:, None]) <= DIM_TOL, axis=2)
 
 
 def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> list[MatchCandidate]:
@@ -210,9 +234,9 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     ``EXHAUSTIVE_MAX_ROOMS`` observed rooms every partial assignment is kept,
     so the result is the full enumeration; beyond it each level keeps the
     ``BEAM_WIDTH`` partials of least summed dimension mismatch. Each level
-    grows all partials at once, and one batched fit aligns all full
-    assignments. Candidates below the room-level affinity floor are dropped;
-    output is sorted best first.
+    grows all partials at once with one mask, and one batched fit aligns all
+    full assignments. Candidates below the room-level affinity floor are
+    dropped; output is sorted best first.
     """
     if len(s_rooms) < 2 or not a_rooms:
         return []
@@ -220,6 +244,8 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     bounded = len(s_rooms) > EXHAUSTIVE_MAX_ROOMS
     plan_index = np.arange(len(a_rooms))
     a_dims = np.array([a.dims for a in a_rooms])
+    s_dims = _room_dims(s_rooms)
+    dims_ok = _dims_gate(a_dims, s_dims)
     a_dist = np.array([[math.dist(a.center, b.center) for b in a_rooms] for a in a_rooms])
     # partials[j, k] is the index into a_rooms of the plan room given to
     # s_rooms[k]; np.nonzero walks the (partial, plan room) masks in the
@@ -227,14 +253,18 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     partials = np.zeros((1, 0), dtype=np.intp)
     mismatch = np.zeros(1)  # summed dimension mismatch of each partial
     for level, s in enumerate(s_rooms):
-        grow = np.tile(_dims_compatible(a_dims, s), (len(partials), 1))
-        for k, ps in enumerate(s_rooms[:level]):
-            grow &= plan_index != partials[:, k, None]
-            grow &= np.abs(a_dist[partials[:, k]] - math.dist(ps.center, s.center)) <= DIST_TOL
-        rows, cols = np.nonzero(grow)
+        s_dist = np.array([math.dist(ps.center, s.center) for ps in s_rooms[:level]])
+        # axis 1 runs over the earlier levels: the plan room is unused, and its
+        # center distances to their plan rooms match the observed ones
+        grow = dims_ok[level] & (
+            (np.abs(a_dist[partials] - s_dist[:, None]) <= DIST_TOL)
+            & (partials[:, :, None] != plan_index)
+        ).all(axis=1)
+        rows, cols = grow.nonzero()
         partials = np.column_stack([partials[rows], cols])
         if bounded:
-            step = np.array([math.dist(a.dims, s.dims) for a in a_rooms])
+            s_dim = s_dims[level].tolist()
+            step = np.array([math.dist(a.dims, s_dim) for a in a_rooms])
             mismatch = mismatch[rows] + step[cols]
             keep = np.argsort(mismatch, kind="stable")[:BEAM_WIDTH]
             partials, mismatch = partials[keep], mismatch[keep]
@@ -256,35 +286,33 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     return _ranked(candidates)
 
 
-def _side_roles(
-    room: RoomEntry, to_plan: Pose2 | None
-) -> dict[tuple[str, int], PlaneEntry]:
-    """Map each of the room's four planes to a (axis, side-sign) role.
+# Side roles as (axis, side-sign), in sorted order: wall pairs are listed in it.
+SIDE_ROLES = (("x", -1), ("x", 1), ("y", -1), ("y", 1))
+
+
+def _side_roles(room: RoomEntry, to_plan: Pose2 | None) -> tuple[PlaneEntry, ...]:
+    """The room's four planes in ``SIDE_ROLES`` order.
 
     Roles are evaluated in the plan frame: the optional transform maps the
     room's geometry there first, which keeps the pairing meaningful under an
-    arbitrary map-to-plan rotation. The axis is that of the turned normal,
-    and the side is the sign of the turned foot-minus-center offset along it.
+    arbitrary map-to-plan rotation. The axis is that of the turned normal (x
+    when |nx| >= |ny|), and the side is the sign of the turned
+    foot-minus-center offset along it. Two planes on one role raise
+    ``WallPairingError``.
     """
-    if len(room.planes) != 4:
-        raise RoomStructureError(f"room {room.vid} has {len(room.planes)} planes, need 4")
     c, s = (1.0, 0.0) if to_plan is None else (math.cos(to_plan.theta), math.sin(to_plan.theta))
-    cx, cy = room.center
-    roles: dict[tuple[str, int], PlaneEntry] = {}
-    for plane in room.planes:
-        nx, ny = math.cos(plane.phi), math.sin(plane.phi)
-        ox, oy = plane.d * nx - cx, plane.d * ny - cy
-        axis = axis_of_normal(c * nx - s * ny, s * nx + c * ny).value
-        offset = c * ox - s * oy if axis == "x" else s * ox + c * oy
-        role = (axis, 1 if offset >= 0 else -1)
-        if role in roles:
+    slots: list[PlaneEntry | None] = [None] * 4
+    for plane, (nx, ny, ox, oy) in zip(room.planes, room.frame):
+        if abs(c * nx - s * ny) >= abs(s * nx + c * ny):
+            k = 1 if c * ox - s * oy >= 0 else 0
+        else:
+            k = 3 if s * ox + c * oy >= 0 else 2
+        if slots[k] is not None:
             raise WallPairingError(
-                f"room {room.vid}: two planes land on the same side role {role}"
+                f"room {room.vid}: two planes land on the same side role {SIDE_ROLES[k]}"
             )
-        roles[role] = plane
-    if len(roles) != 4:
-        raise WallPairingError(f"room {room.vid}: could not assign four distinct side roles")
-    return roles
+        slots[k] = plane
+    return tuple(slots)
 
 
 def propose_wall_pairs(
@@ -294,18 +322,10 @@ def propose_wall_pairs(
     hint: Pose2 | None = None,
 ) -> list[MatchPair]:
     """Match a room pair's four wall surfaces by side role; exactly 4 or raise."""
-    a_room = a_rooms_by_vid[room_pair.a_node]
+    a_planes = a_rooms_by_vid[room_pair.a_node].side_roles
     s_room = s_rooms_by_vid[room_pair.s_node]
-    a_roles = a_room.side_roles
-    s_roles = s_room.side_roles if hint is None else _side_roles(s_room, hint)
-    if a_roles.keys() != s_roles.keys():
-        raise WallPairingError(
-            f"rooms {a_room.vid} / {s_room.vid}: side roles do not line up"
-        )
-    return [
-        MatchPair(a_roles[role].vid, s_roles[role].vid, "wall_surface")
-        for role in sorted(a_roles)
-    ]
+    s_planes = s_room.side_roles if hint is None else _side_roles(s_room, hint)
+    return [MatchPair(a.vid, s.vid, "wall_surface") for a, s in zip(a_planes, s_planes)]
 
 
 def combine_bottom_up(
@@ -318,62 +338,82 @@ def combine_bottom_up(
     """
     out = []
     for cand, wall_pairs in expanded:
-        a_map: dict[VariableId, VariableId] = {}
-        s_map: dict[VariableId, VariableId] = {}
-        unique: dict[tuple, MatchPair] = {}
-        ok = True
+        by_a: dict[VariableId, MatchPair] = {}
+        s_to_a: dict[VariableId, VariableId] = {}
         for pair in wall_pairs:
-            if a_map.get(pair.a_node, pair.s_node) != pair.s_node:
-                ok = False
+            a, s, _ = pair
+            if by_a.setdefault(a, pair).s_node != s or s_to_a.setdefault(s, a) != a:
                 break
-            if s_map.get(pair.s_node, pair.a_node) != pair.a_node:
-                ok = False
-                break
-            a_map[pair.a_node] = pair.s_node
-            s_map[pair.s_node] = pair.a_node
-            unique.setdefault(pair.key(), pair)
-        if not ok:
-            continue
-        pairs = cand.room_pairs + tuple(
-            unique[k] for k in sorted(unique)
-        )
-        out.append(MatchCandidate(pairs, cand.affinity, cand.transform_hint, cand.e_rho))
+        else:
+            # The map is consistent, so the pairs are unique by plan plane; all
+            # are plane to plane, so plan-plane index order is pair-key order.
+            walls = sorted(by_a.values(), key=lambda p: p.a_node.index)
+            out.append(
+                MatchCandidate(
+                    cand.room_pairs + tuple(walls), cand.affinity, cand.transform_hint, cand.e_rho
+                )
+            )
     return out
 
 
-def score_candidate(
-    cand: MatchCandidate,
+def wall_residual_rms(
+    cands: list[MatchCandidate],
     a_rooms_by_vid: dict[VariableId, RoomEntry],
     s_rooms_by_vid: dict[VariableId, RoomEntry],
-) -> MatchCandidate:
+) -> list[float]:
+    """RMS wall-pair residual of each candidate under its hint, in one residual pass.
+
+    Every wall pair is weighed as the merge's plane-to-plane factor will
+    weigh it. The rows of one candidate are contiguous, and the candidates of
+    one wall count are reduced together, one row each, by ``np.mean``'s own
+    steps (a sum along the row, then a division), so each RMS equals
+    ``np.mean`` over that candidate's rows alone, bit for bit. A candidate
+    without wall pairs has RMS 0.
+    """
+    a_planes = {pl.vid: (pl.phi, pl.d) for r in a_rooms_by_vid.values() for pl in r.planes}
+    s_planes = {pl.vid: (pl.phi, pl.d) for r in s_rooms_by_vid.values() for pl in r.planes}
+    rows_of = []  # per candidate: (plan phi, d, robot phi, d, hint x, y, theta) per wall pair
+    by_count: dict[int, list[int]] = {}
+    for k, cand in enumerate(cands):
+        h = cand.transform_hint
+        hint = (h.x, h.y, h.theta)
+        rows = [
+            a_planes[a] + s_planes[s] + hint
+            for a, s, level in cand.pairs
+            if level == "wall_surface"
+        ]
+        rows_of.append(rows)
+        by_count.setdefault(len(rows), []).append(k)
+    n_rows = sum(map(len, rows_of))
+    out = [0.0] * len(cands)
+    if not n_rows:
+        return out
+    grouped = chain.from_iterable(rows_of[k] for ks in by_count.values() for k in ks)
+    table = np.fromiter(chain.from_iterable(grouped), float, 7 * n_rows).reshape(-1, 7)
+    r, _ = plane_to_plane_residual([table[:, :2], table[:, 2:4], table[:, 4:]])
+    sq = r**2
+    lo = 0
+    for m, ks in by_count.items():
+        hi = lo + m * len(ks)
+        if m:
+            sums = np.add.reduce(sq[lo:hi].reshape(len(ks), 2 * m), axis=1)
+            for k, mean in zip(ks, (sums / (2 * m)).tolist()):
+                out[k] = math.sqrt(mean)
+        lo = hi
+    return out
+
+
+def score_candidate(cand: MatchCandidate, e_pi: float) -> MatchCandidate:
     """Global affinity of an all-level candidate under its room-level alignment.
 
     The candidate carries the closed-form fit of its room pairs (hint and
-    center residual), so scoring adds the wall-pair residual under it.
+    center residual); ``e_pi`` is the RMS residual of its wall pairs under
+    that hint, from ``wall_residual_rms``.
     """
-    room_pairs = cand.room_pairs
-    if len(room_pairs) < 2:
+    if len(cand.room_pairs) < 2:
         raise MatchError("scoring needs at least 2 room pairs")
-    hint = cand.transform_hint
-
-    # every wall pair's residual under the hint, as the merge's
-    # plane-to-plane factor will weigh it
-    a_planes = {pl.vid: pl for p in room_pairs for pl in a_rooms_by_vid[p.a_node].planes}
-    s_planes = {pl.vid: pl for p in room_pairs for pl in s_rooms_by_vid[p.s_node].planes}
-    planes = np.array(
-        [
-            (a.phi, a.d, s.phi, s.d)
-            for a, s in ((a_planes[p.a_node], s_planes[p.s_node]) for p in cand.wall_pairs)
-        ]
-    ).reshape(-1, 4)
-    m = len(planes)
-    e_pi = 0.0
-    if m:
-        t_vals = np.full((m, 3), hint.as_array())
-        r, _ = plane_to_plane_residual([planes[:, :2], planes[:, 2:], t_vals])
-        e_pi = math.sqrt(float(np.mean(r**2)))
     affinity = math.exp(-(cand.e_rho / RHO_SCALE + e_pi / PI_SCALE))
-    return MatchCandidate(cand.pairs, affinity, hint, cand.e_rho)
+    return MatchCandidate(cand.pairs, affinity, cand.transform_hint, cand.e_rho)
 
 
 def cluster_and_decide(scored: list[MatchCandidate]) -> MatchResult:
@@ -401,14 +441,16 @@ def match(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> MatchResult:
     room_cands = propose_room_pairs(a_rooms, s_rooms)
     expanded: list[tuple[MatchCandidate, list[MatchPair]]] = []
     for cand in room_cands:
-        wall_pairs: list[MatchPair] = []
+        hint = cand.transform_hint
         try:
-            for pair in cand.room_pairs:
-                wall_pairs.extend(
-                    propose_wall_pairs(pair, a_by_vid, s_by_vid, cand.transform_hint)
-                )
+            wall_pairs = [
+                wall
+                for pair in cand.room_pairs
+                for wall in propose_wall_pairs(pair, a_by_vid, s_by_vid, hint)
+            ]
         except WallPairingError:
             continue
         expanded.append((cand, wall_pairs))
     combined = combine_bottom_up(expanded)
-    return cluster_and_decide([score_candidate(c, a_by_vid, s_by_vid) for c in combined])
+    e_pis = wall_residual_rms(combined, a_by_vid, s_by_vid)
+    return cluster_and_decide([score_candidate(c, e_pi) for c, e_pi in zip(combined, e_pis)])

@@ -28,7 +28,8 @@ from .matcher import (
     MatchStatus,
     RoomEntry,
     WallPairingError,
-    _dims_compatible,
+    _dims_gate,
+    _room_dims,
     propose_wall_pairs,
     read_room_entries,
 )
@@ -124,39 +125,38 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
     and distance thresholds as the matcher; its wall surfaces follow by side
     role. Returns the number of new room pairs added.
     """
-    graph = state.graph
     t = state.transform_estimate()
-
     matched_s_rooms = set(state.room_pairs.values())
     a_rooms = state.plan_rooms
-    s_rooms = {
-        r.vid: r
-        for r in read_room_entries(
-            graph,
+    s_list = sorted(
+        read_room_entries(
+            state.graph,
             ((vid, *rec.planes) for vid, rec in s.rooms.items() if vid not in matched_s_rooms),
-        )
-    }
-
-    if not s_rooms:
+        ),
+        key=lambda r: r.vid.index,
+    )
+    if not s_list:
         return 0
-    # The plan rooms as arrays, so that each robot room meets all of them in one pass.
+    s_rooms = {r.vid: r for r in s_list}
+    # All robot rooms meet all plan rooms in one (S, A) pass; the rooms are
+    # then taken in index order, each closing the plan room it is paired with.
     a_vids = list(a_rooms)
     a_index = np.array([vid.index for vid in a_vids])
     a_centers = np.array([a_rooms[vid].center for vid in a_vids]).reshape(-1, 2)
     a_dims = np.array([a_rooms[vid].dims for vid in a_vids]).reshape(-1, 2)
     open_a = np.array([vid not in state.room_pairs for vid in a_vids], dtype=bool)
+    mapped = np.array([t.transform_point(r.center) for r in s_list])
+    dist = _distances(mapped[:, None], a_centers)
+    gate = ~(dist > DIST_TOL) & _dims_gate(a_dims, _room_dims(s_list))
 
     added = 0
-    for s_vid in sorted(s_rooms, key=lambda v: v.index):
-        s_room = s_rooms[s_vid]
-        dist = _distances(t.transform_point(s_room.center), a_centers)
-        ok = open_a & ~(dist > DIST_TOL) & _dims_compatible(a_dims, s_room)
+    for i in np.flatnonzero(gate.any(axis=1)).tolist():
+        ok = gate[i] & open_a
         if not ok.any():
             continue
         # nearest first, ties to the lowest plan room index
-        k = np.flatnonzero(ok)[np.lexsort((a_index[ok], dist[ok]))[0]]
-        a_vid = a_vids[k]
-        room_pair = MatchPair(a_vid, s_vid, "room")
+        k = np.flatnonzero(ok)[np.lexsort((a_index[ok], dist[i][ok]))[0]]
+        room_pair = MatchPair(a_vids[k], s_list[i].vid, "room")
         try:
             wall_pairs = propose_wall_pairs(room_pair, a_rooms, s_rooms, t)
         except WallPairingError:
@@ -168,10 +168,11 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
 
 
 def _distances(point: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(point - c)`` for each row c, bit for bit: a stacked 1x2 by 2x1
-    product runs norm's dot routine, where a row sum may round differently."""
+    """``np.linalg.norm(p - c)`` for each row c of centers and each point p, bit for bit:
+    a stacked 1x2 by 2x1 product runs norm's dot routine, where a row sum may round
+    differently. ``point`` is one point (2,), or points (S, 1, 2) for an (S, A) result."""
     diff = point - centers
-    return np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
 
 
 def localized_trajectory(state: MergedState, s: SGraph) -> list[Pose2]:

@@ -431,6 +431,7 @@ class PlaneRecord:
     vid: VariableId
     extent: tuple[float, float]
     observers: set[int] = field(default_factory=set)
+    last_seen: int = -1  # the latest step in observers
     truth: dict[str, int] = field(default_factory=dict)
 
     def truth_surface(self) -> str:
@@ -516,11 +517,9 @@ class SGraph:
         variables = self.graph.variables()
         recent = variables[variables.index(self.keyframes[first]) :]
         window = set(recent)
-        window.update(vid for vid in variables if vid.kind == VarKind.TRANSFORM)
-        steps = range(first, len(self.keyframes))
-        window.update(
-            vid for vid, rec in self.planes.items() if not rec.observers.isdisjoint(steps)
-        )
+        transform = VarKind.TRANSFORM  # read once: a member lookup on an Enum class is slow
+        window.update(vid for vid in variables if vid.kind is transform)
+        window.update(vid for vid, rec in self.planes.items() if rec.last_seen >= first)
         window.update(vid for vid, rec in self.rooms.items() if not window.isdisjoint(rec.planes))
         return window
 
@@ -610,6 +609,7 @@ class SGraph:
         else:
             rec.extent = (min(rec.extent[0], lo), max(rec.extent[1], hi))
         rec.observers.add(step)
+        rec.last_seen = max(rec.last_seen, step)
         rec.truth[obs.surface_id] = rec.truth.get(obs.surface_id, 0) + 1
 
     # -- room detection ------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from conftest import _correspondence_ok, simulate_sgraph
 from planloc.a_graph import build_a_graph
 from planloc.a_graph import plan_from_dict
-from planloc.factor_graph import VariableId, VarKind, plane_to_plane
+from planloc.factor_graph import VariableId, VarKind, plane_to_plane, plane_to_plane_residual
 from planloc.geometry import Pose2, estimate_transform_closed_form, rotation2, wrap_angle
 from planloc.matcher import (
     ACCEPT_AFFINITY,
@@ -27,6 +27,7 @@ from planloc.matcher import (
     RoomEntry,
     RoomStructureError,
     WallPairingError,
+    _room_dims,
     cluster_and_decide,
     combine_bottom_up,
     match,
@@ -34,6 +35,7 @@ from planloc.matcher import (
     propose_wall_pairs,
     room_entries,
     score_candidate,
+    wall_residual_rms,
 )
 from planloc.plans import fixture_plan, generate_random_plan, row_plan
 
@@ -367,7 +369,8 @@ def test_scorer_residual_is_the_kernel_residual():
             r, _ = plane_to_plane(None, [planes[:, 2:], t_vals], planes[:, :2])
             e_pi = math.sqrt(float(np.mean(r**2)))
             want = math.exp(-(cand.e_rho / RHO_SCALE + e_pi / PI_SCALE))
-            assert score_candidate(cand, a_by, s_by).affinity == want
+            (scored_pi,) = wall_residual_rms([cand], a_by, s_by)
+            assert score_candidate(cand, scored_pi).affinity == want
             scored += 1
     assert scored >= 10
 
@@ -400,10 +403,87 @@ def test_wrong_assignment_scores_low():
         combined = combine_bottom_up([(cand, wall_pairs)])
         if not combined:
             continue
-        scored = score_candidate(combined[0], a_by, s_by)
+        (e_pi,) = wall_residual_rms(combined, a_by, s_by)
+        scored = score_candidate(combined[0], e_pi)
         if scored is not None:
             worst = max(worst, scored.affinity)
     assert worst <= 0.5
+
+
+def _pair_gap(a, b):
+    """The gap of one opposed plane pair, one 1-D dot at a time."""
+    return abs(float((a.foot - b.foot) @ a.normal))
+
+
+def test_room_dims_pass_is_the_per_pair_gap_bit_for_bit():
+    rng = np.random.default_rng(9)
+    rooms = []
+    for scale in (1e-3, 1.0, 40.0, 1e4):
+        for k in range(50):
+            planes = tuple(
+                PlaneEntry(VariableId(VarKind.PLANE, 4 * k + q), phi, d)
+                for q, (phi, d) in enumerate(
+                    zip(rng.uniform(-4, 4, 4).tolist(), rng.normal(0, scale, 4).tolist())
+                )
+            )
+            center = tuple(rng.normal(0, scale, 2).tolist())
+            rooms.append(RoomEntry(VariableId(VarKind.ROOM, k), center, planes))
+    got = _room_dims(rooms)
+    for room, dims in zip(rooms, got.tolist()):
+        want = sorted((_pair_gap(*room.planes[:2]), _pair_gap(*room.planes[2:])))
+        assert dims == want
+        assert room.dims == tuple(want)
+
+
+def _combined(a_rooms, s_rooms, a_by, s_by):
+    """The all-level candidates match scores, for the robot rooms given."""
+    expanded = []
+    for cand in propose_room_pairs(a_rooms, s_rooms):
+        try:
+            walls = [
+                w for p in cand.room_pairs
+                for w in propose_wall_pairs(p, a_by, s_by, cand.transform_hint)
+            ]
+        except WallPairingError:
+            continue
+        expanded.append((cand, walls))
+    return combine_bottom_up(expanded)
+
+
+def test_wall_residual_pass_is_the_per_candidate_kernel_mean_bit_for_bit():
+    """One batch of candidates of unequal wall counts, some robot planes stored flipped."""
+    rng = np.random.default_rng(17)
+    counts, shared, flipped = set(), 0, 0
+    for name in ("corridor", "five_rooms", "grid_2x2_variant"):
+        pose = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
+        a_rooms, s_rooms = _noisy_views(name, pose, None, rng)
+        a_by, s_by = {r.vid: r for r in a_rooms}, {r.vid: r for r in s_rooms}
+        a_planes = {pl.vid: pl for r in a_rooms for pl in r.planes}
+        s_planes = {pl.vid: pl for r in s_rooms for pl in r.planes}
+        cands = [
+            cand
+            for k in range(2, len(s_rooms) + 1)
+            for cand in _combined(a_rooms, s_rooms[:k], a_by, s_by)
+        ]
+        rng.shuffle(cands)
+        cands.append(propose_room_pairs(a_rooms, s_rooms)[0])  # no wall pairs: RMS 0
+        for cand, got in zip(cands, wall_residual_rms(cands, a_by, s_by)):
+            walls = cand.wall_pairs
+            if not walls:
+                assert got == 0.0
+                continue
+            hint = cand.transform_hint
+            a = np.array([(a_planes[p.a_node].phi, a_planes[p.a_node].d) for p in walls])
+            sp = np.array([(s_planes[p.s_node].phi, s_planes[p.s_node].d) for p in walls])
+            r, _ = plane_to_plane_residual([a, sp, np.full((len(walls), 3), hint.as_array())])
+            assert got == math.sqrt(float(np.mean(r**2)))
+            counts.add(len(walls))
+            shared += len(walls) < 4 * len(cand.room_pairs)
+            flipped += any(
+                abs(wrap_angle(sp_phi + hint.theta - a_phi)) > math.pi / 2
+                for a_phi, sp_phi in zip(a[:, 0], sp[:, 0])
+            )
+    assert len(counts) >= 3 and shared and flipped
 
 
 def test_cluster_and_decide_rules():
@@ -678,6 +758,35 @@ def _assert_matches_reference(a_rooms, s_rooms, funnel):
     assert got.to_json() == want.to_json()
     assert funnel == want_counts
     return want_counts
+
+
+def test_match_makes_one_residual_call(funnel, monkeypatch):
+    """All of a match's wall pairs go through one residual call, and the funnel is unchanged."""
+    import planloc.matcher as matcher
+
+    rows = []
+
+    def counted(vals, _residual=matcher.plane_to_plane_residual):
+        rows.append(len(vals[0]))
+        return _residual(vals)
+
+    monkeypatch.setattr(matcher, "plane_to_plane_residual", counted)
+    rng = np.random.default_rng(23)
+    plan = _sym_rows8()
+    several = 0
+    for subset in ([0, 1], [2, 3, 4], [0, 1, 2, 3, 4, 5], [5, 6, 7]):
+        pose = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
+        a_rooms, s_rooms = _noisy_views(plan, pose, subset, rng)
+        rows.clear()
+        counts = _assert_matches_reference(a_rooms, s_rooms, funnel)
+        assert len(rows) == (1 if counts["combined"] else 0)
+        several += counts["combined"] > 1
+    assert several
+    # no candidate passes the gates: no residual call
+    _, a_rooms, _ = synthetic_views("five_rooms", Pose2.identity())
+    rows.clear()
+    assert match(a_rooms, _room_lattice(2, 9.0, 20.0, rng)).status == MatchStatus.NO_MATCH
+    assert rows == []
 
 
 def _sym_rows8():
