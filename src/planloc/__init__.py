@@ -13,7 +13,6 @@ from .a_graph import (
     PlanError,
     build_a_graph,
     load_plan,
-    wall_surfaces,
 )
 from .factor_graph import (
     Factor,
@@ -26,7 +25,6 @@ from .factor_graph import (
     VarKind,
 )
 from .geometry import (
-    Axis,
     GeometryError,
     Pose2,
     estimate_transform_closed_form,

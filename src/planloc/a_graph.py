@@ -2,9 +2,9 @@
 
 A floor plan describes wall slabs (centerline segment plus thickness),
 rectangular rooms referencing four wall surfaces, and doorways connecting
-room pairs. Each wall slab contributes two parallel wall surfaces; surfaces
-are identified as ``"<wall_id>:+"`` / ``"<wall_id>:-"`` for the face on the
-left / right of the wall direction.
+room pairs, at any heading. Each wall slab contributes two parallel wall
+surfaces; surfaces are identified as ``"<wall_id>:+"`` / ``"<wall_id>:-"`` for
+the face on the left / right of the wall direction.
 
 The resulting A-Graph is a factor graph over the wall-surface planes and
 room centers of the plan frame "B": each room is tied to its four surfaces,
@@ -25,10 +25,16 @@ from pathlib import Path
 import numpy as np
 
 from .factor_graph import Factor, FactorGraph, FactorKind, VariableId, VarKind
-from .geometry import PERP, Axis, axis_of_normal
+from .geometry import PERP
 from .matcher import RoomEntry, room_entries
 
 ROOM_SIDES = ("px", "mx", "py", "my")
+
+# Largest miss [unit-vector norm] of a room face normal from its side's
+# direction in the room's own frame. Turning a plan rounds its coordinates,
+# which moves a face normal by ~1e-15; a larger miss is a drawn angle, and the
+# room center and the matcher's room dims hold only for right angles.
+RIGHT_ANGLE_TOL = 1e-9
 
 
 class PlanError(ValueError):
@@ -77,7 +83,6 @@ class WallSurface:
     face_normal: tuple[float, float]  # outward from the slab material
     seg_start: tuple[float, float]
     seg_end: tuple[float, float]
-    axis: Axis
 
 
 @dataclass(frozen=True)
@@ -105,21 +110,14 @@ class FloorPlan:
         """All wall surfaces of the plan, keyed by surface id."""
         return {surf.id: surf for wall in self.walls for surf in _surfaces_of_wall(wall)}
 
-    def room_rect(self, room_id: str) -> tuple[float, float, float, float]:
-        """Interior rectangle (x0, x1, y0, y1) spanned by a room's surfaces."""
-        room = self.room(room_id)
-        x0, x1, y0, y1 = (
-            _axis_position(self.surfaces[room.surfaces[side]]) for side in ("mx", "px", "my", "py")
-        )
-        return (x0, x1, y0, y1)
-
-
-def _axis_position(surface: WallSurface) -> float:
-    """Signed coordinate of an axis-aligned surface along its normal axis."""
-    comp = surface.normal[0] if surface.axis == Axis.X else surface.normal[1]
-    if abs(comp) < 0.9:
-        raise PlanError(f"surface {surface.id} is not axis aligned")
-    return surface.dist / comp
+    def room_center(self, room_id: str) -> tuple[float, float]:
+        """A room's center: half the sum of its four surfaces' feet, the ``room_to_walls`` rule."""
+        x = y = 0.0
+        for sid in self.room(room_id).surfaces.values():
+            surf = self.surfaces[sid]
+            x += 0.5 * surf.dist * surf.normal[0]
+            y += 0.5 * surf.dist * surf.normal[1]
+        return (x, y)
 
 
 def _surfaces_of_wall(wall: PlanWall) -> list[WallSurface]:
@@ -149,15 +147,9 @@ def _surfaces_of_wall(wall: PlanWall) -> list[WallSurface]:
                 face_normal=(float(face_n[0]), float(face_n[1])),
                 seg_start=(float(s0[0]), float(s0[1])),
                 seg_end=(float(s1[0]), float(s1[1])),
-                axis=axis_of_normal(n[0], n[1]),
             )
         )
     return out
-
-
-def wall_surfaces(plan: FloorPlan) -> dict[str, WallSurface]:
-    """All wall surfaces of a plan, keyed by surface id (``plan.surfaces``)."""
-    return plan.surfaces
 
 
 def _parse_point(obj, where: str) -> tuple[float, float]:
@@ -261,23 +253,21 @@ def validate_plan(plan: FloorPlan) -> None:
             sid = room.surfaces[side]
             if sid not in surfaces:
                 raise PlanError(f"room {room.id!r} references missing surface {sid!r}")
-        for side in ROOM_SIDES:
+        # The room's own frame: x out through side px, y a quarter turn
+        # counterclockwise; each face normal points into the room along it.
+        fx, fy = surfaces[room.surfaces["px"]].face_normal
+        wants = ((fx, fy), (-fx, -fy), (-fy, fx), (fy, -fx))
+        cx, cy = plan.room_center(room.id)
+        for side, (wx, wy) in zip(ROOM_SIDES, wants):
             surf = surfaces[room.surfaces[side]]
-            want_axis = Axis.X if side.endswith("x") else Axis.Y
-            if surf.axis != want_axis:
+            nx, ny = surf.face_normal
+            if math.hypot(nx - wx, ny - wy) > RIGHT_ANGLE_TOL:
                 raise PlanError(
-                    f"room {room.id!r} side {side} expects a {want_axis.value}-surface, "
-                    f"got {surf.id!r}"
+                    f"room {room.id!r} side {side}: surface {surf.id!r} is not at a right "
+                    "angle to side px (sides px, py, mx, my run counterclockwise)"
                 )
-        x0, x1, y0, y1 = plan.room_rect(room.id)
-        if not (x0 < x1 and y0 < y1):
-            raise PlanError(f"room {room.id!r} surfaces do not form a positive-area rectangle")
-        cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-        for side in ROOM_SIDES:
-            surf = surfaces[room.surfaces[side]]
-            fn = np.asarray(surf.face_normal)
-            mid = (np.asarray(surf.seg_start) + np.asarray(surf.seg_end)) / 2.0
-            if float(fn @ (np.array([cx, cy]) - mid)) <= 0:
+            (x0, y0), (x1, y1) = surf.seg_start, surf.seg_end
+            if nx * (cx - (x0 + x1) / 2.0) + ny * (cy - (y0 + y1) / 2.0) <= 0:
                 raise PlanError(
                     f"room {room.id!r}: surface {surf.id!r} does not face the room interior"
                 )
@@ -365,9 +355,7 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
 
     room_ids: dict[str, VariableId] = {}
     for room in plan.rooms:
-        x0, x1, y0, y1 = plan.room_rect(room.id)
-        center = np.array([(x0 + x1) / 2.0, (y0 + y1) / 2.0])
-        rid = graph.add_variable(VarKind.ROOM, center)
+        rid = graph.add_variable(VarKind.ROOM, plan.room_center(room.id))
         room_ids[room.id] = rid
         graph.add_factor(
             Factor(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -109,18 +108,6 @@ class Pose2:
             and abs(self.y - other.y) <= tol
             and abs(wrap_angle(self.theta - other.theta)) <= tol
         )
-
-
-class Axis(Enum):
-    """Dominant direction of a plane normal."""
-
-    X = "x"
-    Y = "y"
-
-
-def axis_of_normal(nx: float, ny: float) -> Axis:
-    """X when |nx| >= |ny| (ties go to X), Y otherwise."""
-    return Axis.X if abs(nx) >= abs(ny) else Axis.Y
 
 
 def transform_phi_dist(pose: Pose2, phi: float, dist: float) -> tuple[float, float]:

@@ -100,9 +100,17 @@ class RoomEntry:
         return tuple(_room_dims([self])[0].tolist())
 
     @cached_property
+    def outward(self) -> tuple[float, ...]:
+        """Each plane's normal angle turned to point out of the room: phi, or phi + pi."""
+        return tuple(
+            plane.phi + (math.pi if nx * ox + ny * oy < 0 else 0.0)
+            for plane, (nx, ny, ox, oy) in zip(self.planes, self.frame)
+        )
+
+    @cached_property
     def side_roles(self) -> tuple[PlaneEntry, ...]:
-        """The four planes in side-role order in the room's own frame; see ``_side_roles``."""
-        return _side_roles(self, None)
+        """The four planes in side-role order, from the room's own plane 0; see ``_side_roles``."""
+        return _side_roles(self, self.outward[0], 0.0)
 
 
 def _room_dims(rooms) -> np.ndarray:
@@ -286,30 +294,26 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     return _ranked(candidates)
 
 
-# Side roles as (axis, side-sign), in sorted order: wall pairs are listed in it.
-SIDE_ROLES = (("x", -1), ("x", 1), ("y", -1), ("y", 1))
+# The slot of each quarter turn counterclockwise from a plan room's plane 0
+# (its px side): wall pairs are listed mx, px, my, py of the plan room.
+_SLOT_OF_QUARTER = (1, 3, 0, 2)
 
 
-def _side_roles(room: RoomEntry, to_plan: Pose2 | None) -> tuple[PlaneEntry, ...]:
-    """The room's four planes in ``SIDE_ROLES`` order.
+def _side_roles(room: RoomEntry, ref: float, theta: float) -> tuple[PlaneEntry, ...]:
+    """The room's four planes in side-role order.
 
-    Roles are evaluated in the plan frame: the optional transform maps the
-    room's geometry there first, which keeps the pairing meaningful under an
-    arbitrary map-to-plan rotation. The axis is that of the turned normal (x
-    when |nx| >= |ny|), and the side is the sign of the turned
-    foot-minus-center offset along it. Two planes on one role raise
+    A plane's role is the nearest quarter turn from the outward angle ``ref``
+    of the plan room's plane 0 to the plane's own outward angle, turned by
+    ``theta`` into the plan frame. Two planes on one role raise
     ``WallPairingError``.
     """
-    c, s = (1.0, 0.0) if to_plan is None else (math.cos(to_plan.theta), math.sin(to_plan.theta))
     slots: list[PlaneEntry | None] = [None] * 4
-    for plane, (nx, ny, ox, oy) in zip(room.planes, room.frame):
-        if abs(c * nx - s * ny) >= abs(s * nx + c * ny):
-            k = 1 if c * ox - s * oy >= 0 else 0
-        else:
-            k = 3 if s * ox + c * oy >= 0 else 2
+    for plane, out in zip(room.planes, room.outward):
+        q = round((out + theta - ref) / (math.pi / 2)) % 4
+        k = _SLOT_OF_QUARTER[q]
         if slots[k] is not None:
             raise WallPairingError(
-                f"room {room.vid}: two planes land on the same side role {SIDE_ROLES[k]}"
+                f"room {room.vid}: two planes face {q} quarter turns from the plan room's side px"
             )
         slots[k] = plane
     return tuple(slots)
@@ -322,10 +326,11 @@ def propose_wall_pairs(
     hint: Pose2 | None = None,
 ) -> list[MatchPair]:
     """Match a room pair's four wall surfaces by side role; exactly 4 or raise."""
-    a_planes = a_rooms_by_vid[room_pair.a_node].side_roles
+    a_room = a_rooms_by_vid[room_pair.a_node]
     s_room = s_rooms_by_vid[room_pair.s_node]
-    s_planes = s_room.side_roles if hint is None else _side_roles(s_room, hint)
-    return [MatchPair(a.vid, s.vid, "wall_surface") for a, s in zip(a_planes, s_planes)]
+    theta = 0.0 if hint is None else hint.theta
+    s_planes = _side_roles(s_room, a_room.outward[0], theta)
+    return [MatchPair(a.vid, s.vid, "wall_surface") for a, s in zip(a_room.side_roles, s_planes)]
 
 
 def combine_bottom_up(

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .a_graph import FloorPlan
-from .geometry import Pose2, axis_of_normal
+from .geometry import Pose2
 
 # Map RMSE: spacing [m] of the points sampled along each estimated surface,
-# and the largest distance [m] to a plan surface of the same axis at which an
-# estimate without a merge-time association falls back to it.
+# and the largest distance [m] to a plan surface within 45 degrees of parallel
+# at which an estimate without a merge-time association falls back to it.
 MAP_SAMPLE_STEP = 0.1
 MAP_ASSOC_TOL = 0.5
 
@@ -90,22 +90,24 @@ def compute_map_rmse(estimates: list[EstimatedSurface], plan: FloorPlan) -> MapR
     """RMS distance from sampled estimated-surface points to their plan surfaces.
 
     Surfaces without a merge-time association fall back to the nearest plan
-    surface of the same axis within ``MAP_ASSOC_TOL``; estimates with no
+    surface within 45 degrees of parallel and ``MAP_ASSOC_TOL``; estimates with no
     association at all are skipped.
     """
     surfaces = plan.surfaces
+    cos_45 = math.sqrt(0.5)
     sq_sum = 0.0
     n_points = 0
     for est in estimates:
-        n = np.array([math.cos(est.phi), math.sin(est.phi)])
+        c, s = math.cos(est.phi), math.sin(est.phi)
+        n = np.array([c, s])
         m_hat = np.array([-n[1], n[0]])
-        axis = axis_of_normal(n[0], n[1])
         target = surfaces.get(est.surface_id) if est.surface_id else None
         if target is None:
             foot = est.d * n
             best = None
             for surf in surfaces.values():
-                if surf.axis != axis:
+                sx, sy = surf.normal
+                if abs(sx * c + sy * s) < cos_45:
                     continue
                 gap = abs(float(np.asarray(surf.normal) @ foot) - surf.dist)
                 if gap <= MAP_ASSOC_TOL and (best is None or gap < best[0]):

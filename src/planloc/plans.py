@@ -351,8 +351,7 @@ def route_waypoints(plan: FloorPlan) -> list[tuple[float, float]]:
     points: list[tuple[float, float]] = []
     rooms = [r.id for r in plan.rooms]
     for k, rid in enumerate(rooms):
-        x0, x1, y0, y1 = plan.room_rect(rid)
-        points.append(((x0 + x1) / 2.0, (y0 + y1) / 2.0))
+        points.append(plan.room_center(rid))
         if k + 1 < len(rooms):
             nxt = rooms[k + 1]
             door = next(

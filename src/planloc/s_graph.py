@@ -32,7 +32,7 @@ from .factor_graph import (
     VariableId,
     VarKind,
 )
-from .geometry import PERP, Pose2, axis_of_normal, transform_phi_dist, wrap_angle, wrap_angles
+from .geometry import PERP, Pose2, transform_phi_dist, wrap_angle, wrap_angles
 
 DEG = math.pi / 180.0
 
@@ -42,7 +42,8 @@ DEFAULT_ODOM_NOISE = (0.01, 0.2 * DEG)
 DEFAULT_PLANE_NOISE = (0.3 * DEG, 0.02)
 
 # Estimator thresholds. An observation joins a known plane within these
-# gates on angle [rad] and closest-point distance [m].
+# gates on angle [rad] and closest-point distance [m]; the angle gate alone
+# keeps faces a quarter turn apart, at any heading, from joining.
 ASSOC_PHI_TOL = 0.15
 ASSOC_D_TOL = 0.35
 # Two planes bound a room from opposite sides when they are within
@@ -552,20 +553,17 @@ class SGraph:
     ) -> list[tuple[PlaneObservation, VariableId]]:
         """Match observations against known planes or allocate new variables.
 
-        An observation matches an existing plane when it lands on the same
-        axis within the angular and distance gates; ties break to the
-        smallest distance gap, then the lowest plane index. Matched or not,
-        the plane's extent, observer and provenance records are updated.
+        An observation matches an existing plane when it lands within the
+        angular and distance gates; ties break to the smallest distance gap,
+        then the lowest plane index. Matched or not, the plane's extent,
+        observer and provenance records are updated.
         """
         pose = Pose2.from_array(self.graph.value(keyframe))
         step_index = self.keyframes.index(keyframe)
         # Plane values do not change during association; a plane created here
         # enters with the (phi, d) it was created from.
         vids = list(self.planes)
-        known = {
-            vid: (phi, d, axis_of_normal(math.cos(phi), math.sin(phi)))
-            for vid, (phi, d) in zip(vids, self.graph.values(vids).tolist())
-        }
+        known = dict(zip(vids, self.graph.values(vids).tolist()))
         out = []
         for obs in observations:
             vid = self._associate(pose, obs, known)
@@ -576,11 +574,8 @@ class SGraph:
     def _associate(self, pose: Pose2, obs: PlaneObservation, known: dict) -> VariableId:
         """The known plane the observation joins, or a new plane added to ``known``."""
         phi_m, d_m = transform_phi_dist(pose, obs.phi, obs.dist)
-        axis = axis_of_normal(math.cos(phi_m), math.sin(phi_m))
         best: tuple[float, int, VariableId] | None = None
-        for vid, (phi_p, d_p, axis_p) in known.items():
-            if axis_p != axis:
-                continue
+        for vid, (phi_p, d_p) in known.items():
             if abs(wrap_angle(phi_m - phi_p)) >= ASSOC_PHI_TOL:
                 continue
             dd = abs(d_m - d_p)
@@ -592,7 +587,7 @@ class SGraph:
         if best is not None:
             return best[2]
         vid = self.graph.add_variable(VarKind.PLANE, [phi_m, d_m])
-        known[vid] = (phi_m, d_m, axis)
+        known[vid] = (phi_m, d_m)
         return vid
 
     def _update_record(
@@ -678,7 +673,7 @@ class SGraph:
         """Four-wall rooms: two pairs with near-perpendicular normals, each spanning the other.
 
         A pair's normal is its first plane's. Each quad lists the planes of the
-        pair whose (axis, lowest plane index) is smaller, then the other
+        pair whose (|nx| < |ny|, lowest plane index) is smaller, then the other
         pair's, each pair in index order; quads come sorted by their plane
         indices.
         """
@@ -697,7 +692,7 @@ class SGraph:
 
         cross = spans(i) & spans(j)
         mask = np.triu(~(np.abs(_pairwise_dot(n, n)) > PERP_DOT_MAX), 1) & cross & cross.T
-        # Axis X (|nx| >= |ny|) orders before Y, then the lower first plane.
+        # A pair with |nx| >= |ny| orders first, then the lower first plane.
         key = list(zip((np.abs(n[:, 0]) < np.abs(n[:, 1])).tolist(), i.tolist()))
         quads, vids = [], planes.vids
         for a, b in zip(*(x.tolist() for x in np.nonzero(mask))):

@@ -19,6 +19,18 @@ def scenario_config(name: str, **overrides) -> SimConfig:
     return SimConfig.from_dict(doc)
 
 
+def turned(doc: dict, waypoints, angle: float) -> tuple[dict, list]:
+    """A plan document and a route turned about the origin by ``angle``."""
+    c, s = math.cos(angle), math.sin(angle)
+
+    def turn(pt):
+        return [c * pt[0] - s * pt[1], s * pt[0] + c * pt[1]]
+
+    walls = [{**w, "start": turn(w["start"]), "end": turn(w["end"])} for w in doc["walls"]]
+    doorways = [{**d, "position": turn(d["position"])} for d in doc["doorways"]]
+    return {**doc, "walls": walls, "doorways": doorways}, [turn(p) for p in waypoints]
+
+
 def simulate_sgraph(name: str, **overrides):
     """Simulator + estimator only, for a bundled scenario: (plan, sim, sgraph)."""
     plan = fixture_plan(name)

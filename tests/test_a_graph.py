@@ -11,10 +11,8 @@ from planloc.a_graph import (
     load_plan,
     plan_from_dict,
     shared_wall,
-    wall_surfaces,
 )
 from planloc.factor_graph import FactorKind, VarKind
-from planloc.geometry import Axis
 from planloc.plans import (
     FIXTURE_PLANS,
     fixture_plan,
@@ -79,7 +77,7 @@ def test_doorway_distinct_rooms():
 
 
 def _wall_faces(doc):
-    surfaces = wall_surfaces(plan_from_dict(doc))
+    surfaces = plan_from_dict(doc).surfaces
     return surfaces["w:+"], surfaces["w:-"]
 
 
@@ -94,7 +92,6 @@ def test_extract_wall_surfaces_horizontal_wall():
         "doorways": [],
     }
     plus, minus = _wall_faces(doc)
-    assert plus.axis == minus.axis == Axis.Y
     # surfaces at y = +0.1 and y = -0.1, normals canonicalized away from origin
     feet = sorted([_foot(plus)[1], _foot(minus)[1]])
     assert feet == pytest.approx([-0.1, 0.1])
@@ -111,7 +108,6 @@ def test_extract_wall_surfaces_vertical_wall():
         "doorways": [],
     }
     plus, minus = _wall_faces(doc)
-    assert plus.axis == minus.axis == Axis.X
     feet = sorted([_foot(plus)[0], _foot(minus)[0]])
     assert feet == pytest.approx([1.85, 2.15])
     assert min(plus.dist, minus.dist) >= 0.0

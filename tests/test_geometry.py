@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planloc.geometry import (
-    Axis,
     GeometryError,
     Pose2,
-    axis_of_normal,
     estimate_transform_closed_form,
     fit_rigid_transforms,
     transform_phi_dist,
@@ -67,19 +65,6 @@ def test_compose_associative(x1, y1, t1, x2, y2, t2):
     a, b = Pose2(x1, y1, t1), Pose2(x2, y2, t2)
     c = Pose2(1.0, 2.0, -0.5)
     assert a.compose(b).compose(c).almost_equal(a.compose(b.compose(c)), tol=1e-7)
-
-
-def test_classify_axis():
-    assert axis_of_normal(1, 0) == Axis.X
-    assert axis_of_normal(0.6, 0.8) == Axis.Y
-    # exact tie goes to X
-    assert axis_of_normal(math.sqrt(0.5), math.sqrt(0.5)) == Axis.X
-
-
-@given(st.floats(0.01, math.tau))
-def test_classify_axis_sign_invariant(phi):
-    c, s = math.cos(phi), math.sin(phi)
-    assert axis_of_normal(c, s) == axis_of_normal(-c, -s)
 
 
 def _same_plane(a, b, tol=1e-9) -> bool:

@@ -214,6 +214,50 @@ def test_wall_pairs_ground_truth():
             assert abs(d_t - ap.d) < 1e-6
 
 
+def _wall_pairs_or_refusal(pair, a_by, s_by, hint):
+    try:
+        return propose_wall_pairs(pair, a_by, s_by, hint)
+    except WallPairingError:
+        return None
+
+
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4, math.pi / 2, -1.0])
+def test_wall_pairs_do_not_depend_on_the_heading(theta):
+    # Turning the plan rooms and the robot rooms together about their origins,
+    # with each hint turned to match, leaves every room pair's wall pairs, their
+    # order and every refusal as they were.
+    rng = np.random.default_rng(31)
+    turn = Pose2(0.0, 0.0, theta)
+
+    def turn_all(rooms):
+        return {
+            r.vid: transform_entry(r, turn, r.vid.index, {p.vid: p.vid for p in r.planes})
+            for r in rooms
+        }
+
+    paired = refused = 0
+    for name in ("two_rooms", "five_rooms", "corridor", "grid_2x2_variant"):
+        pose = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
+        a_rooms, s_rooms = _noisy_views(name, pose, None, rng)
+        a_by, s_by = {r.vid: r for r in a_rooms}, {r.vid: r for r in s_rooms}
+        a_turned, s_turned = turn_all(a_rooms), turn_all(s_rooms)
+        # the matcher's hints, the same an eighth turn off (where the plane
+        # noise splits a room's planes between roles), and hints at any angle,
+        # each on every room pair
+        hints = [c.transform_hint for c in propose_room_pairs(a_rooms, s_rooms)]
+        hints += [Pose2(h.x, h.y, h.theta + math.pi / 4) for h in hints]
+        hints += [Pose2(*rng.uniform(-3, 3, 2), t) for t in rng.uniform(-math.pi, math.pi, 20)]
+        for hint in hints:
+            hint_turned = turn.compose(hint).compose(turn.inverse())
+            for a, s in itertools.product(a_by, s_by):
+                pair = MatchPair(a, s, "room")
+                want = _wall_pairs_or_refusal(pair, a_by, s_by, hint)
+                assert _wall_pairs_or_refusal(pair, a_turned, s_turned, hint_turned) == want
+                paired += want is not None
+                refused += want is None
+    assert paired > 1000 and refused > 20
+
+
 def test_wall_pairs_structural_error_on_missing_plane():
     _, a_rooms, s_rooms = synthetic_views("two_rooms", Pose2.identity())
     broken = RoomEntry(s_rooms[0].vid, s_rooms[0].center, s_rooms[0].planes[:3])
@@ -537,7 +581,8 @@ def test_match_run_pipeline_truth(five_rooms_run):
 #
 # One Python loop over partial assignments per level, one closed-form fit per
 # candidate at the room level and again at scoring, side roles from numpy
-# rotations, and a full sort on (-affinity, pair keys).
+# rotations (the quarter turn from the plan room's plane 0 to each outward
+# normal), and a full sort on (-affinity, pair keys).
 
 
 def _ref_center_fit(pts):
@@ -610,16 +655,18 @@ def _ref_propose(a_rooms, s_rooms):
     return candidates
 
 
-def _ref_side_roles(room, to_plan):
-    rot = np.eye(2) if to_plan is None else to_plan.rotation()
-    center = np.asarray(room.center) if to_plan is None else to_plan.transform_point(room.center)
+def _ref_outward(room, plane):
+    """The plane's unit normal, pointing from the room center out through the plane."""
+    n = plane.normal
+    return n if n @ (plane.foot - np.asarray(room.center)) >= 0 else -n
+
+
+def _ref_side_roles(room, ref, rot):
+    """Each plane by the quarter turn from ``ref`` to its outward normal turned by ``rot``."""
     roles = {}
     for plane in room.planes:
-        n = rot @ plane.normal
-        foot = rot @ plane.foot + (np.zeros(2) if to_plan is None else to_plan.translation)
-        axis = "x" if abs(n[0]) >= abs(n[1]) else "y"
-        comp = 0 if axis == "x" else 1
-        role = (axis, 1 if foot[comp] - center[comp] >= 0 else -1)
+        n = rot @ _ref_outward(room, plane)
+        role = round(math.atan2(ref[0] * n[1] - ref[1] * n[0], ref @ n) / (math.pi / 2)) % 4
         if role in roles:
             raise WallPairingError(role)
         roles[role] = plane
@@ -627,7 +674,9 @@ def _ref_side_roles(room, to_plan):
 
 
 def _ref_wall_pairs(a_room, s_room, hint):
-    a_roles, s_roles = _ref_side_roles(a_room, None), _ref_side_roles(s_room, hint)
+    ref = _ref_outward(a_room, a_room.planes[0])
+    a_roles = _ref_side_roles(a_room, ref, np.eye(2))
+    s_roles = _ref_side_roles(s_room, ref, hint.rotation())
     if set(a_roles) != set(s_roles):
         raise WallPairingError("side roles do not line up")
     return [
@@ -707,7 +756,6 @@ def funnel(monkeypatch):
     counts = dict(room_cands=0, wall_expansions=0, combined=0, scored=0)
     tallies = {
         "propose_room_pairs": ("room_cands", len),
-        "propose_wall_pairs": ("wall_expansions", lambda out: 1),
         "combine_bottom_up": ("combined", len),
         "score_candidate": ("scored", lambda out: out is not None),
     }
@@ -719,6 +767,14 @@ def funnel(monkeypatch):
             return out
 
         monkeypatch.setattr(matcher, name, wrapper)
+
+    # counted on entry, as the bench counts it: a call that raises
+    # WallPairingError is an expansion too
+    def expansion(*args, fn=matcher.propose_wall_pairs):
+        counts["wall_expansions"] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(matcher, "propose_wall_pairs", expansion)
     return counts
 
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import turned
+from planloc.a_graph import plan_from_dict
 from planloc.geometry import Pose2
 from planloc.metrics import (
     EstimatedSurface,
@@ -10,7 +12,7 @@ from planloc.metrics import (
     compute_ape,
     compute_map_rmse,
 )
-from planloc.plans import fixture_plan
+from planloc.plans import fixture_plan, two_rooms_plan
 
 
 def _line(n=10):
@@ -42,10 +44,8 @@ def test_ape_length_mismatch():
 
 
 def _plan_truth_estimates(plan, d_offset=0.0):
-    from planloc.a_graph import wall_surfaces
-
     out = []
-    for sid, surf in sorted(wall_surfaces(plan).items()):
+    for sid, surf in sorted(plan.surfaces.items()):
         seg = np.asarray(surf.seg_start), np.asarray(surf.seg_end)
         nx, ny = surf.normal
         m_hat = np.array([-ny, nx])
@@ -83,6 +83,17 @@ def test_map_rmse_nearest_surface_fallback():
     ]
     report = compute_map_rmse(ests, plan)
     assert report.rmse == pytest.approx(0.0, abs=1e-12)
+
+
+def test_map_rmse_fallback_on_a_turned_plan():
+    # no wall runs along x or y: the fallback still finds each estimate's surface
+    doc, _ = turned(two_rooms_plan(), [], math.pi / 4)
+    plan = plan_from_dict(doc)
+    tagged = _plan_truth_estimates(plan)
+    untagged = [EstimatedSurface(e.phi, e.d, e.extent, None) for e in tagged]
+    report = compute_map_rmse(untagged, plan)
+    assert report.rmse <= 1e-9
+    assert report.n_points == compute_map_rmse(tagged, plan).n_points
 
 
 def test_map_rmse_requires_associable_planes():

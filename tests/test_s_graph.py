@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import scenario_config, simulate_sgraph
-from planloc.a_graph import plan_from_dict, wall_surfaces
+from conftest import scenario_config, simulate_sgraph, turned
+from planloc.a_graph import plan_from_dict
 from planloc.factor_graph import FactorKind, VarKind
-from planloc.geometry import PERP, Pose2, axis_of_normal, transform_phi_dist, wrap_angle
+from planloc.geometry import PERP, Pose2, transform_phi_dist, wrap_angle
 from planloc.metrics import compute_ape
 from planloc.plans import (
     FIXTURE_PLANS,
@@ -283,15 +283,7 @@ class _ReferenceSensor:
 
 def _rotated(name: str, angle: float):
     """A bundled plan and scenario turned about the origin, so no wall is axis-aligned."""
-    c, s = math.cos(angle), math.sin(angle)
-
-    def turn(pt):
-        return [c * pt[0] - s * pt[1], s * pt[0] + c * pt[1]]
-
-    doc = FIXTURE_PLANS[name]()
-    doc["walls"] = [{**w, "start": turn(w["start"]), "end": turn(w["end"])} for w in doc["walls"]]
-    doc["doorways"] = [{**d, "position": turn(d["position"])} for d in doc["doorways"]]
-    waypoints = [turn(p) for p in fixture_scenarios()[name]["waypoints"]]
+    doc, waypoints = turned(FIXTURE_PLANS[name](), fixture_scenarios()[name]["waypoints"], angle)
     return plan_from_dict(doc), scenario_config(name, waypoints=waypoints)
 
 
@@ -473,7 +465,7 @@ def test_zero_noise_full_traversal_matches_plan():
     plan, sim, sg = simulate_sgraph(
         "two_rooms", odom_noise=[0.0, 0.0], plane_noise=[0.0, 0.0]
     )
-    surfaces = wall_surfaces(plan)
+    surfaces = plan.surfaces
     offset = sim.map_offset
     for vid, rec in sg.planes.items():
         # map the estimate into the plan frame; compare up to polarity
@@ -636,6 +628,12 @@ def test_pair_search_matches_loop_reference():
     assert found > 100 and occupied > 20
 
 
+def _quad_key(pair):
+    """A pair with |nx| >= |ny| orders first, then the lower first plane."""
+    nx, ny = pair["n_hat"]
+    return (0 if abs(nx) >= abs(ny) else 1, min(g["vid"].index for g in pair["planes"]))
+
+
 def _reference_quads(planes, plane_pairs):
     """The four-wall room search as a loop over pairs of pairs, each a dict with a normal."""
     geo = _geo(planes)
@@ -661,9 +659,7 @@ def _reference_quads(planes, plane_pairs):
             if not spans(pa, pb) or not spans(pb, pa):
                 continue
             first, second = pa, pb
-            key_a = (axis_of_normal(*pa["n_hat"]).value, min(g["vid"].index for g in pa["planes"]))
-            key_b = (axis_of_normal(*pb["n_hat"]).value, min(g["vid"].index for g in pb["planes"]))
-            if key_a > key_b:
+            if _quad_key(pa) > _quad_key(pb):
                 first, second = pb, pa
             quads.append(tuple(
                 g["vid"]
