@@ -152,18 +152,26 @@ def _surfaces_of_wall(wall: PlanWall) -> list[WallSurface]:
     return out
 
 
+def _parse_number(obj, where: str) -> float:
+    """A finite float: Python's json reads NaN and Infinity, which no plan can hold."""
+    value = float(obj)
+    if not math.isfinite(value):
+        raise PlanError(f"{where}: expected a finite number, got {obj!r}")
+    return value
+
+
 def _parse_point(obj, where: str) -> tuple[float, float]:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise PlanError(f"{where}: expected [x, y], got {obj!r}")
-    return (float(obj[0]), float(obj[1]))
+    return (_parse_number(obj[0], where), _parse_number(obj[1], where))
 
 
 def _wall_of(w: dict, where: str) -> PlanWall:
     return PlanWall(
         id=str(w["id"]),
-        start=_parse_point(w["start"], where),
-        end=_parse_point(w["end"], where),
-        thickness=float(w["thickness"]),
+        start=_parse_point(w["start"], f"{where} start"),
+        end=_parse_point(w["end"], f"{where} end"),
+        thickness=_parse_number(w["thickness"], f"{where} thickness"),
     )
 
 
@@ -176,7 +184,7 @@ def _doorway_of(d: dict, where: str) -> PlanDoorway:
     room_ids = [str(x) for x in d["rooms"]]
     if len(room_ids) != 2:
         raise PlanError(f"{where}: doorway must reference exactly 2 rooms")
-    position = _parse_point(d["position"], where)
+    position = _parse_point(d["position"], f"{where} position")
     return PlanDoorway(id=str(d["id"]), position=position, rooms=(room_ids[0], room_ids[1]))
 
 
@@ -375,6 +383,6 @@ def build_a_graph(plan: FloorPlan) -> AGraph:
         graph.add_factor(Factor(FactorKind.PRIOR, (first,), graph.value(first)))
 
     cost = graph.total_cost()
-    if cost > 1e-12:
+    if not cost <= 1e-12:  # a NaN cost fails too
         raise PlanError(f"plan is internally inconsistent: initial graph cost {cost:.3e}")
     return AGraph(plan, graph, plane_ids, room_ids)

@@ -391,45 +391,26 @@ def _empty_index() -> np.ndarray:
 
 
 class _Structure:
-    """Everything evaluation needs from a graph except the variable values.
+    """Everything evaluation needs from a graph's factors except the variable values.
 
-    Built by appending: variables in insertion order, then factors in id order.
-    A graph that only grows extends its structure the same way, so an
-    extended structure equals one rebuilt from scratch, entry for entry.
-    A solve works on a ``window`` of it, which adds the scatter targets.
+    Built by appending factors in id order. A graph only grows, so its
+    structure catches up by position, and an extended structure equals one
+    rebuilt from scratch, entry for entry. A solve works on a ``window`` of
+    it, which adds the columns the solve moves and the scatter targets.
     """
 
     def __init__(self):
-        self.n = 0  # number of free columns
-        self.column = _empty_index()  # free column of each flat-state entry, -1 when fixed
-        self.free = _empty_index()  # flat-state entry of each free column
-        self.angles = _empty_index()  # flat-state entries of the free angle slots
+        self.size = 0  # the graph's factors held: ids 0 .. size - 1
         self.groups: list[_Group] = []
         self._group_of: dict[tuple, int] = {}  # (kind, signature) -> index in groups
-        # A window's scatter targets, groups concatenated in group order: the free
-        # column of each b_take entry, and row * n + column of each h_take entry.
-        self.b_dst = _empty_index()
-        self.h_dst = _empty_index()
+        # A window's only: the flat-state entry of each free column, the free
+        # entries that hold angles, and the scatter targets, groups concatenated
+        # in group order: the free column of each b_take entry, and
+        # row * n + column of each h_take entry.
+        self.free = self.angles = self.b_dst = self.h_dst = _empty_index()
 
-    def extend(self, offset, fixed, variables, factors) -> None:
-        """Append variables (new at the end of the flat state) and then factors."""
-        column, free, angles = [self.column], [self.free], [self.angles]
-        n = self.n
-        for vid in variables:
-            dim = VAR_DIM[vid.kind]
-            if vid in fixed:
-                column.append(np.full(dim, -1, dtype=np.intp))
-                continue
-            first = offset[vid]
-            column.append(np.arange(n, n + dim))
-            free.append(np.arange(first, first + dim))
-            angles.append(first + np.array(ANGLE_SLOTS.get(vid.kind, ()), dtype=np.intp))
-            n += dim
-        self.column = np.concatenate(column)
-        self.free = np.concatenate(free)
-        self.angles = np.concatenate(angles)
-        self.n = n
-
+    def extend(self, offset, factors: list[Factor]) -> None:
+        """Append the graph's next factors, in id order."""
         members: dict[tuple, list[Factor]] = {}
         for f in factors:
             members.setdefault((f.kind, tuple(v.kind for v in f.variables)), []).append(f)
@@ -439,6 +420,7 @@ class _Structure:
                 k = self._group_of[key] = len(self.groups)
                 self.groups.append(self._new_group(*key, new[0]))
             self._append(self.groups[k], new, offset)
+        self.size += len(factors)
 
     @staticmethod
     def _new_group(kind: FactorKind, signature: tuple[VarKind, ...], factor: Factor) -> _Group:
@@ -466,21 +448,20 @@ class _Structure:
             [group.information, np.array([f.information for f in factors])]
         )
 
-    def window(self, inside: np.ndarray) -> "_Structure":
-        """The structure of a solve restricted to a window, selected by index masks.
+    def window(self, inside: np.ndarray, free: np.ndarray, angles: np.ndarray) -> "_Structure":
+        """The structure of a solve that moves the flat-state entries ``free``.
 
-        ``inside`` marks the flat-state entries of the window's variables. Only
-        their free columns are solved, in this structure's column order, and
-        each group keeps, in order, its factors with a slot on a window entry.
-        A window of every entry is the whole-graph solve: every group, every
-        factor and every free column, in order.
+        ``inside`` marks the entries of the window's variables, fixed ones
+        included, and each group keeps, in order, its factors with a slot on a
+        marked entry. ``free`` (ascending) are the solve's columns in order, and
+        ``angles`` those of them that hold angles. A window of every variable is
+        the whole-graph solve: every group, every factor and every free column.
         """
         out = _Structure()
-        out.free = self.free[inside[self.free]]
-        out.n = out.free.size
-        out.angles = self.angles[inside[self.angles]]
-        out.column = np.full(self.column.size, -1, dtype=np.intp)
-        out.column[out.free] = np.arange(out.n)
+        out.free, out.angles = free, angles
+        n = free.size
+        column = np.full(inside.size, -1, dtype=np.intp)
+        column[free] = np.arange(n)
         b_parts, h_parts = [_empty_index()], [_empty_index()]
         for group in self.groups:
             rows = np.zeros(len(group.measurements), dtype=bool)
@@ -489,7 +470,7 @@ class _Structure:
             if not rows.any():
                 continue
             slots = [slot[rows] for slot in group.slots]
-            b_take, h_take, b_dst, h_dst = _scatter_targets(out.column, out.n, slots)
+            b_take, h_take, b_dst, h_dst = _scatter_targets(column, n, slots)
             out.groups.append(
                 _Group(
                     group.kind,
@@ -549,7 +530,8 @@ class FactorGraph:
     """Typed variables plus residual factors, solvable by Levenberg-Marquardt.
 
     All values live in one flat float array, each variable at a fixed offset
-    in insertion order.
+    in insertion order. A graph only grows: a factor's id is its position in
+    the factor list.
     """
 
     def __init__(self):
@@ -557,13 +539,9 @@ class FactorGraph:
         self._offset: dict[VariableId, int] = {}  # in insertion order
         self._fixed: set[VariableId] = set()
         self._counters: dict[VarKind, int] = {}
-        self._factors: dict[int, Factor] = {}
-        self._next_factor_id = 0
-        # Built on first evaluation and extended by later additions: a graph
-        # only grows.
-        self._cache: _Structure | None = None
-        self._new_variables: list[VariableId] = []
-        self._new_factors: list[int] = []
+        self._factors: list[Factor] = []
+        # Extended with the factors added since it was last read.
+        self._cache = _Structure()
         # The structure of a windowed optimize while one runs; cost and
         # linearization then cover only its factors.
         self._window: _Structure | None = None
@@ -586,7 +564,6 @@ class FactorGraph:
         self._state = np.concatenate([self._state, value])
         if fixed:
             self._fixed.add(vid)
-        self._new_variables.append(vid)
         self._evaluated = None
         return vid
 
@@ -635,24 +612,21 @@ class FactorGraph:
         for vid in factor.variables:
             if vid not in self._offset:
                 raise GraphError(f"factor references unknown variable {vid}")
-        fid = self._next_factor_id
-        self._next_factor_id += 1
-        self._factors[fid] = factor
-        self._new_factors.append(fid)
+        self._factors.append(factor)
         self._evaluated = None
-        return fid
+        return len(self._factors) - 1
 
     def factor(self, fid: int) -> Factor:
-        try:
-            return self._factors[fid]
-        except KeyError:
-            raise GraphError(f"unknown factor id {fid}") from None
+        # A bare list index would read -1 as the last factor.
+        if not 0 <= fid < len(self._factors):
+            raise GraphError(f"unknown factor id {fid}")
+        return self._factors[fid]
 
     def factors(self) -> dict[int, Factor]:
-        return dict(self._factors)
+        return dict(enumerate(self._factors))
 
     def factors_of(self, kind: FactorKind) -> list[tuple[int, Factor]]:
-        return [(fid, f) for fid, f in sorted(self._factors.items()) if f.kind == kind]
+        return [(fid, f) for fid, f in enumerate(self._factors) if f.kind == kind]
 
     # -- evaluation --------------------------------------------------------
 
@@ -680,24 +654,40 @@ class FactorGraph:
         return self._evaluate()[1]
 
     def _structure(self) -> _Structure:
-        if self._cache is None:
-            self._cache = _Structure()
-            variables, fids = list(self._offset), sorted(self._factors)
-        else:
-            variables, fids = self._new_variables, self._new_factors
-        if variables or fids:
-            factors = [self._factors[fid] for fid in fids]
-            self._cache.extend(self._offset, self._fixed, variables, factors)
-            self._new_variables, self._new_factors = [], []
-        return self._cache
+        """The graph's structure, caught up with the factors added since it was last read."""
+        structure = self._cache
+        if structure.size < len(self._factors):
+            structure.extend(self._offset, self._factors[structure.size :])
+        return structure
 
     def _scored(self) -> _Structure:
         """The structure that cost covers: a running solve's window, else the graph's."""
         return self._structure() if self._window is None else self._window
 
-    def _whole(self) -> _Structure:
-        """The window of every variable: the structure of a whole-graph solve."""
-        return self._structure().window(np.ones(self._state.size, dtype=bool))
+    def _cut(self, vids) -> _Structure:
+        """The window of a solve over the variables ``vids``: it moves their free entries.
+
+        The columns of H and b follow the state, whatever the order of ``vids``.
+        """
+        entries, angles = [], []
+        try:
+            for vid in vids:
+                first = self._offset[vid]
+                entries += range(first, first + VAR_DIM[vid.kind])
+                for slot in ANGLE_SLOTS.get(vid.kind, ()):
+                    angles.append(first + slot)
+        except KeyError:
+            raise GraphError(f"unknown variable {vid}") from None
+        # Marks drop repeated variables and put the entries in state order.
+        inside = np.zeros(self._state.size, dtype=bool)
+        inside[entries] = True
+        moved = inside.copy()
+        for vid in self._fixed:
+            moved[self._slice(vid)] = False
+        angle = np.zeros_like(inside)
+        angle[angles] = True
+        angle &= moved
+        return self._structure().window(inside, np.flatnonzero(moved), np.flatnonzero(angle))
 
     def _evaluate(self) -> tuple[list, float]:
         """Run every group's kernel once per state: (whitened residuals, Jacobians) and cost."""
@@ -722,9 +712,9 @@ class FactorGraph:
 
         Outside a solve, over the whole graph's window, which the graph's evaluation fits.
         """
-        structure = self._whole() if self._window is None else self._window
+        structure = self._cut(self._offset) if self._window is None else self._window
         parts, cost = self._evaluate()
-        n = structure.n
+        n = structure.free.size
         b_parts = [np.zeros(0)]
         h_parts = [np.zeros(0)]
         for group, part in zip(structure.groups, parts):
@@ -752,9 +742,7 @@ class FactorGraph:
         """
         if not self._factors:
             raise GraphError("cannot optimize a graph without factors")
-        anchored = bool(self._fixed) or any(
-            f.kind == FactorKind.PRIOR for f in self._factors.values()
-        )
+        anchored = bool(self._fixed) or any(f.kind == FactorKind.PRIOR for f in self._factors)
         if not anchored:
             raise GaugeFreedomError(
                 "graph has no prior factor and no fixed variable; anchor it first"
@@ -763,19 +751,8 @@ class FactorGraph:
         # The whole graph's window holds the graph's groups and factors in
         # order, so an evaluation of either one serves the other.
         whole = window is None
-        if whole:
-            self._window = self._whole()
-        else:
-            entries: list[int] = []  # the window's state entries, marked in one assignment
-            try:
-                for vid in window:
-                    first = self._offset[vid]
-                    entries += range(first, first + VAR_DIM[vid.kind])
-            except KeyError:
-                raise GraphError(f"unknown variable {vid}") from None
-            inside = np.zeros(self._state.size, dtype=bool)
-            inside[entries] = True
-            self._window = self._structure().window(inside)
+        self._window = self._cut(self._offset if whole else window)
+        if not whole:
             self._evaluated = None
         try:
             return self._solve(max_iterations)
@@ -791,7 +768,7 @@ class FactorGraph:
         the rise is within REL_TOL of the cost: the cost is then at rounding level.
         """
         structure = self._window
-        n = structure.n
+        n = structure.free.size
         initial_cost = self.total_cost()
         trace = [initial_cost]
         if n == 0:
@@ -870,8 +847,7 @@ class FactorGraph:
         ``JACOBIAN_TOL`` (relative, clamped to absolute below magnitude 1).
         """
         offenders = []
-        for fid in sorted(self._factors):
-            factor = self._factors[fid]
+        for fid, factor in enumerate(self._factors):
             _, jacs = self.residual_and_jacobians(factor)
             angle_rows = _FACTOR_SPECS[factor.kind].angle_rows
             # A variable repeated within one factor contributes the sum of its
@@ -914,8 +890,7 @@ class FactorGraph:
             for vid in self._offset
         ]
         factors = []
-        for fid in sorted(self._factors):
-            f = self._factors[fid]
+        for fid, f in enumerate(self._factors):
             key = _FACTOR_SPECS[f.kind].key
             factors.append(
                 {
@@ -933,12 +908,11 @@ class FactorGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FactorGraph":
-        """Rebuild a graph with its stored ids, gaps in them included.
+        """Rebuild a graph from the document ``to_json_dict`` writes.
 
-        Each counter ends past the largest stored id of its kind, so ids the
-        rebuilt graph hands out later never collide with stored ones. A
-        document that is not a graph, such as one naming a kind this version
-        does not have, raises GraphError.
+        Each kind's variable indices, and the factor ids, must run 0, 1, 2, ...
+        in the order listed. A document that is not such a graph, such as one
+        naming a kind this version does not have, raises GraphError.
         """
         if not isinstance(doc, dict):
             raise GraphError("graph JSON must be an object")
@@ -946,23 +920,18 @@ class FactorGraph:
         try:
             for var in _objects(doc, "variables"):
                 kind, index = VarKind(var["kind"]), int(var["index"])
-                if index < 0 or VariableId(kind, index) in graph._offset:
-                    raise GraphError(f"duplicate or negative variable index: {var}")
-                top = max(graph._counters.get(kind, 0), index + 1)
-                graph._counters[kind] = index
+                if index != graph._counters.get(kind, 0):
+                    raise GraphError(f"variable index out of sequence: {var}")
                 graph.add_variable(kind, var["value"], fixed=bool(var.get("fixed")))
-                graph._counters[kind] = top
-            for fac in sorted(_objects(doc, "factors"), key=lambda f: f["id"]):
+            for fac in _objects(doc, "factors"):
                 kind, fid = FactorKind(fac["kind"]), int(fac["id"])
-                if fid < 0 or fid in graph._factors:
-                    raise GraphError(f"duplicate or negative factor id {fid}")
+                if fid != len(graph._factors):
+                    raise GraphError(f"factor id {fid} out of sequence")
                 variables = tuple(VariableId(VarKind(k), i) for k, i in fac["variables"])
                 key = _FACTOR_SPECS[kind].key
                 measurement = None if key is None else (fac.get("measurement") or {}).get(key)
-                graph._next_factor_id = fid
                 information = np.asarray(fac["information"])
                 graph.add_factor(Factor(kind, variables, measurement, information))
-                graph._next_factor_id = fid + 1
         except GraphError:
             raise
         except KeyError as exc:

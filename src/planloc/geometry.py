@@ -148,12 +148,14 @@ def fit_rigid_transforms(src, dst) -> tuple[list[Pose2], np.ndarray]:
     cd = dst.mean(axis=-2)
     # h[c, i, j] = sum of a_i * b_j over the centered pairs of stack c
     h = np.swapaxes(src - cs[..., None, :], -1, -2) @ (dst - cd[:, None, :])
-    thetas = list(map(math.atan2, (h[:, 0, 1] - h[:, 1, 0]).tolist(),
-                      (h[:, 0, 0] + h[:, 1, 1]).tolist()))
-    trans = cd - (_rotations(thetas) @ cs[..., None])[..., 0]
+    # wrapped as Pose2 stores them, so translation and residual use the stored heading
+    thetas = [
+        wrap_angle(math.atan2(y, x))
+        for y, x in zip((h[:, 0, 1] - h[:, 1, 0]).tolist(), (h[:, 0, 0] + h[:, 1, 1]).tolist())
+    ]
+    rot = _rotations(thetas)
+    trans = cd - (rot @ cs[..., None])[..., 0]
     poses = [Pose2(x, y, theta) for (x, y), theta in zip(trans.tolist(), thetas)]
-    # the residual is taken under the poses as stored, heading wrapped
-    rot = _rotations([pose.theta for pose in poses])
     rho = src @ np.swapaxes(rot, -1, -2) + trans[:, None, :] - dst
     return poses, np.sqrt(np.mean(np.sum(rho**2, axis=-1), axis=-1))
 

@@ -270,6 +270,10 @@ def _plan_doc(plan: FloorPlan) -> dict:
     }
 
 
+# The columns of trajectory.csv after the keyframe index k.
+_POSE_COLUMNS = ("est_x", "est_y", "est_theta", "gt_x", "gt_y", "gt_theta")
+
+
 def _write_trajectory(path: Path, sg: SGraph, merged: MergedState | None) -> None:
     """k, estimated and true pose per keyframe: plan frame when merged, map frame otherwise."""
     if merged is not None:
@@ -280,7 +284,7 @@ def _write_trajectory(path: Path, sg: SGraph, merged: MergedState | None) -> Non
         gt = sg.gt_map
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "est_x", "est_y", "est_theta", "gt_x", "gt_y", "gt_theta"])
+        writer.writerow(["k", *_POSE_COLUMNS])
         for k, (e, g) in enumerate(zip(est, gt)):
             writer.writerow(
                 [k, repr(e.x), repr(e.y), repr(e.theta), repr(g.x), repr(g.y), repr(g.theta)]
@@ -288,12 +292,23 @@ def _write_trajectory(path: Path, sg: SGraph, merged: MergedState | None) -> Non
 
 
 def evaluate_run_dir(run_dir) -> dict:
-    """Recompute the metrics of a finished run from its artifacts."""
+    """Recompute the metrics of a finished run from its artifacts.
+
+    A run_report.json without its status, or a trajectory.csv without a pose
+    column, raises ScenarioError naming the file and the field.
+    """
     run_dir = Path(run_dir)
-    report = json.loads((run_dir / "run_report.json").read_text())
+    report_path, trajectory_path = run_dir / "run_report.json", run_dir / "trajectory.csv"
+    report = json.loads(report_path.read_text())
+    if not isinstance(report, dict) or "status" not in report:
+        raise ScenarioError(f"{report_path}: missing field 'status'")
     out: dict = {"status": report["status"]}
-    with open(run_dir / "trajectory.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    with open(trajectory_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    for column in _POSE_COLUMNS:
+        if column not in (reader.fieldnames or ()):
+            raise ScenarioError(f"{trajectory_path}: missing column {column!r}")
     est = [Pose2(float(r["est_x"]), float(r["est_y"]), float(r["est_theta"])) for r in rows]
     gt = [Pose2(float(r["gt_x"]), float(r["gt_y"]), float(r["gt_theta"])) for r in rows]
     out["ape"] = compute_ape(est, gt).to_json_dict()

@@ -162,10 +162,27 @@ def test_error_paths_exit_one(tmp_path, capsys):
         {**plan_doc, "walls": [[1, 2]]},
         {**plan_doc, "rooms": [{**rooms[0], "surfaces": 5}, *rooms[1:]]},
         {**plan_doc, "walls": [{**walls[0], "thickness": None}, *walls[1:]]},
+        # non-finite numbers, which Python's json reads and writes
+        {**plan_doc, "walls": [{**walls[0], "thickness": float("nan")}, *walls[1:]]},
+        {**plan_doc, "walls": [{**walls[0], "start": [float("nan"), 0.0]}, *walls[1:]]},
+        {**plan_doc, "walls": [{**walls[0], "end": [0.0, float("inf")]}, *walls[1:]]},
+        {**plan_doc, "doorways": [{**plan_doc["doorways"][0], "position": [float("-inf"), 0.0]}]},
     ):
         plan.write_text(json.dumps(bad))
         assert main(["build-agraph", str(plan), "-o", str(tmp_path / "bad_agraph.json")]) == 1
         assert "error:" in capsys.readouterr().err
+    # run directories missing the run's status or the trajectory's pose columns
+    run_dir = tmp_path / "bad_run"
+    run_dir.mkdir()
+    for report, trajectory, field in (
+        ({}, "k,est_x,est_y,est_theta,gt_x,gt_y,gt_theta\n", "status"),
+        ({"status": "matched"}, "k,gt_x,gt_y,gt_theta\n0,0,0,0\n", "est_x"),
+    ):
+        (run_dir / "run_report.json").write_text(json.dumps(report))
+        (run_dir / "trajectory.csv").write_text(trajectory)
+        assert main(["eval", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1

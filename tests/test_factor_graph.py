@@ -640,9 +640,16 @@ def test_serialization_roundtrip():
     assert g2.total_cost() == pytest.approx(g.total_cost(), rel=1e-12)
 
 
-def test_serialization_roundtrip_keeps_id_gaps():
-    # a hand-written document may skip ids and list them out of order
-    doc = {
+def test_deserialization_rejects_duplicate_and_dangling_ids():
+    g = FactorGraph()
+    r = g.add_variable(VarKind.ROOM, [1, 2])
+    g.add_factor(Factor(FactorKind.PRIOR, (r,), [1, 2]))
+    k = g.add_variable(VarKind.KEYFRAME, [0, 0, 0])
+    g.add_factor(Factor(FactorKind.POSE_PLANE, (k, g.add_variable(VarKind.PLANE, [0, 1])), [0, 1]))
+    doc = g.to_json_dict()
+    prior, pose_plane = doc["factors"]
+    # A hand-written document whose ids skip numbers or run out of order.
+    gapped = {
         "variables": [
             {"kind": "keyframe", "index": 0, "value": [0, 0, 0], "fixed": False},
             {"kind": "room", "index": 3, "value": [1, 2], "fixed": False},
@@ -665,26 +672,15 @@ def test_serialization_roundtrip_keeps_id_gaps():
             },
         ],
     }
-    graph = FactorGraph.from_json_dict(doc)
-    assert graph.to_json_dict() == doc
-    back = FactorGraph.from_json(graph.to_json())
-    assert back.to_json() == graph.to_json()
-    assert back.total_cost() == graph.total_cost() == 1.25
-    # new ids continue past the largest stored one of each kind
-    assert back.add_variable(VarKind.ROOM, [0, 0]).index == 4
-    assert back.add_variable(VarKind.KEYFRAME, [0, 0, 0]).index == 1
-    kf = VariableId(VarKind.KEYFRAME, 0)
-    assert back.add_factor(Factor(FactorKind.PRIOR, (kf,), [0, 0, 0])) == 10
-
-
-def test_deserialization_rejects_duplicate_and_dangling_ids():
-    g = FactorGraph()
-    r = g.add_variable(VarKind.ROOM, [1, 2])
-    g.add_factor(Factor(FactorKind.PRIOR, (r,), [1, 2]))
-    k = g.add_variable(VarKind.KEYFRAME, [0, 0, 0])
-    g.add_factor(Factor(FactorKind.POSE_PLANE, (k, g.add_variable(VarKind.PLANE, [0, 1])), [0, 1]))
-    doc = g.to_json_dict()
-    prior, pose_plane = doc["factors"]
+    keyframe, room = gapped["variables"][:2]
+    for bad in (
+        gapped,
+        {"variables": [keyframe, {**room, "index": 0}], "factors": gapped["factors"]},
+        {**doc, "factors": [pose_plane, prior]},
+        {**doc, "factors": [{**prior, "id": -1}, pose_plane]},
+    ):
+        with pytest.raises(GraphError, match="out of sequence"):
+            FactorGraph.from_json_dict(bad)
     for bad in (
         {**doc, "variables": doc["variables"] * 2},
         {**doc, "factors": doc["factors"] * 2},
@@ -708,6 +704,17 @@ def test_deserialization_rejects_duplicate_and_dangling_ids():
         FactorGraph.from_json_dict({"factors": []})
     with pytest.raises(SimulationError, match="'waypoints'"):
         SimConfig.from_dict({"plan": "fixture:two_rooms", "seed": 3})
+
+
+def test_unknown_factor_ids_raise():
+    g = _random_kind_graph(2)
+    n = len(g.factors())
+    assert g.factor(n - 1) is g.factors()[n - 1]
+    for fid in (-1, n):
+        with pytest.raises(GraphError, match="unknown factor id"):
+            g.factor(fid)
+    with pytest.raises(GraphError, match="unknown factor id"):
+        g.chi2(-1)
 
 
 def test_serialization_preserves_fixed_flags():
