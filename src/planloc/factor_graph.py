@@ -197,9 +197,10 @@ class SolveReport:
 #
 # A kernel takes the variable-kind signature of its factors, the stacked
 # values of each variable slot (``vals[s]`` has shape (m, dim_s)) and the
-# stacked measurements (m, p), and returns the residuals r (m, k) and one
-# Jacobian (m, k, dim_s) per slot. Angular residual components are wrapped
-# into (-pi, pi].
+# stacked measurements (m, p). It returns the residuals r (m, k) and a
+# zero-argument function that builds one Jacobian (m, k, dim_s) per slot, so
+# that scoring a state builds no Jacobian. Angular residual components are
+# wrapped into (-pi, pi].
 
 
 def _eye(m: int, dim: int) -> np.ndarray:
@@ -213,6 +214,11 @@ def _stack(m: int, rows) -> np.ndarray:
         for j, value in enumerate(row):
             out[:, i, j] = value
     return out
+
+
+def _columns(*columns: np.ndarray) -> np.ndarray:
+    """(m, k) array from k arrays of shape (m,): residuals, one row of ``_stack``."""
+    return _stack(len(columns[0]), [columns])[:, 0]
 
 
 def _align_polarity(phi, d, phi_ref):
@@ -237,10 +243,11 @@ def _odometry(kinds, vals, meas):
     # a z and b q with a = R(t1 - t2), b = R(-t2), q = p2 - p1
     azx, azy = ca * zx - sa * zy, sa * zx + ca * zy
     bqx, bqy = cb * qx - sb * qy, sb * qx + cb * qy
-    r = np.stack([azx - bqx, azy - bqy, wrap_angles(zt - (t2 - t1))], axis=-1)
-    j1 = _stack(m, [[cb, -sb, -azy], [sb, cb, azx], [0.0, 0.0, 1.0]])
-    j2 = _stack(m, [[-cb, sb, azy - bqy], [-sb, -cb, bqx - azx], [0.0, 0.0, -1.0]])
-    return r, [j1, j2]
+    r = _columns(azx - bqx, azy - bqy, wrap_angles(zt - (t2 - t1)))
+    return r, lambda: [
+        _stack(m, [[cb, -sb, -azy], [sb, cb, azx], [0.0, 0.0, 1.0]]),
+        _stack(m, [[-cb, sb, azy - bqy], [-sb, -cb, bqx - azx], [0.0, 0.0, -1.0]]),
+    ]
 
 
 def _pose_plane(kinds, vals, meas):
@@ -250,10 +257,11 @@ def _pose_plane(kinds, vals, meas):
     m = len(meas)
     c, s = np.cos(phi), np.sin(phi)
     phi_b, d_b, sign = _align_polarity(phi - t, d - (x * c + y * s), phi_z)
-    r = np.stack([wrap_angles(phi_b - phi_z), d_b - d_z], axis=-1)
-    jk = _stack(m, [[0.0, 0.0, -1.0], [-sign * c, -sign * s, 0.0]])
-    jp = _stack(m, [[1.0, 0.0], [sign * (x * s - y * c), sign]])
-    return r, [jk, jp]
+    r = _columns(wrap_angles(phi_b - phi_z), d_b - d_z)
+    return r, lambda: [
+        _stack(m, [[0.0, 0.0, -1.0], [-sign * c, -sign * s, 0.0]]),
+        _stack(m, [[1.0, 0.0], [sign * (x * s - y * c), sign]]),
+    ]
 
 
 def _room_to_walls(kinds, vals, meas):
@@ -268,12 +276,16 @@ def _room_to_walls(kinds, vals, meas):
     mid = np.zeros((m, 2))
     for foot in feet:
         mid += foot
-    jac = np.empty((4, m, 2, 2))
-    jac[..., 0, 0] = d4 * -s
-    jac[..., 0, 1] = c / 4
-    jac[..., 1, 0] = d4 * c
-    jac[..., 1, 1] = s / 4
-    return vals[0] - mid * 2.0, [_eye(m, 2), *(-2.0 * jac)]
+
+    def jacobians():
+        jac = np.empty((4, m, 2, 2))
+        jac[..., 0, 0] = d4 * -s
+        jac[..., 0, 1] = c / 4
+        jac[..., 1, 0] = d4 * c
+        jac[..., 1, 1] = s / 4
+        return [_eye(m, 2), *(-2.0 * jac)]
+
+    return vals[0] - mid * 2.0, jacobians
 
 
 def _room_to_room(kinds, vals, meas):
@@ -284,10 +296,11 @@ def _room_to_room(kinds, vals, meas):
     c, s = np.cos(tth), np.sin(tth)
     rx = c * source[:, 0] - s * source[:, 1]
     ry = s * source[:, 0] + c * source[:, 1]
-    r = np.stack([rx + tx, ry + ty], axis=-1) - meas
-    rot = _stack(m, [[c, -s], [s, c]])
-    jt = _stack(m, [[1.0, 0.0, -ry], [0.0, 1.0, rx]])
-    return r, [rot, jt]
+    r = _columns(rx + tx - meas[:, 0], ry + ty - meas[:, 1])
+    return r, lambda: [
+        _stack(m, [[c, -s], [s, c]]),
+        _stack(m, [[1.0, 0.0, -ry], [0.0, 1.0, rx]]),
+    ]
 
 
 def plane_to_plane_residual(vals):
@@ -304,7 +317,7 @@ def plane_to_plane_residual(vals):
     cp, sp = np.cos(phi_p), np.sin(phi_p)
     dperp = -sp * tx + cp * ty
     phi_p, d_p, sign = _align_polarity(phi_p, d_m + cp * tx + sp * ty, phi_b)
-    r = np.stack([wrap_angles(phi_p - phi_b), d_p - d_b], axis=-1)
+    r = _columns(wrap_angles(phi_p - phi_b), d_p - d_b)
     return r, (sign, cp, sp, dperp)
 
 
@@ -312,7 +325,7 @@ def plane_to_plane(kinds, vals, meas):
     """A map plane (slot 0) moved by the transform (slot 1), against a plan plane (phi, d)."""
     m = len(meas)
     r, (sign, cp, sp, dperp) = plane_to_plane_residual([meas, *vals])
-    return r, [
+    return r, lambda: [
         _stack(m, [[1.0, 0.0], [sign * dperp, sign]]),
         _stack(m, [[0.0, 0.0, 1.0], [sign * cp, sign * sp, sign * dperp]]),
     ]
@@ -322,7 +335,7 @@ def _prior(kinds, vals, meas):
     r = vals[0] - meas
     for slot in ANGLE_SLOTS.get(kinds[0], ()):
         r[:, slot] = wrap_angles(r[:, slot])
-    return r, [_eye(len(meas), r.shape[1])]
+    return r, lambda: [_eye(len(meas), r.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -339,7 +352,8 @@ class _FactorSpec:
     weights: tuple[float, ...]
     key: str | None
     kernel: Callable[
-        [tuple[VarKind, ...], list[np.ndarray], np.ndarray], tuple[np.ndarray, list[np.ndarray]]
+        [tuple[VarKind, ...], list[np.ndarray], np.ndarray],
+        tuple[np.ndarray, Callable[[], list[np.ndarray]]],
     ]
     angle_rows: tuple[int, ...] = ()
 
@@ -377,17 +391,16 @@ class _Group:
 
     kind: FactorKind
     signature: tuple[VarKind, ...]
-    slots: list[np.ndarray]  # per variable slot, (m, dim) positions in the flat state
+    entries: np.ndarray  # (m, D) flat-state positions, the variable slots side by side
     measurements: np.ndarray  # (m, p)
     information: np.ndarray  # (m, k, k)
-    # A solve's groups only (see _Structure.window): the entries of the (m, D) gradient and
-    # (m, D, D) Hessian blocks on free columns.
-    b_take: np.ndarray | None = None
-    h_take: np.ndarray | None = None
 
 
-def _empty_index() -> np.ndarray:
-    return np.zeros(0, dtype=np.intp)
+@functools.lru_cache(maxsize=None)
+def _slots(signature: tuple[VarKind, ...]) -> tuple[slice, ...]:
+    """The columns of each variable slot among a group's entries."""
+    ends = np.cumsum([VAR_DIM[v] for v in signature]).tolist()
+    return tuple(slice(end - VAR_DIM[v], end) for v, end in zip(signature, ends))
 
 
 class _Structure:
@@ -404,10 +417,11 @@ class _Structure:
         self.groups: list[_Group] = []
         self._group_of: dict[tuple, int] = {}  # (kind, signature) -> index in groups
         # A window's only: the flat-state entry of each free column, the free
-        # entries that hold angles, and the scatter targets, groups concatenated
-        # in group order: the free column of each b_take entry, and
-        # row * n + column of each h_take entry.
-        self.free = self.angles = self.b_dst = self.h_dst = _empty_index()
+        # entries that hold angles, and the scatter targets of the groups'
+        # entries, concatenated in group order: the column of each entry and
+        # row * (n + 1) + column of each entry pair, where a held entry's
+        # column is the dropped column n.
+        self.free = self.angles = self.b_dst = self.h_dst = np.zeros(0, dtype=np.intp)
 
     def extend(self, offset, factors: list[Factor]) -> None:
         """Append the graph's next factors, in id order."""
@@ -428,7 +442,7 @@ class _Structure:
         return _Group(
             kind,
             signature,
-            [np.zeros((0, VAR_DIM[v]), dtype=np.intp) for v in signature],
+            np.zeros((0, sum(VAR_DIM[v] for v in signature)), dtype=np.intp),
             np.zeros((0, factor.measurement.size)),
             np.zeros((0, *factor.information.shape)),
         )
@@ -436,11 +450,10 @@ class _Structure:
     @staticmethod
     def _append(group: _Group, factors: list[Factor], offset) -> None:
         """Stack factors onto a group."""
-        slots = [
-            np.array([offset[f.variables[s]] for f in factors])[:, None] + np.arange(VAR_DIM[vkind])
-            for s, vkind in enumerate(group.signature)
-        ]
-        group.slots = [np.concatenate(parts) for parts in zip(group.slots, slots)]
+        dims = [VAR_DIM[v] for v in group.signature]
+        first = np.array([[offset[v] for v in f.variables] for f in factors], dtype=np.intp)
+        entries = np.repeat(first, dims, axis=1) + np.concatenate([np.arange(d) for d in dims])
+        group.entries = np.concatenate([group.entries, entries])
         group.measurements = np.concatenate(
             [group.measurements, np.array([f.measurement for f in factors]).reshape(len(factors), -1)]
         )
@@ -452,67 +465,37 @@ class _Structure:
         """The structure of a solve that moves the flat-state entries ``free``.
 
         ``inside`` marks the entries of the window's variables, fixed ones
-        included, and each group keeps, in order, its factors with a slot on a
-        marked entry. ``free`` (ascending) are the solve's columns in order, and
+        included, and each group keeps, in order, its factors with an entry
+        marked. ``free`` (ascending) are the solve's columns in order, and
         ``angles`` those of them that hold angles. A window of every variable is
         the whole-graph solve: every group, every factor and every free column.
         """
         out = _Structure()
         out.free, out.angles = free, angles
         n = free.size
-        column = np.full(inside.size, -1, dtype=np.intp)
+        column = np.full(inside.size, n, dtype=np.intp)
         column[free] = np.arange(n)
-        b_parts, h_parts = [_empty_index()], [_empty_index()]
+        b_parts, h_parts = [out.b_dst], [out.h_dst]  # empty: np.concatenate needs one array
         for group in self.groups:
-            rows = np.zeros(len(group.measurements), dtype=bool)
-            for slot in group.slots:
-                rows |= inside[slot[:, 0]]
+            rows = inside[group.entries].any(axis=1)
             if not rows.any():
                 continue
-            slots = [slot[rows] for slot in group.slots]
-            b_take, h_take, b_dst, h_dst = _scatter_targets(column, n, slots)
+            entries = group.entries[rows]
             out.groups.append(
                 _Group(
                     group.kind,
                     group.signature,
-                    slots,
+                    entries,
                     group.measurements[rows],
                     group.information[rows],
-                    b_take,
-                    h_take,
                 )
             )
-            b_parts.append(b_dst)
-            h_parts.append(h_dst)
+            col = column[entries]
+            b_parts.append(col.ravel())
+            h_parts.append((col[:, :, None] * (n + 1) + col[:, None, :]).ravel())
         out.b_dst = np.concatenate(b_parts)
         out.h_dst = np.concatenate(h_parts)
         return out
-
-
-def _scatter_targets(column: np.ndarray, n: int, slots: list[np.ndarray]):
-    """Where the gradient and Hessian blocks of stacked factors land among n free columns.
-
-    ``slots`` are the factors' flat-state positions per variable slot and
-    ``column`` maps flat-state entries to free columns (-1 when fixed). Returns
-    the entries of the (m, D) and (m, D, D) blocks that land on free columns
-    and their targets: the free column of each b entry and row * n + column
-    of each h entry.
-    """
-    col = np.concatenate([column[slot] for slot in slots], axis=1)
-    on_free = col >= 0
-    pair = on_free[:, :, None] & on_free[:, None, :]
-    return (
-        np.flatnonzero(on_free),
-        np.flatnonzero(pair),
-        col[on_free],
-        (col[:, :, None] * n + col[:, None, :])[pair],
-    )
-
-
-def _whitened(information: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
-    """Information-weighted residuals W r and the summed chi2 r' W r of a group."""
-    wr = np.einsum("mkl,ml->mk", information, r)
-    return wr, float(np.einsum("mk,mk->", r, wr))
 
 
 def _objects(doc: dict, key: str) -> list[dict]:
@@ -630,16 +613,13 @@ class FactorGraph:
 
     # -- evaluation --------------------------------------------------------
 
-    def _gather(self, factor: Factor) -> list[np.ndarray]:
-        return [self._state[self._slice(vid)] for vid in factor.variables]
-
     def residual_and_jacobians(self, factor: Factor) -> tuple[np.ndarray, list[np.ndarray]]:
         """The factor's kind kernel run on a batch of one."""
         spec = _FACTOR_SPECS[factor.kind]
-        vals = [value[None] for value in self._gather(factor)]
+        vals = [self._state[self._slice(vid)][None] for vid in factor.variables]
         kinds = tuple(v.kind for v in factor.variables)
-        r, jacs = spec.kernel(kinds, vals, factor.measurement.reshape(1, -1))
-        return r[0], [jac[0] for jac in jacs]
+        r, jacobians = spec.kernel(kinds, vals, factor.measurement.reshape(1, -1))
+        return r[0], [jac[0] for jac in jacobians()]
 
     def evaluate_residual(self, factor: Factor) -> np.ndarray:
         return self.residual_and_jacobians(factor)[0]
@@ -690,18 +670,20 @@ class FactorGraph:
         return self._structure().window(inside, np.flatnonzero(moved), np.flatnonzero(angle))
 
     def _evaluate(self) -> tuple[list, float]:
-        """Run every group's kernel once per state: (whitened residuals, Jacobians) and cost."""
+        """Run each group's kernel once per state: (whitened residuals, Jacobian builder), cost."""
         if self._evaluated is None:
             cost = 0.0
             parts = []
             for group in self._scored().groups:
-                vals = [self._state[idx] for idx in group.slots]
-                r, jacs = _FACTOR_SPECS[group.kind].kernel(
-                    group.signature, vals, group.measurements
+                values = self._state[group.entries]
+                r, jacobians = _FACTOR_SPECS[group.kind].kernel(
+                    group.signature,
+                    [values[:, slot] for slot in _slots(group.signature)],
+                    group.measurements,
                 )
-                wr, chi2 = _whitened(group.information, r)
-                cost += chi2
-                parts.append((wr, jacs))
+                wr = np.einsum("mkl,ml->mk", group.information, r)
+                cost += float(np.einsum("mk,mk->", r, wr))
+                parts.append((wr, jacobians))
             self._evaluated = (parts, cost)
         return self._evaluated
 
@@ -717,19 +699,16 @@ class FactorGraph:
         n = structure.free.size
         b_parts = [np.zeros(0)]
         h_parts = [np.zeros(0)]
-        for group, part in zip(structure.groups, parts):
-            if group.b_take.size == 0:
-                continue
-            wr, jacs = part
-            jac = np.concatenate(jacs, axis=2)
-            b_parts.append(np.einsum("mkd,mk->md", jac, wr).ravel()[group.b_take])
-            hess = jac.transpose(0, 2, 1) @ (group.information @ jac)
-            h_parts.append(hess.ravel()[group.h_take])
-        # bincount sums the entries that share a column, e.g. a variable that
-        # appears twice in one factor.
-        b = np.bincount(structure.b_dst, np.concatenate(b_parts), minlength=n)
-        h = np.bincount(structure.h_dst, np.concatenate(h_parts), minlength=n * n)
-        return h.reshape(n, n), b, cost
+        for group, (wr, jacobians) in zip(structure.groups, parts):
+            jac = np.concatenate(jacobians(), axis=2)
+            b_parts.append(np.einsum("mkd,mk->md", jac, wr).ravel())
+            h_parts.append((jac.transpose(0, 2, 1) @ (group.information @ jac)).ravel())
+        # bincount sums the entries that share a column in input order, e.g. a
+        # variable that appears twice in one factor. Held entries land in the
+        # dropped column n.
+        b = np.bincount(structure.b_dst, np.concatenate(b_parts), minlength=n + 1)
+        h = np.bincount(structure.h_dst, np.concatenate(h_parts), minlength=(n + 1) ** 2)
+        return h.reshape(n + 1, n + 1)[:n, :n], b[:n], cost
 
     def optimize(self, max_iterations: int = 100, window=None) -> SolveReport:
         """Levenberg-Marquardt over the free variables, or over those in ``window``.

@@ -294,14 +294,14 @@ def _write_trajectory(path: Path, sg: SGraph, merged: MergedState | None) -> Non
 def evaluate_run_dir(run_dir) -> dict:
     """Recompute the metrics of a finished run from its artifacts.
 
-    A run_report.json without its status, or a trajectory.csv without a pose
-    column, raises ScenarioError naming the file and the field.
+    A run_report.json without its status, a trajectory.csv without a pose
+    column or with a row short of a pose cell, or a planes_b.json entry without
+    its plane or extent, raises ScenarioError naming the file, the row and the field.
     """
     run_dir = Path(run_dir)
     report_path, trajectory_path = run_dir / "run_report.json", run_dir / "trajectory.csv"
     report = json.loads(report_path.read_text())
-    if not isinstance(report, dict) or "status" not in report:
-        raise ScenarioError(f"{report_path}: missing field 'status'")
+    _require(report if isinstance(report, dict) else {}, ("status",), str(report_path))
     out: dict = {"status": report["status"]}
     with open(trajectory_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -309,19 +309,28 @@ def evaluate_run_dir(run_dir) -> dict:
     for column in _POSE_COLUMNS:
         if column not in (reader.fieldnames or ()):
             raise ScenarioError(f"{trajectory_path}: missing column {column!r}")
+    for k, row in enumerate(rows):
+        _require(row, _POSE_COLUMNS, f"{trajectory_path}: row {k}")
     est = [Pose2(float(r["est_x"]), float(r["est_y"]), float(r["est_theta"])) for r in rows]
     gt = [Pose2(float(r["gt_x"]), float(r["gt_y"]), float(r["gt_theta"])) for r in rows]
     out["ape"] = compute_ape(est, gt).to_json_dict()
     planes_path = run_dir / "planes_b.json"
     if planes_path.exists():
         plan = _plan_of_report(run_dir)
-        docs = json.loads(planes_path.read_text())
-        estimates = [
-            EstimatedSurface(d["phi"], d["d"], tuple(d["extent"]), d.get("surface"))
-            for d in docs
-        ]
+        estimates = []
+        for k, d in enumerate(json.loads(planes_path.read_text())):
+            _require(d, ("phi", "d", "extent"), f"{planes_path}: entry {k}")
+            surface = EstimatedSurface(d["phi"], d["d"], tuple(d["extent"]), d.get("surface"))
+            estimates.append(surface)
         out["map_rmse"] = compute_map_rmse(estimates, plan).to_json_dict()
     return out
+
+
+def _require(record: dict, fields, where: str) -> None:
+    """Raise ScenarioError at ``where`` for the first of ``fields`` that ``record`` leaves out."""
+    for name in fields:
+        if record.get(name) is None:
+            raise ScenarioError(f"{where}: missing field {name!r}")
 
 
 def _plan_of_report(run_dir: Path) -> FloorPlan:

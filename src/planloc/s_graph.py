@@ -17,6 +17,7 @@ alias during data association even though they are only a slab apart.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -152,6 +153,10 @@ def _pairwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a @ b.T`` or an elementwise sum may differ in the last bit.
     """
     return (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]
+
+
+# np.triu_indices for the last plane counts, which repeat from keyframe to keyframe.
+_upper_pairs = functools.lru_cache(maxsize=4)(np.triu_indices)
 
 
 def _crossings(p, q, a, b) -> np.ndarray:
@@ -628,15 +633,16 @@ class SGraph:
         orientation subdivides the slab over that band.
         """
         phi, d, n, extent = planes.phi, planes.d, planes.n, planes.extent
-        # [a, b] entries: n_a . n_b, foot_a . n_b, and extent a along m_hat b
-        # (flipped where the two in-plane directions disagree).
+        # [a, b] entries: n_a . n_b, foot_a . n_b, and extent a along m_hat b,
+        # flipped where the in-plane directions disagree: m_hat is n turned a
+        # quarter, so m_a . m_b = n_a . n_b (read only where |n_a . n_b| >= 0.7).
         nn = _pairwise_dot(n, n)
         fn = _pairwise_dot(planes.foot, n)
-        flip = _pairwise_dot(planes.m_hat, planes.m_hat) < 0
+        flip = nn < 0
         lo_along = np.where(flip, -extent[:, None, 1], extent[:, None, 0])
         hi_along = np.where(flip, -extent[:, None, 0], extent[:, None, 1])
 
-        i, j = np.triu_indices(len(phi), 1)
+        i, j = _upper_pairs(len(phi), 1)
         keep = np.abs(wrap_angles(phi[i] - phi[j])) > math.pi - OPPOSED_TOL
         i, j = i[keep], j[keep]
         gap = d[i] - d[j] * nn[i, j]

@@ -171,18 +171,30 @@ def test_error_paths_exit_one(tmp_path, capsys):
         plan.write_text(json.dumps(bad))
         assert main(["build-agraph", str(plan), "-o", str(tmp_path / "bad_agraph.json")]) == 1
         assert "error:" in capsys.readouterr().err
-    # run directories missing the run's status or the trajectory's pose columns
+    # run directories missing the run's status, the trajectory's pose columns,
+    # a pose cell of a trajectory row, or a field of an estimated plane
     run_dir = tmp_path / "bad_run"
     run_dir.mkdir()
+    header = "k,est_x,est_y,est_theta,gt_x,gt_y,gt_theta\n"
     for report, trajectory, field in (
-        ({}, "k,est_x,est_y,est_theta,gt_x,gt_y,gt_theta\n", "status"),
+        ({}, header, "status"),
         ({"status": "matched"}, "k,gt_x,gt_y,gt_theta\n0,0,0,0\n", "est_x"),
+        ({"status": "matched"}, header + "0,0,0,0,0,0,0\n1,0,0,0,0,0\n", "gt_theta"),
     ):
         (run_dir / "run_report.json").write_text(json.dumps(report))
         (run_dir / "trajectory.csv").write_text(trajectory)
         assert main(["eval", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and field in err
+    (run_dir / "trajectory.csv").write_text(header + "0,0,0,0,0,0,0\n")
+    (run_dir / "plan.json").write_text(Path(fixture("two_rooms.plan.json")).read_text())
+    plane = {"phi": 0.0, "d": 1.0, "extent": [0.0, 2.0], "surface": None}
+    for field in ("phi", "d", "extent"):
+        doc = [plane, {key: value for key, value in plane.items() if key != field}]
+        (run_dir / "planes_b.json").write_text(json.dumps(doc))
+        assert main(["eval", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "planes_b.json" in err and repr(field) in err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1

@@ -256,9 +256,14 @@ def test_jacobians_detect_corruption(monkeypatch):
     spec = fg._FACTOR_SPECS[FactorKind.ODOMETRY]
 
     def corrupted(kinds, vals, meas):
-        r, jacs = spec.kernel(kinds, vals, meas)
-        jacs[0][:, 0, 0] += 0.5
-        return r, jacs
+        r, jacobians = spec.kernel(kinds, vals, meas)
+
+        def corrupted_jacobians():
+            jacs = jacobians()
+            jacs[0][:, 0, 0] += 0.5
+            return jacs
+
+        return r, corrupted_jacobians
 
     monkeypatch.setitem(
         fg._FACTOR_SPECS, FactorKind.ODOMETRY, dataclasses.replace(spec, kernel=corrupted)
@@ -572,6 +577,100 @@ def test_window_holds_the_rest_and_evaluates_only_its_factors(monkeypatch):
         assert g.total_cost() == pytest.approx(sum(g.chi2(fid) for fid in g.factors()), rel=1e-12)
 
 
+def _last_keyframes_window(g: FactorGraph, count: int = 5) -> set[VariableId]:
+    """The last keyframes and the planes they observe: the window of an online update."""
+    window = set(g.variables_of(VarKind.KEYFRAME)[-count:])
+    return window | {
+        v for _, f in g.factors_of(FactorKind.POSE_PLANE) if f.variables[0] in window
+        for v in f.variables
+    }
+
+
+def test_windowed_update_builds_jacobians_only_to_linearize(monkeypatch):
+    """A one-step windowed update scores its trial step without building a Jacobian."""
+    linearizing = False
+    linearize = FactorGraph._linearize
+
+    def marked(graph):
+        nonlocal linearizing
+        linearizing = True
+        try:
+            return linearize(graph)
+        finally:
+            linearizing = False
+
+    runs, builds = {}, []
+    for kind, spec in list(fg._FACTOR_SPECS.items()):
+        def counted(kinds, vals, meas, kind=kind, kernel=spec.kernel):
+            key = (kind, tuple(kinds))
+            runs[key] = runs.get(key, 0) + 1
+            r, jacobians = kernel(kinds, vals, meas)
+
+            def built():
+                builds.append((key, linearizing))
+                return jacobians()
+
+            return r, built
+
+        monkeypatch.setitem(fg._FACTOR_SPECS, kind, dataclasses.replace(spec, kernel=counted))
+    monkeypatch.setattr(FactorGraph, "_linearize", marked)
+    for seed in range(5):
+        g = _keyframe_chain(seed)
+        runs.clear()
+        builds.clear()
+        report = g.optimize(1, window=_last_keyframes_window(g))
+        assert report.iterations == 1 and len(report.cost_trace) == 2
+        # Every group ran its kernel for the starting state and the trial step,
+        # and built its Jacobians once, inside the linearization.
+        assert runs and all(count >= 2 for count in runs.values())
+        assert len(builds) == len(runs) and set(builds) == {(key, True) for key in runs}
+
+
+def _window_system(g: FactorGraph, window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H and b of a solve over ``window`` at g's state, and its columns among the whole graph's."""
+    whole = g._cut(g.variables()).free
+    g._window, g._evaluated = g._cut(window), None
+    try:
+        h, b, _ = g._linearize()
+        columns = np.flatnonzero(np.isin(whole, g._window.free))
+    finally:
+        g._window = g._evaluated = None
+    assert columns.size == b.size
+    return h, b, columns
+
+
+def test_window_linearizes_like_the_whole_graph_bit_for_bit():
+    """A window's H and b are the whole graph's on its free columns, entry for entry."""
+    cases = []
+    for seed in range(6):
+        g = _keyframe_chain(seed)
+        keyframes = g.variables_of(VarKind.KEYFRAME)
+        # A factor that lists one variable twice, inside the window.
+        g.add_factor(Factor(FactorKind.ODOMETRY, (keyframes[-2],) * 2, [0.1, -0.2, 0.3]))
+        cases.append((g, seed, True))
+        g = _random_kind_graph(seed)
+        planes = g.variables_of(VarKind.PLANE)
+        keyframe = g.variables_of(VarKind.KEYFRAME)[1]
+        g.add_factor(Factor(FactorKind.ODOMETRY, (keyframe, keyframe), [0.1, -0.2, 0.3]))
+        room = g.variables_of(VarKind.ROOM)[0]
+        g.add_factor(Factor(FactorKind.ROOM_TO_WALLS, (room, planes[2], planes[2], *planes[2:])))
+        cases.append((g, seed, False))
+    fixed = 0
+    for g, seed, chain in cases:
+        doc = g.to_json_dict()
+        for i, var in enumerate(doc["variables"]):
+            var["fixed"] = (i + seed) % 5 == 0
+        g = FactorGraph.from_json_dict(doc)
+        window = _last_keyframes_window(g) if chain else g.variables()[seed % 2 :: 2]
+        fixed += sum(g.is_fixed(vid) for vid in window)
+        h, b, _ = g._linearize()
+        window_h, window_b, columns = _window_system(g, window)
+        assert 0 < columns.size < b.size
+        assert np.array_equal(window_b, b[columns])
+        assert np.array_equal(window_h, h[np.ix_(columns, columns)])
+    assert fixed > 0
+
+
 def test_values_reads_rows_of_one_dimension():
     g = _random_kind_graph(2)
     planes = g.variables_of(VarKind.PLANE)
@@ -754,7 +853,8 @@ def test_room_to_walls_kernel_matches_per_slot_reference_bit_for_bit():
     for m in (1, 2, 7, 33):
         vals = [rng.normal(0, 5, (m, 2))]
         vals += [np.stack([rng.uniform(-4, 4, m), rng.uniform(0, 12, m)], axis=1) for _ in range(4)]
-        r, jacs = fg._room_to_walls(None, vals, np.zeros((m, 0)))
+        r, jacobians = fg._room_to_walls(None, vals, np.zeros((m, 0)))
+        jacs = jacobians()
         want_r, want_jacs = _room_to_walls_per_slot(vals, m)
         assert np.array_equal(r, want_r)
         assert len(jacs) == len(want_jacs)
