@@ -392,6 +392,7 @@ class _Group:
     kind: FactorKind
     signature: tuple[VarKind, ...]
     entries: np.ndarray  # (m, D) flat-state positions, the variable slots side by side
+    firsts: np.ndarray  # each slot's first column: a window holds whole variables, so it marks them
     measurements: np.ndarray  # (m, p)
     information: np.ndarray  # (m, k, k)
 
@@ -443,6 +444,7 @@ class _Structure:
             kind,
             signature,
             np.zeros((0, sum(VAR_DIM[v] for v in signature)), dtype=np.intp),
+            np.array([s.start for s in _slots(signature)]),
             np.zeros((0, factor.measurement.size)),
             np.zeros((0, *factor.information.shape)),
         )
@@ -477,7 +479,7 @@ class _Structure:
         column[free] = np.arange(n)
         b_parts, h_parts = [out.b_dst], [out.h_dst]  # empty: np.concatenate needs one array
         for group in self.groups:
-            rows = inside[group.entries].any(axis=1)
+            rows = inside[group.entries[:, group.firsts]].any(axis=1)
             if not rows.any():
                 continue
             entries = group.entries[rows]
@@ -486,6 +488,7 @@ class _Structure:
                     group.kind,
                     group.signature,
                     entries,
+                    group.firsts,
                     group.measurements[rows],
                     group.information[rows],
                 )

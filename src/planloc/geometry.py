@@ -31,13 +31,7 @@ def wrap_angle(theta: float) -> float:
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Elementwise ``wrap_angle``; every step is exact, so the two agree bit for bit.
-
-    An array with every entry in (-pi, pi), where ``wrap_angle`` is the identity,
-    is returned as it is.
-    """
-    if np.maximum.reduce(np.abs(theta), axis=None, initial=0.0) < math.pi:  # False on NaN
-        return theta
+    """Elementwise ``wrap_angle``; every step is exact, so the two agree bit for bit."""
     r = np.fmod(theta, math.tau)
     r = np.where(r > math.pi, r - math.tau, r)
     return np.where(r <= -math.pi, r + math.tau, r)

@@ -295,13 +295,14 @@ def evaluate_run_dir(run_dir) -> dict:
     """Recompute the metrics of a finished run from its artifacts.
 
     A run_report.json without its status, a trajectory.csv without a pose
-    column or with a row short of a pose cell, or a planes_b.json entry without
-    its plane or extent, raises ScenarioError naming the file, the row and the field.
+    column or with a row short of a pose cell, or a planes_b.json that is not a
+    list of objects with a plane and an extent, raises ScenarioError naming the
+    file, the row and the field.
     """
     run_dir = Path(run_dir)
     report_path, trajectory_path = run_dir / "run_report.json", run_dir / "trajectory.csv"
     report = json.loads(report_path.read_text())
-    _require(report if isinstance(report, dict) else {}, ("status",), str(report_path))
+    _require(report, ("status",), str(report_path))
     out: dict = {"status": report["status"]}
     with open(trajectory_path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -317,8 +318,11 @@ def evaluate_run_dir(run_dir) -> dict:
     planes_path = run_dir / "planes_b.json"
     if planes_path.exists():
         plan = _plan_of_report(run_dir)
+        docs = json.loads(planes_path.read_text())
+        if not isinstance(docs, list):
+            raise ScenarioError(f"{planes_path}: not a list of planes")
         estimates = []
-        for k, d in enumerate(json.loads(planes_path.read_text())):
+        for k, d in enumerate(docs):
             _require(d, ("phi", "d", "extent"), f"{planes_path}: entry {k}")
             surface = EstimatedSurface(d["phi"], d["d"], tuple(d["extent"]), d.get("surface"))
             estimates.append(surface)
@@ -326,8 +330,10 @@ def evaluate_run_dir(run_dir) -> dict:
     return out
 
 
-def _require(record: dict, fields, where: str) -> None:
+def _require(record: object, fields, where: str) -> None:
     """Raise ScenarioError at ``where`` for the first of ``fields`` that ``record`` leaves out."""
+    if not isinstance(record, dict):
+        raise ScenarioError(f"{where}: not an object")
     for name in fields:
         if record.get(name) is None:
             raise ScenarioError(f"{where}: missing field {name!r}")

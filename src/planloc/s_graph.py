@@ -17,7 +17,6 @@ alias during data association even though they are only a slab apart.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -153,10 +152,6 @@ def _pairwise_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a @ b.T`` or an elementwise sum may differ in the last bit.
     """
     return (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]
-
-
-# np.triu_indices for the last plane counts, which repeat from keyframe to keyframe.
-_upper_pairs = functools.lru_cache(maxsize=4)(np.triu_indices)
 
 
 def _crossings(p, q, a, b) -> np.ndarray:
@@ -642,7 +637,7 @@ class SGraph:
         lo_along = np.where(flip, -extent[:, None, 1], extent[:, None, 0])
         hi_along = np.where(flip, -extent[:, None, 0], extent[:, None, 1])
 
-        i, j = _upper_pairs(len(phi), 1)
+        i, j = np.triu_indices(len(phi), 1)
         keep = np.abs(wrap_angles(phi[i] - phi[j])) > math.pi - OPPOSED_TOL
         i, j = i[keep], j[keep]
         gap = d[i] - d[j] * nn[i, j]

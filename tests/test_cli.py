@@ -189,12 +189,18 @@ def test_error_paths_exit_one(tmp_path, capsys):
     (run_dir / "trajectory.csv").write_text(header + "0,0,0,0,0,0,0\n")
     (run_dir / "plan.json").write_text(Path(fixture("two_rooms.plan.json")).read_text())
     plane = {"phi": 0.0, "d": 1.0, "extent": [0.0, 2.0], "surface": None}
-    for field in ("phi", "d", "extent"):
-        doc = [plane, {key: value for key, value in plane.items() if key != field}]
+    for doc, said in (
+        *(
+            ([plane, {key: value for key, value in plane.items() if key != field}], repr(field))
+            for field in ("phi", "d", "extent")
+        ),
+        ([plane, [1]], "entry 1"),
+        (plane, "not a list"),
+    ):
         (run_dir / "planes_b.json").write_text(json.dumps(doc))
         assert main(["eval", str(run_dir)]) == 1
         err = capsys.readouterr().err
-        assert "error:" in err and "planes_b.json" in err and repr(field) in err
+        assert "error:" in err and "planes_b.json" in err and said in err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1
