@@ -26,7 +26,7 @@ import numpy as np
 
 from .factor_graph import Factor, FactorGraph, FactorKind, VariableId, VarKind
 from .geometry import PERP
-from .matcher import RoomEntry, room_entries
+from .matcher import PlanRooms, room_entries
 
 ROOM_SIDES = ("px", "mx", "py", "my")
 
@@ -329,9 +329,9 @@ class AGraph:
     room_ids: dict[str, VariableId]
 
     @cached_property
-    def rooms(self) -> list[RoomEntry]:
+    def rooms(self) -> PlanRooms:
         """The matcher's view of the plan's four-wall rooms; the plan is constant, so read once."""
-        return room_entries(self.graph)
+        return PlanRooms(room_entries(self.graph))
 
     def surface_of_plane(self, vid: VariableId) -> str:
         for sid, pid in self.plane_ids.items():

@@ -387,12 +387,17 @@ def _weights(spec: _FactorSpec, kinds: tuple[VarKind, ...]) -> tuple[float, ...]
 
 @dataclass
 class _Group:
-    """Factors of one kind and variable-kind signature, stacked in factor-id order."""
+    """Factors of one kind and variable-kind signature, stacked in factor-id order.
+
+    ``rows`` are their positions among the graph's factors of this kind and
+    signature: all of them in the graph's structure, those touching the
+    window in a window's. A kept evaluation of the group is keyed by them.
+    """
 
     kind: FactorKind
     signature: tuple[VarKind, ...]
+    rows: np.ndarray  # (m,)
     entries: np.ndarray  # (m, D) flat-state positions, the variable slots side by side
-    firsts: np.ndarray  # each slot's first column: a window holds whole variables, so it marks them
     measurements: np.ndarray  # (m, p)
     information: np.ndarray  # (m, k, k)
 
@@ -404,19 +409,36 @@ def _slots(signature: tuple[VarKind, ...]) -> tuple[slice, ...]:
     return tuple(slice(end - VAR_DIM[v], end) for v, end in zip(signature, ends))
 
 
+@functools.lru_cache(maxsize=None)
+def _entry_steps(signature: tuple[VarKind, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry column's slot, and its step from the slot's first entry (read-only)."""
+    dims = [VAR_DIM[v] for v in signature]
+    slot = np.repeat(np.arange(len(dims)), dims)
+    step = np.concatenate([np.arange(d) for d in dims])
+    slot.flags.writeable = step.flags.writeable = False
+    return slot, step
+
+
 class _Structure:
     """Everything evaluation needs from a graph's factors except the variable values.
 
     Built by appending factors in id order. A graph only grows, so its
-    structure catches up by position, and an extended structure equals one
-    rebuilt from scratch, entry for entry. A solve works on a ``window`` of
-    it, which adds the columns the solve moves and the scatter targets.
+    structure catches up by position: each group's arrays are views of
+    buffers that double when full, and an append writes only the new rows.
+    An extended structure equals one rebuilt from scratch, entry for entry. A
+    solve works on a ``window`` of it, which adds the columns the solve moves
+    and the scatter targets.
     """
 
     def __init__(self):
         self.size = 0  # the graph's factors held: ids 0 .. size - 1
         self.groups: list[_Group] = []
         self._group_of: dict[tuple, int] = {}  # (kind, signature) -> index in groups
+        # Per group: the buffers that its rows, entries, measurements,
+        # information and heads view, and its heads: each slot's first entry.
+        # A window holds whole variables, so it marks a factor by its heads.
+        self._buffers: list[list[np.ndarray]] = []
+        self._heads: list[np.ndarray] = []
         # A window's only: the flat-state entry of each free column, the free
         # entries that hold angles, and the scatter targets of the groups'
         # entries, concatenated in group order: the column of each entry and
@@ -433,34 +455,44 @@ class _Structure:
             k = self._group_of.get(key)
             if k is None:
                 k = self._group_of[key] = len(self.groups)
-                self.groups.append(self._new_group(*key, new[0]))
-            self._append(self.groups[k], new, offset)
+                self._new_group(*key, new[0])
+            self._append(k, new, offset)
         self.size += len(factors)
 
-    @staticmethod
-    def _new_group(kind: FactorKind, signature: tuple[VarKind, ...], factor: Factor) -> _Group:
+    def _new_group(self, kind: FactorKind, signature: tuple[VarKind, ...], factor: Factor) -> None:
         """An empty group shaped like ``factor``."""
-        return _Group(
-            kind,
-            signature,
+        buffers = [
+            np.zeros(0, dtype=np.intp),
             np.zeros((0, sum(VAR_DIM[v] for v in signature)), dtype=np.intp),
-            np.array([s.start for s in _slots(signature)]),
             np.zeros((0, factor.measurement.size)),
             np.zeros((0, *factor.information.shape)),
-        )
+            np.zeros((0, len(signature)), dtype=np.intp),
+        ]
+        self.groups.append(_Group(kind, signature, *buffers[:4]))
+        self._buffers.append(buffers)
+        self._heads.append(buffers[4])
 
-    @staticmethod
-    def _append(group: _Group, factors: list[Factor], offset) -> None:
-        """Stack factors onto a group."""
-        dims = [VAR_DIM[v] for v in group.signature]
-        first = np.array([[offset[v] for v in f.variables] for f in factors], dtype=np.intp)
-        entries = np.repeat(first, dims, axis=1) + np.concatenate([np.arange(d) for d in dims])
-        group.entries = np.concatenate([group.entries, entries])
-        group.measurements = np.concatenate(
-            [group.measurements, np.array([f.measurement for f in factors]).reshape(len(factors), -1)]
-        )
-        group.information = np.concatenate(
-            [group.information, np.array([f.information for f in factors])]
+    def _append(self, k: int, factors: list[Factor], offset) -> None:
+        """Write factors into the rows after the group's last, doubling its buffers when full."""
+        group, buffers = self.groups[k], self._buffers[k]
+        start = group.rows.size
+        end = start + len(factors)
+        if end > len(buffers[0]):
+            capacity = max(2 * len(buffers[0]), end)
+            buffers[0] = np.arange(capacity)
+            for i, buffer in enumerate(buffers[1:], 1):
+                grown = np.empty((capacity, *buffer.shape[1:]), dtype=buffer.dtype)
+                grown[:start] = buffer[:start]
+                buffers[i] = grown
+        _, entries, measurements, information, heads = buffers
+        new = slice(start, end)
+        heads[new] = [[offset[v] for v in f.variables] for f in factors]
+        slot, step = _entry_steps(group.signature)
+        entries[new] = heads[new][:, slot] + step
+        measurements[new] = [f.measurement for f in factors]
+        information[new] = [f.information for f in factors]
+        group.rows, group.entries, group.measurements, group.information, self._heads[k] = (
+            buffer[:end] for buffer in buffers
         )
 
     def window(self, inside: np.ndarray, free: np.ndarray, angles: np.ndarray) -> "_Structure":
@@ -478,17 +510,17 @@ class _Structure:
         column = np.full(inside.size, n, dtype=np.intp)
         column[free] = np.arange(n)
         b_parts, h_parts = [out.b_dst], [out.h_dst]  # empty: np.concatenate needs one array
-        for group in self.groups:
-            rows = inside[group.entries[:, group.firsts]].any(axis=1)
-            if not rows.any():
+        for group, heads in zip(self.groups, self._heads):
+            rows = np.flatnonzero(inside[heads].any(axis=1))
+            if not rows.size:
                 continue
             entries = group.entries[rows]
             out.groups.append(
                 _Group(
                     group.kind,
                     group.signature,
+                    rows,
                     entries,
-                    group.firsts,
                     group.measurements[rows],
                     group.information[rows],
                 )
@@ -523,6 +555,11 @@ class FactorGraph:
     def __init__(self):
         self._state = np.zeros(0)
         self._offset: dict[VariableId, int] = {}  # in insertion order
+        # Per state entry, read through _marks, which catches them up with
+        # the variables added since.
+        self._owner = np.zeros(0, dtype=np.intp)
+        self._angle = np.zeros(0, dtype=bool)
+        self._unmarked: list[VariableId] = []
         self._fixed: set[VariableId] = set()
         self._counters: dict[VarKind, int] = {}
         self._factors: list[Factor] = []
@@ -531,9 +568,11 @@ class FactorGraph:
         # The structure of a windowed optimize while one runs; cost and
         # linearization then cover only its factors.
         self._window: _Structure | None = None
-        # Per-group (whitened residuals, Jacobians) and the cost of the current
-        # state, kept from its last evaluation; every write drops them.
-        self._evaluated: tuple[list, float] | None = None
+        # Per group, by (kind, signature): the rows it last evaluated, their
+        # whitened residuals, Jacobian builder and cost, at the current
+        # values. A write to a value drops them all; a new variable or factor
+        # changes no value, so it keeps them.
+        self._evaluations: dict[tuple, tuple[bytes, np.ndarray, Callable, float]] = {}
 
     # -- variables ---------------------------------------------------------
 
@@ -548,9 +587,9 @@ class FactorGraph:
         vid = VariableId(kind, index)
         self._offset[vid] = self._state.size
         self._state = np.concatenate([self._state, value])
+        self._unmarked.append(vid)
         if fixed:
             self._fixed.add(vid)
-        self._evaluated = None
         return vid
 
     def _slice(self, vid: VariableId) -> slice:
@@ -581,7 +620,7 @@ class FactorGraph:
         if value.shape != (VAR_DIM[vid.kind],):
             raise GraphError(f"value shape mismatch for {vid}")
         self._state[where] = value
-        self._evaluated = None
+        self._evaluations = {}
 
     def is_fixed(self, vid: VariableId) -> bool:
         return vid in self._fixed
@@ -599,7 +638,6 @@ class FactorGraph:
             if vid not in self._offset:
                 raise GraphError(f"factor references unknown variable {vid}")
         self._factors.append(factor)
-        self._evaluated = None
         return len(self._factors) - 1
 
     def factor(self, fid: int) -> Factor:
@@ -634,7 +672,7 @@ class FactorGraph:
 
     def total_cost(self) -> float:
         """Summed chi2 of every factor; inside a windowed optimize, of the window's factors."""
-        return self._evaluate()[1]
+        return self._evaluate(self._scored())[1]
 
     def _structure(self) -> _Structure:
         """The graph's structure, caught up with the factors added since it was last read."""
@@ -652,32 +690,52 @@ class FactorGraph:
 
         The columns of H and b follow the state, whatever the order of ``vids``.
         """
-        entries, angles = [], []
+        offset = self._offset
         try:
-            for vid in vids:
-                first = self._offset[vid]
-                entries += range(first, first + VAR_DIM[vid.kind])
-                for slot in ANGLE_SLOTS.get(vid.kind, ()):
-                    angles.append(first + slot)
-        except KeyError:
-            raise GraphError(f"unknown variable {vid}") from None
+            firsts = [offset[vid] for vid in vids]
+        except KeyError as exc:
+            raise GraphError(f"unknown variable {exc.args[0]}") from None
         # Marks drop repeated variables and put the entries in state order.
-        inside = np.zeros(self._state.size, dtype=bool)
-        inside[entries] = True
+        owner, angle = self._marks()
+        chosen = np.zeros(self._state.size, dtype=bool)
+        chosen[firsts] = True
+        inside = chosen[owner]
         moved = inside.copy()
         for vid in self._fixed:
             moved[self._slice(vid)] = False
-        angle = np.zeros_like(inside)
-        angle[angles] = True
-        angle &= moved
-        return self._structure().window(inside, np.flatnonzero(moved), np.flatnonzero(angle))
+        return self._structure().window(inside, np.flatnonzero(moved), np.flatnonzero(moved & angle))
 
-    def _evaluate(self) -> tuple[list, float]:
-        """Run each group's kernel once per state: (whitened residuals, Jacobian builder), cost."""
-        if self._evaluated is None:
-            cost = 0.0
-            parts = []
-            for group in self._scored().groups:
+    def _marks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per state entry: its variable's first entry, and whether it holds an angle.
+
+        Caught up with the variables added since they were last read, as the
+        structure is with the factors.
+        """
+        if self._unmarked:
+            owner, angle = [], []
+            for vid in self._unmarked:
+                dim, slots = VAR_DIM[vid.kind], ANGLE_SLOTS.get(vid.kind, ())
+                owner += [self._offset[vid]] * dim
+                angle += [slot in slots for slot in range(dim)]
+            self._owner = np.concatenate([self._owner, owner])
+            self._angle = np.concatenate([self._angle, angle])
+            self._unmarked = []
+        return self._owner, self._angle
+
+    def _evaluate(self, structure: _Structure) -> tuple[list, float]:
+        """Each group's (whitened residuals, Jacobian builder) at the current values, and the cost.
+
+        A group runs its kernel unless its rows were evaluated at these values
+        already. The cost sums the groups' costs in group order either way.
+        """
+        kept = self._evaluations
+        parts = []
+        cost = 0.0
+        for group in structure.groups:
+            key = (group.kind, group.signature)
+            rows = group.rows.tobytes()  # every rows array is intp, so equal bytes are equal rows
+            entry = kept.get(key)
+            if entry is None or entry[0] != rows:
                 values = self._state[group.entries]
                 r, jacobians = _FACTOR_SPECS[group.kind].kernel(
                     group.signature,
@@ -685,20 +743,20 @@ class FactorGraph:
                     group.measurements,
                 )
                 wr = np.einsum("mkl,ml->mk", group.information, r)
-                cost += float(np.einsum("mk,mk->", r, wr))
-                parts.append((wr, jacobians))
-            self._evaluated = (parts, cost)
-        return self._evaluated
+                entry = kept[key] = (rows, wr, jacobians, float(np.einsum("mk,mk->", r, wr)))
+            parts.append(entry[1:3])
+            cost += entry[3]
+        return parts, cost
 
     # -- optimization ------------------------------------------------------
 
     def _linearize(self) -> tuple[np.ndarray, np.ndarray, float]:
         """Gauss-Newton system H, b over the free columns, and the cost, at the current values.
 
-        Outside a solve, over the whole graph's window, which the graph's evaluation fits.
+        Outside a solve, over the whole graph's window.
         """
         structure = self._cut(self._offset) if self._window is None else self._window
-        parts, cost = self._evaluate()
+        parts, cost = self._evaluate(structure)
         n = structure.free.size
         b_parts = [np.zeros(0)]
         h_parts = [np.zeros(0)]
@@ -730,18 +788,11 @@ class FactorGraph:
                 "graph has no prior factor and no fixed variable; anchor it first"
             )
 
-        # The whole graph's window holds the graph's groups and factors in
-        # order, so an evaluation of either one serves the other.
-        whole = window is None
-        self._window = self._cut(self._offset if whole else window)
-        if not whole:
-            self._evaluated = None
+        self._window = self._cut(self._offset if window is None else window)
         try:
             return self._solve(max_iterations)
         finally:
             self._window = None
-            if not whole:
-                self._evaluated = None
 
     def _solve(self, max_iterations: int) -> SolveReport:
         """The LM loop over the free columns of the running solve's window.
@@ -779,16 +830,16 @@ class FactorGraph:
                 except np.linalg.LinAlgError:
                     lam *= LAMBDA_UP
                     continue
-                backup = self._state.copy(), self._evaluated
+                backup = self._state.copy(), self._evaluations
                 self._state[structure.free] += delta
                 self._state[structure.angles] = wrap_angles(self._state[structure.angles])
-                self._evaluated = None
+                self._evaluations = {}
                 new_cost = self.total_cost()
                 if new_cost <= cost:
                     lam = max(lam * LAMBDA_DOWN, 1e-12)
                     stepped = True
                     break
-                self._state, self._evaluated = backup
+                self._state, self._evaluations = backup
                 flat = new_cost - cost <= REL_TOL * cost
                 if flat:
                     break

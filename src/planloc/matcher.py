@@ -128,6 +128,50 @@ def _room_dims(rooms) -> np.ndarray:
     return np.sort(np.abs(gap), axis=1)
 
 
+class RoomsByVid(dict):
+    """Room entries by variable id, with their planes' (phi, d) by variable id, read once."""
+
+    @cached_property
+    def plane_values(self) -> dict[VariableId, tuple[float, float]]:
+        return {pl.vid: (pl.phi, pl.d) for room in self.values() for pl in room.planes}
+
+
+class PlanRooms(list):
+    """The plan's room entries, with the arrays a match reads of them, each built on first read.
+
+    The plan is constant for a run, so ``AGraph.rooms`` is one of these and a
+    run builds each array once; the entries must not change after a read. A
+    plain list of entries is wrapped anew by each call that takes one.
+    """
+
+    @cached_property
+    def by_vid(self) -> RoomsByVid:
+        return RoomsByVid((room.vid, room) for room in self)
+
+    @cached_property
+    def dims(self) -> np.ndarray:
+        """(A, 2) sorted dims of each room."""
+        return np.array([room.dims for room in self]).reshape(-1, 2)
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """(A, 2) room centers."""
+        return np.array([room.center for room in self]).reshape(-1, 2)
+
+    @cached_property
+    def center_dist(self) -> np.ndarray:
+        """(A, A) distances between the room centers."""
+        return np.array([[math.dist(a.center, b.center) for b in self] for a in self])
+
+
+def _plan_rooms(rooms: list[RoomEntry]) -> PlanRooms:
+    return rooms if isinstance(rooms, PlanRooms) else PlanRooms(rooms)
+
+
+def _rooms_by_vid(rooms: dict[VariableId, RoomEntry]) -> RoomsByVid:
+    return rooms if isinstance(rooms, RoomsByVid) else RoomsByVid(rooms)
+
+
 def read_room_entries(graph: FactorGraph, rooms) -> list[RoomEntry]:
     """Room views of (room, plane, plane, plane, plane) variables at the graph's values.
 
@@ -248,13 +292,13 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
     """
     if len(s_rooms) < 2 or not a_rooms:
         return []
+    plan = _plan_rooms(a_rooms)
     s_rooms = sorted(s_rooms, key=lambda r: r.vid.index)
     bounded = len(s_rooms) > EXHAUSTIVE_MAX_ROOMS
-    plan_index = np.arange(len(a_rooms))
-    a_dims = np.array([a.dims for a in a_rooms])
+    plan_index = np.arange(len(plan))
     s_dims = _room_dims(s_rooms)
-    dims_ok = _dims_gate(a_dims, s_dims)
-    a_dist = np.array([[math.dist(a.center, b.center) for b in a_rooms] for a in a_rooms])
+    dims_ok = _dims_gate(plan.dims, s_dims)
+    a_dist = plan.center_dist
     # partials[j, k] is the index into a_rooms of the plan room given to
     # s_rooms[k]; np.nonzero walks the (partial, plan room) masks in the
     # order of a loop over partials, then plan rooms
@@ -278,9 +322,8 @@ def propose_room_pairs(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> li
             partials, mismatch = partials[keep], mismatch[keep]
     if not len(partials):
         return []
-    a_centers = np.array([a.center for a in a_rooms])
     try:
-        hints, e_rhos = fit_rigid_transforms([s.center for s in s_rooms], a_centers[partials])
+        hints, e_rhos = fit_rigid_transforms([s.center for s in s_rooms], plan.centers[partials])
     except GeometryError:  # the observed centers coincide: no assignment aligns
         return []
     candidates = []
@@ -375,8 +418,8 @@ def wall_residual_rms(
     ``np.mean`` over that candidate's rows alone, bit for bit. A candidate
     without wall pairs has RMS 0.
     """
-    a_planes = {pl.vid: (pl.phi, pl.d) for r in a_rooms_by_vid.values() for pl in r.planes}
-    s_planes = {pl.vid: (pl.phi, pl.d) for r in s_rooms_by_vid.values() for pl in r.planes}
+    a_planes = _rooms_by_vid(a_rooms_by_vid).plane_values
+    s_planes = _rooms_by_vid(s_rooms_by_vid).plane_values
     rows_of = []  # per candidate: (plan phi, d, robot phi, d, hint x, y, theta) per wall pair
     by_count: dict[int, list[int]] = {}
     for k, cand in enumerate(cands):
@@ -437,13 +480,15 @@ def match(a_rooms: list[RoomEntry], s_rooms: list[RoomEntry]) -> MatchResult:
     """Full pipeline: propose -> expand -> combine -> score -> cluster.
 
     Takes room entries, so that a caller reads the constant plan side once
-    (``AGraph.rooms``) and the robot side once per snapshot (``room_entries``).
+    (``AGraph.rooms``, whose arrays are then built once) and the robot side
+    once per snapshot (``read_room_entries``).
     """
     if len(s_rooms) < 2:
         return MatchResult(MatchStatus.NO_MATCH, None, [])
-    a_by_vid = {r.vid: r for r in a_rooms}
-    s_by_vid = {r.vid: r for r in s_rooms}
-    room_cands = propose_room_pairs(a_rooms, s_rooms)
+    plan = _plan_rooms(a_rooms)
+    a_by_vid = plan.by_vid
+    s_by_vid = RoomsByVid((r.vid, r) for r in s_rooms)
+    room_cands = propose_room_pairs(plan, s_rooms)
     expanded: list[tuple[MatchCandidate, list[MatchPair]]] = []
     for cand in room_cands:
         hint = cand.transform_hint

@@ -26,7 +26,8 @@ from .matcher import (
     MatchPair,
     MatchResult,
     MatchStatus,
-    RoomEntry,
+    PlanRooms,
+    RoomsByVid,
     WallPairingError,
     _dims_gate,
     _room_dims,
@@ -49,9 +50,14 @@ class MergedState:
     a_var_map: dict[VariableId, VariableId]  # the identity over the plan graph's ids
     room_pairs: dict[VariableId, VariableId]  # plan room -> robot room
     plane_pairs: dict[VariableId, VariableId]  # plan plane -> robot plane
-    plan_rooms: dict[VariableId, RoomEntry]  # plan-graph room -> its entry; the plan is constant
+    plan: PlanRooms  # the plan's rooms; the plan is constant
     merge_factor_ids: list[int] = field(default_factory=list)
     report: SolveReport | None = None
+
+    @property
+    def plan_rooms(self) -> RoomsByVid:
+        """Plan-graph room -> its entry."""
+        return self.plan.by_vid
 
     def transform_estimate(self) -> Pose2:
         return Pose2.from_array(self.graph.value(self.transform))
@@ -75,7 +81,7 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
     transform = graph.add_variable(VarKind.TRANSFORM, Pose2.identity().as_array())
 
     a_var_map = {vid: vid for vid in a.graph.variables()}
-    state = MergedState(graph, transform, a_var_map, {}, {}, {r.vid: r for r in a.rooms})
+    state = MergedState(graph, transform, a_var_map, {}, {}, a.rooms)
     _add_match_factors(state, m.best.room_pairs, m.best.wall_pairs)
 
     graph.set_value(transform, m.best.transform_hint.as_array())
@@ -87,7 +93,7 @@ def merge(a: AGraph, s: SGraph, m: MatchResult) -> MergedState:
 def _add_match_factors(state: MergedState, room_pairs, wall_pairs) -> None:
     """One factor per new pair, tying the robot node through the transform to the plan value."""
     graph = state.graph
-    plan_planes = {p.vid: p for room in state.plan_rooms.values() for p in room.planes}
+    plan_planes = state.plan_rooms.plane_values
     for pair in room_pairs:
         if pair.a_node in state.room_pairs:
             continue
@@ -105,13 +111,12 @@ def _add_match_factors(state: MergedState, room_pairs, wall_pairs) -> None:
         if pair.a_node in state.plane_pairs:
             continue
         state.plane_pairs[pair.a_node] = pair.s_node
-        plane = plan_planes[pair.a_node]
         state.merge_factor_ids.append(
             graph.add_factor(
                 Factor(
                     FactorKind.PLANE_TO_PLANE,
                     (pair.s_node, state.transform),
-                    (plane.phi, plane.d),
+                    plan_planes[pair.a_node],
                 )
             )
         )
@@ -140,14 +145,13 @@ def extend_matches(state: MergedState, s: SGraph) -> int:
     s_rooms = {r.vid: r for r in s_list}
     # All robot rooms meet all plan rooms in one (S, A) pass; the rooms are
     # then taken in index order, each closing the plan room it is paired with.
-    a_vids = list(a_rooms)
+    plan = state.plan
+    a_vids = [room.vid for room in plan]
     a_index = np.array([vid.index for vid in a_vids])
-    a_centers = np.array([a_rooms[vid].center for vid in a_vids]).reshape(-1, 2)
-    a_dims = np.array([a_rooms[vid].dims for vid in a_vids]).reshape(-1, 2)
     open_a = np.array([vid not in state.room_pairs for vid in a_vids], dtype=bool)
     mapped = np.array([t.transform_point(r.center) for r in s_list])
-    dist = _distances(mapped[:, None], a_centers)
-    gate = ~(dist > DIST_TOL) & _dims_gate(a_dims, _room_dims(s_list))
+    dist = _distances(mapped[:, None], plan.centers)
+    gate = ~(dist > DIST_TOL) & _dims_gate(plan.dims, _room_dims(s_list))
 
     added = 0
     for i in np.flatnonzero(gate.any(axis=1)).tolist():

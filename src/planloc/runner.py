@@ -34,7 +34,7 @@ import numpy as np
 from .a_graph import AGraph, FloorPlan, build_a_graph, load_plan, plan_from_dict
 from .factor_graph import FactorGraph
 from .geometry import Pose2, transform_phi_dist
-from .matcher import MatchResult, MatchStatus, match, room_entries
+from .matcher import MatchResult, MatchStatus, match, read_room_entries
 from .merger import MergedState, extend_matches, localized_trajectory, merge
 from .metrics import EstimatedSurface, compute_ape, compute_map_rmse
 from .plans import fixture_dir, fixture_plan
@@ -114,7 +114,9 @@ def run_pipeline(plan: FloorPlan, config: SimConfig) -> RunResult:
     for step in sim.steps():
         sgraph.add_step(step)
         if merged is None:
-            result = match(agraph.rooms, room_entries(sgraph.graph))
+            # The robot's rooms in creation order, which is the order of their factors.
+            rooms = ((vid, *rec.planes) for vid, rec in sgraph.rooms.items())
+            result = match(agraph.rooms, read_room_entries(sgraph.graph, rooms))
             history.append({"step": step.index, "status": result.status.value})
             decisive = result
             if result.status == MatchStatus.MATCHED:
@@ -296,8 +298,8 @@ def evaluate_run_dir(run_dir) -> dict:
 
     A run_report.json without its status, a trajectory.csv without a pose
     column or with a row short of a pose cell, or a planes_b.json that is not a
-    list of objects with a plane and an extent, raises ScenarioError naming the
-    file, the row and the field.
+    list of objects with a numeric plane, an extent of two numbers and a surface
+    id or null, raises ScenarioError naming the file, the row and the field.
     """
     run_dir = Path(run_dir)
     report_path, trajectory_path = run_dir / "run_report.json", run_dir / "trajectory.csv"
@@ -321,11 +323,7 @@ def evaluate_run_dir(run_dir) -> dict:
         docs = json.loads(planes_path.read_text())
         if not isinstance(docs, list):
             raise ScenarioError(f"{planes_path}: not a list of planes")
-        estimates = []
-        for k, d in enumerate(docs):
-            _require(d, ("phi", "d", "extent"), f"{planes_path}: entry {k}")
-            surface = EstimatedSurface(d["phi"], d["d"], tuple(d["extent"]), d.get("surface"))
-            estimates.append(surface)
+        estimates = [_estimated_surface(d, f"{planes_path}: entry {k}") for k, d in enumerate(docs)]
         out["map_rmse"] = compute_map_rmse(estimates, plan).to_json_dict()
     return out
 
@@ -337,6 +335,25 @@ def _require(record: object, fields, where: str) -> None:
     for name in fields:
         if record.get(name) is None:
             raise ScenarioError(f"{where}: missing field {name!r}")
+
+
+def _estimated_surface(doc: object, where: str) -> EstimatedSurface:
+    """A planes_b.json entry, checked field by field; ScenarioError at ``where`` names the field."""
+    _require(doc, ("phi", "d", "extent"), where)
+
+    def number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    for name in ("phi", "d"):
+        if not number(doc[name]):
+            raise ScenarioError(f"{where}: field {name!r} must be a number, got {doc[name]!r}")
+    extent = doc["extent"]
+    if not (isinstance(extent, list) and len(extent) == 2 and all(map(number, extent))):
+        raise ScenarioError(f"{where}: field 'extent' must be two numbers, got {extent!r}")
+    surface = doc.get("surface")
+    if not (surface is None or isinstance(surface, str)):
+        raise ScenarioError(f"{where}: field 'surface' must be a string or null, got {surface!r}")
+    return EstimatedSurface(doc["phi"], doc["d"], tuple(extent), surface)
 
 
 def _plan_of_report(run_dir: Path) -> FloorPlan:

@@ -201,6 +201,21 @@ def test_error_paths_exit_one(tmp_path, capsys):
         assert main(["eval", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "planes_b.json" in err and said in err
+    # fields of the wrong type: the error names the entry and the field
+    for field, bad in (
+        ("extent", 5),
+        ("extent", [0.0, "2"]),
+        ("extent", [0.0, 1.0, 2.0]),
+        ("phi", "x"),
+        ("d", [1.0]),
+        ("d", True),
+        ("surface", ["w0:+"]),
+    ):
+        (run_dir / "planes_b.json").write_text(json.dumps([plane, {**plane, field: bad}]))
+        assert main(["eval", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "planes_b.json" in err
+        assert "entry 1" in err and repr(field) in err
     graph = tmp_path / "no_variables.json"
     graph.write_text(json.dumps({"factors": []}))
     assert main(["match", str(graph), str(graph)]) == 1

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from planloc.factor_graph import (
     VarKind,
 )
 from planloc.geometry import Pose2, transform_phi_dist, wrap_angle
-from planloc.plans import fixture_dir
-from planloc.runner import load_scenario, run_pipeline
+from planloc.plans import fixture_dir, generate_random_plan, route_waypoints
+from planloc.runner import _plan_doc, load_scenario, run_pipeline, run_scenario
 from planloc.s_graph import SimConfig, SimulationError
 
 
@@ -629,12 +631,12 @@ def test_windowed_update_builds_jacobians_only_to_linearize(monkeypatch):
 def _window_system(g: FactorGraph, window) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H and b of a solve over ``window`` at g's state, and its columns among the whole graph's."""
     whole = g._cut(g.variables()).free
-    g._window, g._evaluated = g._cut(window), None
+    g._window = g._cut(window)
     try:
         h, b, _ = g._linearize()
         columns = np.flatnonzero(np.isin(whole, g._window.free))
     finally:
-        g._window = g._evaluated = None
+        g._window = None
     assert columns.size == b.size
     return h, b, columns
 
@@ -669,6 +671,175 @@ def test_window_linearizes_like_the_whole_graph_bit_for_bit():
         assert np.array_equal(window_b, b[columns])
         assert np.array_equal(window_h, h[np.ix_(columns, columns)])
     assert fixed > 0
+
+
+def _window_cost(g: FactorGraph, window) -> float:
+    """The cost a solve over ``window`` starts from, at g's state."""
+    g._window = g._cut(window)
+    try:
+        return g.total_cost()
+    finally:
+        g._window = None
+
+
+def test_kept_evaluations_score_like_a_rebuilt_graph(monkeypatch):
+    """After writes, rejected steps and appends, cost, H and b are a rebuilt graph's."""
+    solves = accepted = flat = 0
+    solve = np.linalg.solve
+
+    def counted_solve(*args):
+        nonlocal solves
+        solves += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+
+    def assert_scores_like_rebuilt(g, window):
+        _assert_linearizes_like_rebuilt(g)
+        fresh = FactorGraph.from_json(g.to_json())
+        assert _window_cost(g, window) == _window_cost(fresh, window)
+        h, b, columns = _window_system(g, window)
+        fresh_h, fresh_b, fresh_columns = _window_system(fresh, window)
+        assert np.array_equal(h, fresh_h) and np.array_equal(b, fresh_b)
+        assert np.array_equal(columns, fresh_columns)
+
+    for seed in range(6):
+        chain = _keyframe_chain(seed)
+        graphs = [(chain, _last_keyframes_window)]
+        g = _random_kind_graph(seed)
+        t = g.variables_of(VarKind.TRANSFORM)[0]
+        graphs.append((g, lambda g, t=t: {t, *g.variables_of(VarKind.KEYFRAME)[-2:]}))
+        for g, window_of in graphs:
+            rng = np.random.default_rng(seed)
+            planes = g.variables_of(VarKind.PLANE)
+            for step in range(6):
+                assert_scores_like_rebuilt(g, window_of(g))
+                # a write, a windowed and a whole-graph step, then appends
+                vid = g.variables()[step % len(g.variables())]
+                g.set_value(vid, g.value(vid) + 0.01)
+                assert_scores_like_rebuilt(g, window_of(g))
+                report = g.optimize(1, window=window_of(g))
+                accepted += len(report.cost_trace) - 1
+                assert_scores_like_rebuilt(g, window_of(g))
+                report = g.optimize(1)
+                accepted += len(report.cost_trace) - 1
+                assert_scores_like_rebuilt(g, window_of(g))
+                _append_keyframe(g, rng, planes)
+        # Solves that end on a rejected step: nudges off the optimum.
+        g = _random_kind_graph(seed)
+        g.optimize()
+        doc = g.to_json()
+        for vid in g.variables():
+            nudged = FactorGraph.from_json(doc)
+            nudged.set_value(vid, nudged.value(vid) + 1e-15)
+            report = nudged.optimize()
+            accepted += len(report.cost_trace) - 1
+            if report.message.startswith("trial step cost within tolerance"):
+                flat += 1
+                assert_scores_like_rebuilt(nudged, nudged.variables()[1::2])
+    assert solves > accepted  # some trial steps were rejected and their state restored
+    assert flat > 5
+
+
+def test_repeated_window_runs_no_kernel_for_unchanged_rows(monkeypatch):
+    """Appends keep the groups' kept evaluations: a group whose window rows are those it
+    evaluated last runs no kernel, and the cost is still bit for bit a rebuilt graph's."""
+    runs = []
+    for kind, spec in list(fg._FACTOR_SPECS.items()):
+        def recorded(kinds, vals, meas, kind=kind, kernel=spec.kernel):
+            runs.append(kind)
+            return kernel(kinds, vals, meas)
+
+        monkeypatch.setitem(fg._FACTOR_SPECS, kind, dataclasses.replace(spec, kernel=recorded))
+    for seed in range(5):
+        g = _random_kind_graph(seed)
+        rng = np.random.default_rng(seed)
+        t = g.variables_of(VarKind.TRANSFORM)[0]
+        planes = g.variables_of(VarKind.PLANE)
+        g.optimize(1, window={t, *g.variables_of(VarKind.KEYFRAME)})
+        # keyframes and planes added and observed: the merge factors' rows do not change
+        for _ in range(3):
+            _append_keyframe(g, rng, planes)
+        window = {t, *g.variables_of(VarKind.KEYFRAME)}
+        runs.clear()
+        cost = _window_cost(g, window)
+        assert set(runs) == {FactorKind.ODOMETRY, FactorKind.POSE_PLANE}
+        assert cost == _window_cost(FactorGraph.from_json(g.to_json()), window)
+        # the same window again runs nothing; new rows in a group run its kernel
+        runs.clear()
+        assert _window_cost(g, window) == cost and runs == []
+        g.add_factor(Factor(FactorKind.PLANE_TO_PLANE, (planes[2], t), [0.1, 2.0]))
+        runs.clear()
+        cost = _window_cost(g, window)
+        assert runs == [FactorKind.PLANE_TO_PLANE]
+        assert cost == _window_cost(FactorGraph.from_json(g.to_json()), window)
+        # a write drops every kept evaluation
+        g.set_value(t, g.value(t))
+        runs.clear()
+        _window_cost(g, window)
+        assert len(runs) == len(g._cut(window).groups)
+
+
+def test_structure_grown_across_buffer_doublings_equals_rebuilt():
+    for seed in range(3):
+        g = _keyframe_chain(seed, n_keyframes=0)
+        rng = np.random.default_rng(seed)
+        planes = g.variables_of(VarKind.PLANE)
+        structure = g._structure()
+        reallocated = 0
+        for _ in range(40):
+            _append_keyframe(g, rng, planes)
+            held = [buffers[1] for buffers in structure._buffers]
+            g._structure()
+            reallocated += sum(
+                a is not b for a, b in zip(held, (buffers[1] for buffers in structure._buffers))
+            )
+        assert g._structure() is structure and reallocated >= 10
+        fresh = FactorGraph.from_json(g.to_json())._structure()
+        assert fresh.size == structure.size == len(g.factors())
+        assert len(fresh.groups) == len(structure.groups)
+        for grown, rebuilt, grown_heads, rebuilt_heads in zip(
+            structure.groups, fresh.groups, structure._heads, fresh._heads
+        ):
+            assert (grown.kind, grown.signature) == (rebuilt.kind, rebuilt.signature)
+            for name in ("rows", "entries", "measurements", "information"):
+                a, b = getattr(grown, name), getattr(rebuilt, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(grown_heads, rebuilt_heads)
+            assert np.array_equal(grown.rows, np.arange(len(grown.rows)))
+
+
+def _artifacts(scenario: Path, out: Path, seed: int) -> dict[str, bytes]:
+    """Every file a run writes, but its wall-clock timings."""
+    run_scenario(scenario, out, seed=seed)
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "timing.json"}
+
+
+def test_run_artifacts_equal_those_of_a_run_that_keeps_no_evaluation(tmp_path, monkeypatch):
+    """Kept evaluations change no byte of a run: fixtures, and a 16-room route that merges early."""
+    plan = generate_random_plan(16, 0)
+    plan_path = tmp_path / "rows16.plan.json"
+    plan_path.write_text(json.dumps(_plan_doc(plan)))
+    rows16 = tmp_path / "rows16.scenario.json"
+    rows16.write_text(json.dumps({"plan": str(plan_path), "waypoints": route_waypoints(plan)[:23]}))
+    cases = [
+        (fixture_dir() / f"{name}.scenario.json", seed)
+        for name in ("two_rooms", "five_rooms")
+        for seed in range(3)
+    ]
+    cases.append((rows16, 1000))
+
+    kept = [_artifacts(path, tmp_path / f"kept{k}", seed) for k, (path, seed) in enumerate(cases)]
+    evaluate = FactorGraph._evaluate
+
+    def forgetful(graph, structure):
+        graph._evaluations = {}
+        return evaluate(graph, structure)
+
+    monkeypatch.setattr(FactorGraph, "_evaluate", forgetful)
+    for k, (path, seed) in enumerate(cases):
+        assert _artifacts(path, tmp_path / f"forgot{k}", seed) == kept[k]
+    assert "planes_b.json" in kept[-1]  # the 16-room route merged
 
 
 def test_values_reads_rows_of_one_dimension():

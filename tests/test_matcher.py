@@ -23,6 +23,7 @@ from planloc.matcher import (
     MatchPair,
     MatchResult,
     MatchStatus,
+    PlanRooms,
     PlaneEntry,
     RoomEntry,
     RoomStructureError,
@@ -843,6 +844,25 @@ def test_match_makes_one_residual_call(funnel, monkeypatch):
     rows.clear()
     assert match(a_rooms, _room_lattice(2, 9.0, 20.0, rng)).status == MatchStatus.NO_MATCH
     assert rows == []
+
+
+def test_plan_rooms_match_like_a_plain_list_and_build_their_arrays_once(funnel):
+    """A run's plan rooms (``AGraph.rooms``) keep the arrays a match reads across matches."""
+    rng = np.random.default_rng(31)
+    for plan, subsets in ((_sym_rows8(), ([0, 1, 2], [3, 4, 5, 6])), ("five_rooms", ([0, 2, 4],))):
+        plan_rooms = build_a_graph(fixture_plan(plan) if isinstance(plan, str) else plan).rooms
+        assert isinstance(plan_rooms, PlanRooms)
+        arrays = None
+        for subset in subsets:
+            pose = Pose2(*rng.uniform(-3, 3, 2), rng.uniform(-math.pi, math.pi))
+            a_rooms, s_rooms = _noisy_views(plan, pose, subset, rng)
+            assert a_rooms == plan_rooms
+            want = _assert_matches_reference(a_rooms, s_rooms, funnel)
+            assert _assert_matches_reference(plan_rooms, s_rooms, funnel) == want
+            read = (plan_rooms.dims, plan_rooms.centers, plan_rooms.center_dist,
+                    plan_rooms.by_vid, plan_rooms.by_vid.plane_values)
+            assert arrays is None or all(a is b for a, b in zip(arrays, read))
+            arrays = read
 
 
 def _sym_rows8():

@@ -267,3 +267,19 @@ def test_center_distances_keep_norm_bits():
         centers = rng.normal(0, scale, (200, 2))
         want = [float(np.linalg.norm(point - c)) for c in centers]
         assert _distances(point, centers).tolist() == want
+
+
+def test_pipeline_reads_the_robot_rooms_as_room_entries_would(monkeypatch):
+    """The match reads the rooms from the estimator's records, in the order of their factors."""
+    seen = []
+
+    def recorded(graph, rooms, _read=read_room_entries):
+        out = _read(graph, rooms)
+        seen.append((out, room_entries(graph)))
+        return out
+
+    monkeypatch.setattr(planloc.runner, "read_room_entries", recorded)
+    for name in ("five_rooms", "grid_2x2"):
+        run_pipeline(fixture_plan(name), scenario_config(name))
+    assert seen and all(got == want for got, want in seen)
+    assert max(len(got) for got, _ in seen) >= 2
